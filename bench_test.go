@@ -429,7 +429,7 @@ func benchOrdering(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.T
 		// gating on every node would stall on that path.
 		best := uint64(0)
 		for _, n := range nodes {
-			if got := n.Layer().Counters().Snapshot().Requests; got > best {
+			if got := n.Layer().Counters().Requests.Load(); got > best {
 				best = got
 			}
 		}
@@ -456,8 +456,8 @@ func benchOrdering(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.T
 				counts := make([]uint64, len(nodes))
 				dups := make([]uint64, len(nodes))
 				for j, n := range nodes {
-					s := n.Layer().Counters().Snapshot()
-					counts[j], dups[j] = s.Requests, s.Duplicates
+					c := n.Layer().Counters()
+					counts[j], dups[j] = c.Requests.Load(), c.Duplicates.Load()
 				}
 				b.Fatalf("cluster ordered %v/%d records (duplicates %v) before deadline",
 					counts, total, dups)
@@ -469,5 +469,5 @@ func benchOrdering(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.T
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(total)/secs, "records/s")
 	}
-	b.ReportMetric(float64(nodes[0].Layer().Batches().Snapshot().Flushes), "flushes")
+	b.ReportMetric(float64(nodes[0].Layer().Batches().Flushes.Load()), "flushes")
 }

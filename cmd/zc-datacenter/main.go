@@ -102,13 +102,13 @@ func run() error {
 	// without the lifecycle tracer: archive gauges, net, crypto, and
 	// group-commit counters are the interesting families here.
 	obs := obsv.NewObserver(obsv.Options{DisableTrace: true})
-	obsv.RegisterNet(obs.Registry, tcp.NetCounters())
-	obsv.RegisterCrypto(obs.Registry, cc)
-	obsv.RegisterGroupCommit(obs.Registry, archive.GroupCommits())
-	obs.Registry.Register("chain", func() []obsv.Metric {
-		return []obsv.Metric{
-			{Name: "zugchain_chain_height", Help: "Archive head index", Kind: obsv.KindGauge, Value: float64(archive.HeadIndex())},
-			{Name: "zugchain_chain_base", Help: "Oldest retained archive block", Kind: obsv.KindGauge, Value: float64(archive.Base())},
+	obs.Registry.Register("net", tcp.NetCounters().Metrics)
+	obs.Registry.Register("crypto", cc.Metrics)
+	obs.Registry.Register("store", archive.GroupCommits().Metrics)
+	obs.Registry.Register("chain", func() []metrics.Metric {
+		return []metrics.Metric{
+			metrics.Gauge("zugchain_chain_height", "Archive head index", float64(archive.HeadIndex())),
+			metrics.Gauge("zugchain_chain_base", "Oldest retained archive block", float64(archive.Base())),
 		}
 	})
 	if *metricsAddr != "" {

@@ -297,7 +297,7 @@ func printSummary(nodes []*node.Node, dc *export.DataCenter) {
 		}
 		fmt.Printf("replica %d: height=%d base=%d ordered=%d %s\n",
 			i, store.HeadIndex(), store.Base(),
-			n.Layer().Counters().Snapshot().Requests, status)
+			n.Layer().Counters().Requests.Load(), status)
 	}
 	for i, n := range nodes {
 		if n == nil {

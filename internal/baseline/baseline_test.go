@@ -92,9 +92,9 @@ func TestBaselineOrdersEveryClientCopy(t *testing.T) {
 	// 4 copies ordered; with block size 10 they sit in the pending block.
 	deadline := time.Now().Add(15 * time.Second)
 	for _, n := range c.nodes {
-		for n.Counters().Snapshot().Requests < 4 {
+		for n.Counters().Requests.Load() < 4 {
 			if time.Now().After(deadline) {
-				t.Fatalf("node ordered %d of 4 copies", n.Counters().Snapshot().Requests)
+				t.Fatalf("node ordered %d of 4 copies", n.Counters().Requests.Load())
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -226,7 +226,7 @@ func TestBaselineViewChangeOnCensoringPrimary(t *testing.T) {
 	}
 	// The censored request is eventually ordered under the new primary.
 	for _, n := range c.nodes[1:] {
-		for n.Counters().Snapshot().Requests == 0 {
+		for n.Counters().Requests.Load() == 0 {
 			if time.Now().After(deadline) {
 				t.Fatal("censored request never ordered after view change")
 			}

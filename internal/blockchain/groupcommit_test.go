@@ -29,9 +29,9 @@ func TestStoreAppendBatchOneGroup(t *testing.T) {
 	if s.HeadIndex() != 5 {
 		t.Errorf("HeadIndex = %d", s.HeadIndex())
 	}
-	snap := s.GroupCommits().Snapshot()
-	if snap.Groups != 1 || snap.Blocks != 5 || snap.MaxGroup != 5 {
-		t.Errorf("group counters = %+v, want one 5-block group", snap)
+	gc := s.GroupCommits()
+	if gc.Groups.Load() != 1 || gc.Blocks.Load() != 5 {
+		t.Errorf("group counters = %d groups / %d blocks, want one 5-block group", gc.Groups.Load(), gc.Blocks.Load())
 	}
 	for i := 1; i <= 5; i++ {
 		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("block-%08d.zc", i))); err != nil {
@@ -80,14 +80,14 @@ func TestStoreSingleAppendsDegradeToSingletonGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := s.GroupCommits().Snapshot()
-	if snap.Blocks != 4 {
-		t.Errorf("committed blocks = %d", snap.Blocks)
+	gc := s.GroupCommits()
+	if gc.Blocks.Load() != 4 {
+		t.Errorf("committed blocks = %d", gc.Blocks.Load())
 	}
 	// A lone appender never has companions waiting: every group is one
 	// block — today's write path, now with fsync.
-	if snap.MaxGroup != 1 || snap.Groups != 4 {
-		t.Errorf("group counters = %+v, want 4 singleton groups", snap)
+	if gc.Groups.Load() != 4 {
+		t.Errorf("groups = %d for 4 blocks, want 4 singleton groups", gc.Groups.Load())
 	}
 }
 
@@ -97,7 +97,7 @@ func TestStoreSyncBarrier(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.GroupCommits().Snapshot().Syncs; got != 1 {
+	if got := s.GroupCommits().Syncs.Load(); got != 1 {
 		t.Errorf("sync counter = %d", got)
 	}
 
@@ -162,7 +162,7 @@ func TestStoreAppendsRaceSyncBarriers(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if got := s.GroupCommits().Snapshot().Blocks; got != 30 {
+	if got := s.GroupCommits().Blocks.Load(); got != 30 {
 		t.Errorf("committed blocks = %d", got)
 	}
 	if err := s.VerifyChain(); err != nil {

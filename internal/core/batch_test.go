@@ -42,9 +42,9 @@ func TestBatchFlushesWhenFull(t *testing.T) {
 		}
 	}
 
-	snap := fx.layer.Batches().Snapshot()
-	if snap.Flushes != 1 || snap.Records != 3 || snap.SizeFlushes != 1 || snap.MaxSize != 3 {
-		t.Errorf("batch counters = %+v", snap)
+	b := fx.layer.Batches()
+	if b.Flushes.Load() != 1 || b.Records.Load() != 3 || b.SizeFlushes.Load() != 1 || b.MaxSize.Load() != 3 {
+		t.Errorf("batch counters = %v", b.Metrics())
 	}
 }
 
@@ -67,12 +67,12 @@ func TestBatchFlushesOnDelay(t *testing.T) {
 	if err != nil || len(items) != 2 {
 		t.Fatalf("flush-by-delay batch = %d items, err %v", len(items), err)
 	}
-	snap := fx.layer.Batches().Snapshot()
-	if snap.DelayFlushes != 1 || snap.SizeFlushes != 0 {
-		t.Errorf("batch counters = %+v", snap)
+	b := fx.layer.Batches()
+	if b.DelayFlushes.Load() != 1 || b.SizeFlushes.Load() != 0 {
+		t.Errorf("batch counters = %v", b.Metrics())
 	}
-	if snap.WaitMax != 2*time.Millisecond {
-		t.Errorf("oldest-record wait = %v, want 2ms", snap.WaitMax)
+	if wait := time.Duration(b.WaitMaxNs.Load()); wait != 2*time.Millisecond {
+		t.Errorf("oldest-record wait = %v, want 2ms", wait)
 	}
 }
 

@@ -443,6 +443,7 @@ func (l *Layer) OnNewPrimary(view uint64, primary crypto.NodeID) {
 // transport delivery goroutine; the rest of the admission logic runs after
 // verification in either case.
 func (l *Layer) onTransport(from crypto.NodeID, data []byte) {
+	l.counters.AddReceived(len(data))
 	msg, err := wire.Unmarshal(data)
 	if err != nil {
 		return
@@ -459,6 +460,7 @@ func (l *Layer) onTransport(from crypto.NodeID, data []byte) {
 		return
 	}
 	verifyAndAdmit := func() {
+		l.counters.AddVerification()
 		if err := pbft.VerifyRequest(&req, l.reg); err != nil {
 			return // unauthenticated peer request
 		}

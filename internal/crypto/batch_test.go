@@ -117,12 +117,11 @@ func TestBatchVerifyDisabled(t *testing.T) {
 	if len(failed) != 1 || failed[0] != 5 {
 		t.Fatalf("got failures %v, want [5]", failed)
 	}
-	s := cc.Snapshot()
-	if s.BatchOps != 0 {
-		t.Fatalf("batch disabled but %d batch ops recorded", s.BatchOps)
+	if cc.BatchOps.Load() != 0 {
+		t.Fatalf("batch disabled but %d batch ops recorded", cc.BatchOps.Load())
 	}
-	if s.ScalarVerifies != 32 {
-		t.Fatalf("expected 32 scalar verifies, got %d", s.ScalarVerifies)
+	if cc.ScalarVerifies.Load() != 32 {
+		t.Fatalf("expected 32 scalar verifies, got %d", cc.ScalarVerifies.Load())
 	}
 }
 
@@ -136,20 +135,20 @@ func TestBatchVerifyFeedsCache(t *testing.T) {
 	if failed := f.verifier().Verify(); failed != nil {
 		t.Fatalf("first pass failed: %v", failed)
 	}
-	before := cc.Snapshot()
-	if before.BatchedSigs != 32 {
-		t.Fatalf("expected 32 batched sigs, got %d", before.BatchedSigs)
+	batched, scalar := cc.BatchedSigs.Load(), cc.ScalarVerifies.Load()
+	if batched != 32 {
+		t.Fatalf("expected 32 batched sigs, got %d", batched)
 	}
 
 	if failed := f.verifier().Verify(); failed != nil {
 		t.Fatalf("second pass failed: %v", failed)
 	}
-	after := cc.Snapshot()
-	if after.CacheHits != 32 {
-		t.Fatalf("expected 32 cache hits on retransmit, got %d", after.CacheHits)
+	if hits := cc.CacheHits.Load(); hits != 32 {
+		t.Fatalf("expected 32 cache hits on retransmit, got %d", hits)
 	}
-	if after.BatchedSigs != before.BatchedSigs || after.ScalarVerifies != before.ScalarVerifies {
-		t.Fatalf("retransmit did curve work: %+v -> %+v", before, after)
+	if cc.BatchedSigs.Load() != batched || cc.ScalarVerifies.Load() != scalar {
+		t.Fatalf("retransmit did curve work: %d batched / %d scalar -> %d / %d",
+			batched, scalar, cc.BatchedSigs.Load(), cc.ScalarVerifies.Load())
 	}
 }
 
@@ -273,6 +272,6 @@ func BenchmarkVerifyCachedRetransmit(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	s := cc.Snapshot()
-	b.ReportMetric(s.HitRate*100, "hit%")
+	hits, misses := float64(cc.CacheHits.Load()), float64(cc.CacheMisses.Load())
+	b.ReportMetric(hits/(hits+misses)*100, "hit%")
 }

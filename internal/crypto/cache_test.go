@@ -45,7 +45,7 @@ func TestVerifyCacheHitMissEvict(t *testing.T) {
 	if c.Len() > 16 {
 		t.Fatalf("cache grew past capacity: %d", c.Len())
 	}
-	if s := cc.Snapshot(); s.CacheEvictions == 0 {
+	if cc.CacheEvictions.Load() == 0 {
 		t.Fatal("no evictions recorded after overfill")
 	}
 
@@ -104,12 +104,11 @@ func TestRegistryVerifyCached(t *testing.T) {
 			t.Fatalf("verify %d: %v", i, err)
 		}
 	}
-	s := cc.Snapshot()
-	if s.ScalarVerifies != 1 {
-		t.Fatalf("expected 1 scalar verify, got %d", s.ScalarVerifies)
+	if cc.ScalarVerifies.Load() != 1 {
+		t.Fatalf("expected 1 scalar verify, got %d", cc.ScalarVerifies.Load())
 	}
-	if s.CacheHits != 2 {
-		t.Fatalf("expected 2 cache hits, got %d", s.CacheHits)
+	if cc.CacheHits.Load() != 2 {
+		t.Fatalf("expected 2 cache hits, got %d", cc.CacheHits.Load())
 	}
 
 	// A failed verification must not be cached.
@@ -119,8 +118,8 @@ func TestRegistryVerifyCached(t *testing.T) {
 			t.Fatal("bad signature accepted")
 		}
 	}
-	if s := cc.Snapshot(); s.ScalarVerifies != 3 {
-		t.Fatalf("bad signature was cached: %d scalar verifies", s.ScalarVerifies)
+	if cc.ScalarVerifies.Load() != 3 {
+		t.Fatalf("bad signature was cached: %d scalar verifies", cc.ScalarVerifies.Load())
 	}
 }
 
@@ -139,8 +138,8 @@ func TestSignSeedsCache(t *testing.T) {
 	if err := reg.Verify(kp.ID, msg, sig); err != nil {
 		t.Fatalf("verify own signature: %v", err)
 	}
-	if s := cc.Snapshot(); s.ScalarVerifies != 0 {
-		t.Fatalf("own signature cost %d scalar verifies, want 0", s.ScalarVerifies)
+	if cc.ScalarVerifies.Load() != 0 {
+		t.Fatalf("own signature cost %d scalar verifies, want 0", cc.ScalarVerifies.Load())
 	}
 
 	// The original pair stays cache-free.
@@ -168,24 +167,23 @@ func TestVerifyCacheKeyRotation(t *testing.T) {
 	if err := reg.Verify(old.ID, msg, sig); err != nil {
 		t.Fatalf("cached verify under original key: %v", err)
 	}
-	if s := cc.Snapshot(); s.CacheHits != 1 {
-		t.Fatalf("expected 1 cache hit before rotation, got %d", s.CacheHits)
+	if cc.CacheHits.Load() != 1 {
+		t.Fatalf("expected 1 cache hit before rotation, got %d", cc.CacheHits.Load())
 	}
 
 	// Replace the key. The old signature is now invalid and must be
 	// re-checked for real, not served from the cache.
 	reg.Add(old.ID, MustGenerateKeyPair(7).Public)
-	before := cc.Snapshot()
+	hits, scalar := cc.CacheHits.Load(), cc.ScalarVerifies.Load()
 	if err := reg.Verify(old.ID, msg, sig); err == nil {
 		t.Fatal("old-key signature still accepted after key rotation")
 	}
-	after := cc.Snapshot()
-	if after.CacheHits != before.CacheHits {
+	if cc.CacheHits.Load() != hits {
 		t.Fatal("old-key signature hit the cache after key rotation")
 	}
-	if after.ScalarVerifies != before.ScalarVerifies+1 {
+	if got := cc.ScalarVerifies.Load(); got != scalar+1 {
 		t.Fatalf("expected a real verify after rotation, got %d -> %d scalar verifies",
-			before.ScalarVerifies, after.ScalarVerifies)
+			scalar, got)
 	}
 
 	// Batch path sees the rotation too: a BatchVerifier entry for the old
@@ -262,11 +260,10 @@ func TestBatchVerifyConcurrentCache(t *testing.T) {
 			}
 		})
 	}
-	s := cc.Snapshot()
-	if s.BatchedSigs != 128 {
-		t.Fatalf("expected 128 batched sigs (first round only), got %d", s.BatchedSigs)
+	if cc.BatchedSigs.Load() != 128 {
+		t.Fatalf("expected 128 batched sigs (first round only), got %d", cc.BatchedSigs.Load())
 	}
-	if s.CacheHits != 3*128 {
-		t.Fatalf("expected 384 cache hits (three retransmit rounds), got %d", s.CacheHits)
+	if cc.CacheHits.Load() != 3*128 {
+		t.Fatalf("expected 384 cache hits (three retransmit rounds), got %d", cc.CacheHits.Load())
 	}
 }

@@ -213,9 +213,9 @@ func (p *VerifyPool) VerifyAsync(reg *Registry, id NodeID, msg, sig []byte, done
 	p.Submit(func() { done(reg.Verify(id, msg, sig)) })
 }
 
-// Stats returns the pool's instrumentation snapshot: tasks by execution
-// path, queue depth/peak, and submit-to-completion latency.
-func (p *VerifyPool) Stats() metrics.PoolSnapshot { return p.stats.Snapshot() }
+// Counters exposes the pool's instrumentation: tasks by execution path,
+// queue depth/peak, and the longest submit-to-completion latency.
+func (p *VerifyPool) Counters() *metrics.PoolCounters { return &p.stats }
 
 // Close stops the workers and waits for in-flight tasks to finish. Tasks
 // still queued are dropped — acceptable because verification results feed

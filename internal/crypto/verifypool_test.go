@@ -40,12 +40,12 @@ func TestVerifyPoolVerifiesConcurrently(t *testing.T) {
 	if okCount.Load() != n || errCount.Load() != n {
 		t.Fatalf("got %d ok / %d rejected, want %d / %d", okCount.Load(), errCount.Load(), n, n)
 	}
-	st := pool.Stats()
-	if st.Offloaded+st.Inline != 2*n {
-		t.Errorf("stats account for %d tasks, want %d", st.Offloaded+st.Inline, 2*n)
+	st := pool.Counters()
+	if tasks := st.Offloaded.Load() + st.Inline.Load(); tasks != 2*n {
+		t.Errorf("stats account for %d tasks, want %d", tasks, 2*n)
 	}
-	if st.TaskCount != 2*n || st.TaskMean <= 0 {
-		t.Errorf("latency stats = %+v", st)
+	if st.TaskMaxNs.Load() <= 0 {
+		t.Error("no task latency recorded")
 	}
 }
 
@@ -87,8 +87,8 @@ func TestVerifyPoolSaturationRunsInline(t *testing.T) {
 	if !done {
 		t.Fatal("saturated Submit must fall back to inline execution")
 	}
-	if st := pool.Stats(); st.Inline == 0 {
-		t.Errorf("inline fallback not recorded: %+v", st)
+	if pool.Counters().Inline.Load() == 0 {
+		t.Error("inline fallback not recorded")
 	}
 	close(release)
 }
@@ -320,9 +320,9 @@ func TestVerifyPoolSubmitPanicContained(t *testing.T) {
 		t.Fatal("worker died after a task panic")
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for pool.Stats().Panics != 1 {
+	for pool.Counters().Panics.Load() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("expected 1 contained panic in stats, got %d", pool.Stats().Panics)
+			t.Fatalf("expected 1 contained panic in stats, got %d", pool.Counters().Panics.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"zugchain/internal/blockchain"
 	"zugchain/internal/crypto"
-	"zugchain/internal/metrics"
 	"zugchain/internal/pbft"
 	"zugchain/internal/transport"
 	"zugchain/internal/wire"
@@ -50,8 +49,6 @@ type Server struct {
 	// onStateReply, when set, receives verified StateReply messages; the
 	// node uses it to complete state transfers.
 	onStateReply func(*StateReply)
-
-	counters *metrics.Counters
 }
 
 // NewServer creates an export server and installs it as the transport
@@ -64,20 +61,16 @@ func NewServer(cfg ServerConfig, kp *crypto.KeyPair, reg *crypto.Registry, store
 		cfg.DeleteQuorum = 1
 	}
 	s := &Server{
-		cfg:      cfg,
-		kp:       kp,
-		reg:      reg,
-		store:    store,
-		tr:       tr,
-		deletes:  make(map[uint64]map[crypto.NodeID]Delete),
-		counters: &metrics.Counters{},
+		cfg:     cfg,
+		kp:      kp,
+		reg:     reg,
+		store:   store,
+		tr:      tr,
+		deletes: make(map[uint64]map[crypto.NodeID]Delete),
 	}
 	tr.SetHandler(s.onMessage)
 	return s
 }
-
-// Counters exposes export traffic statistics.
-func (s *Server) Counters() *metrics.Counters { return s.counters }
 
 // OnStableCheckpoint feeds a newly stable PBFT checkpoint into the export
 // state. The node calls it from the PBFT application callback.
@@ -109,7 +102,6 @@ func (s *Server) onMessage(from crypto.NodeID, data []byte) {
 	if err != nil {
 		return
 	}
-	s.counters.AddReceived(len(data))
 	switch m := msg.(type) {
 	case *ReadRequest:
 		if verifyMsg(m, s.reg) == nil && m.DC == from {
@@ -283,7 +275,5 @@ func (s *Server) handleStateRequest(req *StateRequest) {
 }
 
 func (s *Server) send(to crypto.NodeID, msg wire.Message) {
-	data := wire.Marshal(msg)
-	s.counters.AddSent(len(data))
-	_ = s.tr.Send(to, data)
+	_ = s.tr.Send(to, wire.Marshal(msg))
 }

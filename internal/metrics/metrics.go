@@ -7,6 +7,10 @@
 // work items — signature generation/verification and protocol messages
 // handled — while memory is sampled from the Go runtime. DESIGN.md §1
 // documents this substitution.
+//
+// Each counter family is a struct of exported atomics that callers read
+// directly, plus one Metrics method listing every series it exports. A
+// counter is declared once: its field, and its line in Metrics.
 package metrics
 
 import (
@@ -18,117 +22,133 @@ import (
 	"time"
 )
 
-// Counters aggregates monotonically increasing event counts. All methods are
-// safe for concurrent use. The zero value is ready to use.
+// MetricKind distinguishes how an exported series behaves.
+type MetricKind int
+
+// Metric kinds.
+const (
+	KindCounter MetricKind = iota // monotonically increasing
+	KindGauge                     // instantaneous value
+)
+
+// Metric is one exported sample. Name must be a valid Prometheus metric
+// name (snake_case, typically prefixed zugchain_); Labels, when non-empty,
+// is the label body without braces, e.g. `phase="commit"`.
+type Metric struct {
+	Name   string
+	Help   string
+	Kind   MetricKind
+	Labels string
+	Value  float64
+}
+
+// Counter returns a counter sample.
+func Counter(name, help string, v uint64) Metric {
+	return Metric{Name: name, Help: help, Value: float64(v)}
+}
+
+// Gauge returns a gauge sample.
+func Gauge(name, help string, v float64) Metric {
+	return Metric{Name: name, Help: help, Kind: KindGauge, Value: v}
+}
+
+// storeMax raises a to v if v is larger.
+func storeMax(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// Counters aggregates the communication layer's monotonically increasing
+// event counts. All methods are safe for concurrent use. The zero value is
+// ready to use.
 type Counters struct {
-	msgsSent      atomic.Uint64
-	msgsReceived  atomic.Uint64
-	bytesSent     atomic.Uint64
-	bytesReceived atomic.Uint64
-	signatures    atomic.Uint64
-	verifications atomic.Uint64
-	requests      atomic.Uint64
-	duplicates    atomic.Uint64
+	MsgsSent      atomic.Uint64
+	MsgsReceived  atomic.Uint64
+	BytesSent     atomic.Uint64
+	BytesReceived atomic.Uint64
+	Signatures    atomic.Uint64
+	Verifications atomic.Uint64
+	Requests      atomic.Uint64 // ordered (decided) requests
+	Duplicates    atomic.Uint64 // filtered duplicate requests
 }
 
 // AddSent records an outbound message of n bytes.
 func (c *Counters) AddSent(n int) {
-	c.msgsSent.Add(1)
-	c.bytesSent.Add(uint64(n))
+	c.MsgsSent.Add(1)
+	c.BytesSent.Add(uint64(n))
 }
 
 // AddReceived records an inbound message of n bytes.
 func (c *Counters) AddReceived(n int) {
-	c.msgsReceived.Add(1)
-	c.bytesReceived.Add(uint64(n))
+	c.MsgsReceived.Add(1)
+	c.BytesReceived.Add(uint64(n))
 }
 
 // AddSignature records one signature generation.
-func (c *Counters) AddSignature() { c.signatures.Add(1) }
+func (c *Counters) AddSignature() { c.Signatures.Add(1) }
 
 // AddVerification records one signature verification.
-func (c *Counters) AddVerification() { c.verifications.Add(1) }
+func (c *Counters) AddVerification() { c.Verifications.Add(1) }
 
 // AddRequest records one ordered (decided) request.
-func (c *Counters) AddRequest() { c.requests.Add(1) }
+func (c *Counters) AddRequest() { c.Requests.Add(1) }
 
 // AddDuplicate records one filtered duplicate request.
-func (c *Counters) AddDuplicate() { c.duplicates.Add(1) }
+func (c *Counters) AddDuplicate() { c.Duplicates.Add(1) }
 
-// CounterSnapshot is a point-in-time copy of all counters.
-type CounterSnapshot struct {
-	MsgsSent      uint64
-	MsgsReceived  uint64
-	BytesSent     uint64
-	BytesReceived uint64
-	Signatures    uint64
-	Verifications uint64
-	Requests      uint64
-	Duplicates    uint64
-}
-
-// Snapshot returns the current counter values.
-func (c *Counters) Snapshot() CounterSnapshot {
-	return CounterSnapshot{
-		MsgsSent:      c.msgsSent.Load(),
-		MsgsReceived:  c.msgsReceived.Load(),
-		BytesSent:     c.bytesSent.Load(),
-		BytesReceived: c.bytesReceived.Load(),
-		Signatures:    c.signatures.Load(),
-		Verifications: c.verifications.Load(),
-		Requests:      c.requests.Load(),
-		Duplicates:    c.duplicates.Load(),
+// Metrics lists the communication layer's series (Fig 6/7's message and
+// request accounting).
+func (c *Counters) Metrics() []Metric {
+	return []Metric{
+		Counter("zugchain_core_msgs_sent_total", "Layer messages sent", c.MsgsSent.Load()),
+		Counter("zugchain_core_msgs_received_total", "Layer messages received", c.MsgsReceived.Load()),
+		Counter("zugchain_core_bytes_sent_total", "Layer bytes sent", c.BytesSent.Load()),
+		Counter("zugchain_core_bytes_received_total", "Layer bytes received", c.BytesReceived.Load()),
+		Counter("zugchain_core_signatures_total", "Signatures generated", c.Signatures.Load()),
+		Counter("zugchain_core_verifications_total", "Signatures verified", c.Verifications.Load()),
+		Counter("zugchain_core_ordered_total", "Requests ordered and logged", c.Requests.Load()),
+		Counter("zugchain_core_duplicates_total", "Duplicate requests filtered", c.Duplicates.Load()),
 	}
 }
 
-// Sub returns the element-wise difference s - earlier, for interval metrics.
-func (s CounterSnapshot) Sub(earlier CounterSnapshot) CounterSnapshot {
-	return CounterSnapshot{
-		MsgsSent:      s.MsgsSent - earlier.MsgsSent,
-		MsgsReceived:  s.MsgsReceived - earlier.MsgsReceived,
-		BytesSent:     s.BytesSent - earlier.BytesSent,
-		BytesReceived: s.BytesReceived - earlier.BytesReceived,
-		Signatures:    s.Signatures - earlier.Signatures,
-		Verifications: s.Verifications - earlier.Verifications,
-		Requests:      s.Requests - earlier.Requests,
-		Duplicates:    s.Duplicates - earlier.Duplicates,
-	}
-}
-
-// CPUWorkUnits collapses the snapshot into a single CPU-load proxy. The
+// CPUWorkUnits collapses work counts into a single CPU-load proxy. The
 // weights reflect that Ed25519 operations dominate per-message handling cost
 // on the paper's hardware (sign ≈ verify ≈ 30–60 µs on Cortex-A9; framing
 // and hashing are an order of magnitude cheaper).
-func (s CounterSnapshot) CPUWorkUnits() float64 {
+func CPUWorkUnits(signatures, verifications, msgs, bytes uint64) float64 {
 	const (
 		signCost   = 10.0
 		verifyCost = 10.0
 		msgCost    = 1.0
 		byteCost   = 0.001
 	)
-	return signCost*float64(s.Signatures) +
-		verifyCost*float64(s.Verifications) +
-		msgCost*float64(s.MsgsSent+s.MsgsReceived) +
-		byteCost*float64(s.BytesSent+s.BytesReceived)
+	return signCost*float64(signatures) +
+		verifyCost*float64(verifications) +
+		msgCost*float64(msgs) +
+		byteCost*float64(bytes)
 }
 
 // CryptoCounters instruments the Ed25519 acceleration layer: how many
 // signatures settled via the batched multi-scalar equation versus individual
 // scalar verifies, how often a failed batch had to bisect to find the corrupt
-// entries, and the verified-signature cache's hit/miss/eviction traffic. Like
-// PoolCounters it keeps O(1) state so it can sit on the verification hot
-// path. All methods are safe for concurrent use and nil-safe (a nil receiver
-// records nothing), so uninstrumented registries pay only a nil check; the
-// zero value is ready to use.
+// entries, and the verified-signature cache's hit/miss/eviction traffic. It
+// keeps O(1) state so it can sit on the verification hot path. All methods
+// are safe for concurrent use and the recording methods are nil-safe (a nil
+// receiver records nothing), so uninstrumented registries pay only a nil
+// check; the zero value is ready to use.
 type CryptoCounters struct {
-	scalarVerifies atomic.Uint64
-	batchedSigs    atomic.Uint64
-	batchOps       atomic.Uint64
-	batchMax       atomic.Int64
-	bisections     atomic.Uint64
-	cacheHits      atomic.Uint64
-	cacheMisses    atomic.Uint64
-	cacheEvictions atomic.Uint64
+	ScalarVerifies atomic.Uint64 // single equations, including bisection leaves
+	BatchedSigs    atomic.Uint64 // signatures settled through batch equations
+	BatchOps       atomic.Uint64
+	BatchMax       atomic.Int64
+	Bisections     atomic.Uint64
+	CacheHits      atomic.Uint64
+	CacheMisses    atomic.Uint64
+	CacheEvictions atomic.Uint64
 }
 
 // AddScalarVerify records one individual (non-batched) signature
@@ -137,7 +157,7 @@ func (c *CryptoCounters) AddScalarVerify() {
 	if c == nil {
 		return
 	}
-	c.scalarVerifies.Add(1)
+	c.ScalarVerifies.Add(1)
 }
 
 // RecordBatch records one batched verification equation covering n
@@ -146,15 +166,9 @@ func (c *CryptoCounters) RecordBatch(n int) {
 	if c == nil {
 		return
 	}
-	c.batchOps.Add(1)
-	c.batchedSigs.Add(uint64(n))
-	v := int64(n)
-	for {
-		cur := c.batchMax.Load()
-		if v <= cur || c.batchMax.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	c.BatchOps.Add(1)
+	c.BatchedSigs.Add(uint64(n))
+	storeMax(&c.BatchMax, int64(n))
 }
 
 // AddBisection records one bisection split while pinpointing corrupt
@@ -163,7 +177,7 @@ func (c *CryptoCounters) AddBisection() {
 	if c == nil {
 		return
 	}
-	c.bisections.Add(1)
+	c.Bisections.Add(1)
 }
 
 // AddCacheHit records one verified-signature cache hit (a skipped verify).
@@ -171,7 +185,7 @@ func (c *CryptoCounters) AddCacheHit() {
 	if c == nil {
 		return
 	}
-	c.cacheHits.Add(1)
+	c.CacheHits.Add(1)
 }
 
 // AddCacheMiss records one verified-signature cache miss.
@@ -179,7 +193,7 @@ func (c *CryptoCounters) AddCacheMiss() {
 	if c == nil {
 		return
 	}
-	c.cacheMisses.Add(1)
+	c.CacheMisses.Add(1)
 }
 
 // AddCacheEviction records one entry evicted by the cache's LRU bound.
@@ -187,221 +201,112 @@ func (c *CryptoCounters) AddCacheEviction() {
 	if c == nil {
 		return
 	}
-	c.cacheEvictions.Add(1)
+	c.CacheEvictions.Add(1)
 }
 
-// CryptoSnapshot is a point-in-time copy of CryptoCounters.
-type CryptoSnapshot struct {
-	// ScalarVerifies counts individual single-signature verifications;
-	// BatchedSigs the signatures settled through batch equations instead.
-	ScalarVerifies uint64
-	BatchedSigs    uint64
-	// BatchOps counts batch equations evaluated; MeanBatch =
-	// BatchedSigs/BatchOps; BatchMax the largest single equation.
-	BatchOps  uint64
-	MeanBatch float64
-	BatchMax  int64
-	// Bisections counts fallback splits hunting corrupt entries.
-	Bisections uint64
-	// CacheHits/CacheMisses/CacheEvictions describe the verified-signature
-	// cache; HitRate = CacheHits / (CacheHits + CacheMisses).
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheEvictions uint64
-	HitRate        float64
-}
-
-// Snapshot returns the current crypto counter values. A nil receiver yields
-// the zero snapshot.
-func (c *CryptoCounters) Snapshot() CryptoSnapshot {
-	if c == nil {
-		return CryptoSnapshot{}
+// Metrics lists the Ed25519 acceleration series (batch verification shape,
+// verified-signature cache traffic).
+func (c *CryptoCounters) Metrics() []Metric {
+	return []Metric{
+		Counter("zugchain_crypto_scalar_verifies_total", "Individual signature verifications", c.ScalarVerifies.Load()),
+		Counter("zugchain_crypto_batched_sigs_total", "Signatures settled via batch equations", c.BatchedSigs.Load()),
+		Counter("zugchain_crypto_batch_ops_total", "Batch equations evaluated", c.BatchOps.Load()),
+		Gauge("zugchain_crypto_batch_max", "Largest single batch equation", float64(c.BatchMax.Load())),
+		Counter("zugchain_crypto_bisections_total", "Bisection splits hunting corrupt signatures", c.Bisections.Load()),
+		Counter("zugchain_crypto_cache_hits_total", "Verified-signature cache hits", c.CacheHits.Load()),
+		Counter("zugchain_crypto_cache_misses_total", "Verified-signature cache misses", c.CacheMisses.Load()),
+		Counter("zugchain_crypto_cache_evictions_total", "Verified-signature cache evictions", c.CacheEvictions.Load()),
 	}
-	s := CryptoSnapshot{
-		ScalarVerifies: c.scalarVerifies.Load(),
-		BatchedSigs:    c.batchedSigs.Load(),
-		BatchOps:       c.batchOps.Load(),
-		BatchMax:       c.batchMax.Load(),
-		Bisections:     c.bisections.Load(),
-		CacheHits:      c.cacheHits.Load(),
-		CacheMisses:    c.cacheMisses.Load(),
-		CacheEvictions: c.cacheEvictions.Load(),
-	}
-	if s.BatchOps > 0 {
-		s.MeanBatch = float64(s.BatchedSigs) / float64(s.BatchOps)
-	}
-	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
-		s.HitRate = float64(s.CacheHits) / float64(lookups)
-	}
-	return s
 }
 
 // PoolCounters instruments an asynchronous worker pool (the signature
 // verification pipeline): how many tasks ran on pool workers versus inline on
-// the submitting goroutine, the current and peak queue depth, and
-// submit-to-completion task latency. Unlike Latency it keeps O(1) state
-// (sum/count/max) so it can sit on the verification hot path without
-// accumulating samples. All methods are safe for concurrent use; the zero
-// value is ready to use.
+// the submitting goroutine, the current and peak queue depth, and the longest
+// submit-to-completion task latency. Unlike Latency it keeps O(1) state so it
+// can sit on the verification hot path without accumulating samples. All
+// methods are safe for concurrent use; the zero value is ready to use.
 type PoolCounters struct {
-	offloaded atomic.Uint64
-	inline    atomic.Uint64
-	panics    atomic.Uint64
-	depth     atomic.Int64
-	peak      atomic.Int64
-	latSumNs  atomic.Int64
-	latCount  atomic.Uint64
-	latMaxNs  atomic.Int64
+	Offloaded atomic.Uint64
+	Inline    atomic.Uint64 // fast path or backpressure
+	Panics    atomic.Uint64 // nonzero means a verification callback has a bug
+	Depth     atomic.Int64
+	Peak      atomic.Int64
+	TaskMaxNs atomic.Int64
 }
 
 // AddOffloaded records one task executed by a pool worker.
-func (p *PoolCounters) AddOffloaded() { p.offloaded.Add(1) }
+func (p *PoolCounters) AddOffloaded() { p.Offloaded.Add(1) }
 
 // AddInline records one task executed on the submitter (fast path or
 // backpressure).
-func (p *PoolCounters) AddInline() { p.inline.Add(1) }
+func (p *PoolCounters) AddInline() { p.Inline.Add(1) }
 
 // AddPanic records one task panic contained by a pool worker. Nonzero means
 // a verification callback has a bug; the pool survives, the counter makes
 // the bug visible.
-func (p *PoolCounters) AddPanic() { p.panics.Add(1) }
+func (p *PoolCounters) AddPanic() { p.Panics.Add(1) }
 
 // Enqueued records a task entering the queue, tracking the peak depth.
-func (p *PoolCounters) Enqueued() {
-	d := p.depth.Add(1)
-	for {
-		cur := p.peak.Load()
-		if d <= cur || p.peak.CompareAndSwap(cur, d) {
-			return
-		}
-	}
-}
+func (p *PoolCounters) Enqueued() { storeMax(&p.Peak, p.Depth.Add(1)) }
 
 // Dequeued records a task leaving the queue.
-func (p *PoolCounters) Dequeued() { p.depth.Add(-1) }
+func (p *PoolCounters) Dequeued() { p.Depth.Add(-1) }
 
 // RecordTask records one task's submit-to-completion latency.
-func (p *PoolCounters) RecordTask(d time.Duration) {
-	ns := int64(d)
-	p.latSumNs.Add(ns)
-	p.latCount.Add(1)
-	for {
-		cur := p.latMaxNs.Load()
-		if ns <= cur || p.latMaxNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
+func (p *PoolCounters) RecordTask(d time.Duration) { storeMax(&p.TaskMaxNs, int64(d)) }
 
-// PoolSnapshot is a point-in-time copy of PoolCounters.
-type PoolSnapshot struct {
-	// Offloaded and Inline count completed tasks by where they executed.
-	Offloaded uint64
-	Inline    uint64
-	// Panics counts task panics contained by pool workers.
-	Panics uint64
-	// QueueDepth is the instantaneous queue backlog; QueuePeak its maximum.
-	QueueDepth int64
-	QueuePeak  int64
-	// Tasks latency statistics over all recorded tasks.
-	TaskCount uint64
-	TaskMean  time.Duration
-	TaskMax   time.Duration
-}
-
-// Snapshot returns the current pool counter values.
-func (p *PoolCounters) Snapshot() PoolSnapshot {
-	s := PoolSnapshot{
-		Offloaded:  p.offloaded.Load(),
-		Inline:     p.inline.Load(),
-		Panics:     p.panics.Load(),
-		QueueDepth: p.depth.Load(),
-		QueuePeak:  p.peak.Load(),
-		TaskCount:  p.latCount.Load(),
-		TaskMax:    time.Duration(p.latMaxNs.Load()),
+// Metrics lists the verification pipeline's series.
+func (p *PoolCounters) Metrics() []Metric {
+	return []Metric{
+		Counter("zugchain_pool_offloaded_total", "Tasks run on pool workers", p.Offloaded.Load()),
+		Counter("zugchain_pool_inline_total", "Tasks run inline on the submitter", p.Inline.Load()),
+		Counter("zugchain_pool_panics_total", "Task panics contained by workers", p.Panics.Load()),
+		Gauge("zugchain_pool_queue_depth", "Instantaneous task queue depth", float64(p.Depth.Load())),
+		Gauge("zugchain_pool_queue_peak", "Peak task queue depth", float64(p.Peak.Load())),
+		Gauge("zugchain_pool_task_max_seconds", "Longest task submit-to-completion latency", time.Duration(p.TaskMaxNs.Load()).Seconds()),
 	}
-	if s.TaskCount > 0 {
-		s.TaskMean = time.Duration(p.latSumNs.Load() / int64(s.TaskCount))
-	}
-	return s
 }
 
 // BatchCounters instruments the primary's request coalescing (the ordering
 // hot path's batching stage): how many flushes happened and why (the batch
 // filled up, or the max-batch-delay expired), how many records they carried,
-// and how long the oldest record of each flush waited. Like PoolCounters it
+// and the longest wait of a flush's oldest record. Like PoolCounters it
 // keeps O(1) state so it can sit on the hot path. All methods are safe for
 // concurrent use; the zero value is ready to use.
 type BatchCounters struct {
-	flushes      atomic.Uint64
-	records      atomic.Uint64
-	sizeFlushes  atomic.Uint64
-	delayFlushes atomic.Uint64
-	maxSize      atomic.Int64
-	waitSumNs    atomic.Int64
-	waitMaxNs    atomic.Int64
+	Flushes      atomic.Uint64
+	Records      atomic.Uint64
+	SizeFlushes  atomic.Uint64
+	DelayFlushes atomic.Uint64
+	MaxSize      atomic.Int64
+	WaitMaxNs    atomic.Int64
 }
 
 // RecordFlush records one batch flush of size records whose oldest record
 // waited wait; byDelay reports whether the max-batch-delay timer (rather
 // than the size limit) triggered it.
 func (b *BatchCounters) RecordFlush(size int, wait time.Duration, byDelay bool) {
-	b.flushes.Add(1)
-	b.records.Add(uint64(size))
+	b.Flushes.Add(1)
+	b.Records.Add(uint64(size))
 	if byDelay {
-		b.delayFlushes.Add(1)
+		b.DelayFlushes.Add(1)
 	} else {
-		b.sizeFlushes.Add(1)
+		b.SizeFlushes.Add(1)
 	}
-	s := int64(size)
-	for {
-		cur := b.maxSize.Load()
-		if s <= cur || b.maxSize.CompareAndSwap(cur, s) {
-			break
-		}
-	}
-	ns := int64(wait)
-	b.waitSumNs.Add(ns)
-	for {
-		cur := b.waitMaxNs.Load()
-		if ns <= cur || b.waitMaxNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
+	storeMax(&b.MaxSize, int64(size))
+	storeMax(&b.WaitMaxNs, int64(wait))
 }
 
-// BatchSnapshot is a point-in-time copy of BatchCounters.
-type BatchSnapshot struct {
-	// Flushes counts proposals sent; Records the records they carried.
-	Flushes uint64
-	Records uint64
-	// SizeFlushes and DelayFlushes split Flushes by trigger.
-	SizeFlushes  uint64
-	DelayFlushes uint64
-	// MaxSize is the largest single flush; MeanSize = Records/Flushes.
-	MaxSize  int64
-	MeanSize float64
-	// WaitMean and WaitMax describe how long the oldest record of a flush
-	// waited for companions (the batching latency cost).
-	WaitMean time.Duration
-	WaitMax  time.Duration
-}
-
-// Snapshot returns the current batch counter values.
-func (b *BatchCounters) Snapshot() BatchSnapshot {
-	s := BatchSnapshot{
-		Flushes:      b.flushes.Load(),
-		Records:      b.records.Load(),
-		SizeFlushes:  b.sizeFlushes.Load(),
-		DelayFlushes: b.delayFlushes.Load(),
-		MaxSize:      b.maxSize.Load(),
-		WaitMax:      time.Duration(b.waitMaxNs.Load()),
+// Metrics lists the primary's request-coalescing series.
+func (b *BatchCounters) Metrics() []Metric {
+	return []Metric{
+		Counter("zugchain_batch_flushes_total", "Proposal batches flushed", b.Flushes.Load()),
+		Counter("zugchain_batch_records_total", "Records carried by flushed batches", b.Records.Load()),
+		Counter("zugchain_batch_size_flushes_total", "Flushes triggered by the size limit", b.SizeFlushes.Load()),
+		Counter("zugchain_batch_delay_flushes_total", "Flushes triggered by the delay timer", b.DelayFlushes.Load()),
+		Gauge("zugchain_batch_max_size", "Largest single flush", float64(b.MaxSize.Load())),
+		Gauge("zugchain_batch_wait_max_seconds", "Longest batching wait", time.Duration(b.WaitMaxNs.Load()).Seconds()),
 	}
-	if s.Flushes > 0 {
-		s.MeanSize = float64(s.Records) / float64(s.Flushes)
-		s.WaitMean = time.Duration(b.waitSumNs.Load() / int64(s.Flushes))
-	}
-	return s
 }
 
 // GroupCommitCounters instruments the blockchain store's group-commit
@@ -410,52 +315,27 @@ func (b *BatchCounters) Snapshot() BatchSnapshot {
 // and how many explicit Sync barriers were requested. Safe for concurrent
 // use; the zero value is ready to use.
 type GroupCommitCounters struct {
-	groups   atomic.Uint64
-	blocks   atomic.Uint64
-	syncs    atomic.Uint64
-	maxGroup atomic.Int64
+	Groups atomic.Uint64
+	Blocks atomic.Uint64
+	Syncs  atomic.Uint64
 }
 
 // RecordGroup records one committed write group of n blocks.
 func (g *GroupCommitCounters) RecordGroup(n int) {
-	g.groups.Add(1)
-	g.blocks.Add(uint64(n))
-	v := int64(n)
-	for {
-		cur := g.maxGroup.Load()
-		if v <= cur || g.maxGroup.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	g.Groups.Add(1)
+	g.Blocks.Add(uint64(n))
 }
 
 // AddSync records one explicit Sync barrier request.
-func (g *GroupCommitCounters) AddSync() { g.syncs.Add(1) }
+func (g *GroupCommitCounters) AddSync() { g.Syncs.Add(1) }
 
-// GroupCommitSnapshot is a point-in-time copy of GroupCommitCounters.
-type GroupCommitSnapshot struct {
-	// Groups counts fsync'd write groups; Blocks the blocks they covered.
-	Groups uint64
-	Blocks uint64
-	// Syncs counts explicit Sync barrier calls.
-	Syncs uint64
-	// MaxGroup is the largest group; MeanGroup = Blocks/Groups.
-	MaxGroup  int64
-	MeanGroup float64
-}
-
-// Snapshot returns the current group-commit counter values.
-func (g *GroupCommitCounters) Snapshot() GroupCommitSnapshot {
-	s := GroupCommitSnapshot{
-		Groups:   g.groups.Load(),
-		Blocks:   g.blocks.Load(),
-		Syncs:    g.syncs.Load(),
-		MaxGroup: g.maxGroup.Load(),
+// Metrics lists the store's group-commit series.
+func (g *GroupCommitCounters) Metrics() []Metric {
+	return []Metric{
+		Counter("zugchain_store_groups_total", "Fsynced block write groups", g.Groups.Load()),
+		Counter("zugchain_store_blocks_total", "Blocks covered by write groups", g.Blocks.Load()),
+		Counter("zugchain_store_syncs_total", "Explicit Sync barriers", g.Syncs.Load()),
 	}
-	if s.Groups > 0 {
-		s.MeanGroup = float64(s.Blocks) / float64(s.Groups)
-	}
-	return s
 }
 
 // NetCounters instruments a transport's asynchronous outbound pipeline (the
@@ -465,83 +345,52 @@ func (g *GroupCommitCounters) Snapshot() GroupCommitSnapshot {
 // PoolCounters it keeps O(1) state so it can sit on the transport hot path.
 // All methods are safe for concurrent use; the zero value is ready to use.
 type NetCounters struct {
-	enqueued    atomic.Uint64
-	drops       atomic.Uint64
-	writeErrors atomic.Uint64
-	writeOps    atomic.Uint64
-	frames      atomic.Uint64
-	redials     atomic.Uint64
-	depth       atomic.Int64
-	peak        atomic.Int64
+	Accepted    atomic.Uint64 // frames accepted into send queues
+	Drops       atomic.Uint64 // frames evicted by the overflow policy
+	WriteErrors atomic.Uint64 // frames lost when a connection write failed
+	WriteOps    atomic.Uint64
+	Frames      atomic.Uint64 // frames carried by WriteOps
+	Redials     atomic.Uint64
+	Depth       atomic.Int64
+	Peak        atomic.Int64
 }
 
 // Enqueued records one frame entering a send queue, tracking peak depth.
 func (n *NetCounters) Enqueued() {
-	n.enqueued.Add(1)
-	d := n.depth.Add(1)
-	for {
-		cur := n.peak.Load()
-		if d <= cur || n.peak.CompareAndSwap(cur, d) {
-			return
-		}
-	}
+	n.Accepted.Add(1)
+	storeMax(&n.Peak, n.Depth.Add(1))
 }
 
 // Dequeued records k frames leaving a send queue.
-func (n *NetCounters) Dequeued(k int) { n.depth.Add(-int64(k)) }
+func (n *NetCounters) Dequeued(k int) { n.Depth.Add(-int64(k)) }
 
 // AddDrop records one frame dropped by the queue-overflow policy.
-func (n *NetCounters) AddDrop() { n.drops.Add(1) }
+func (n *NetCounters) AddDrop() { n.Drops.Add(1) }
 
 // AddWriteError records k frames lost to a failed connection write.
-func (n *NetCounters) AddWriteError(k int) { n.writeErrors.Add(uint64(k)) }
+func (n *NetCounters) AddWriteError(k int) { n.WriteErrors.Add(uint64(k)) }
 
 // AddWrite records one write syscall that flushed k coalesced frames.
 func (n *NetCounters) AddWrite(k int) {
-	n.writeOps.Add(1)
-	n.frames.Add(uint64(k))
+	n.WriteOps.Add(1)
+	n.Frames.Add(uint64(k))
 }
 
 // AddRedial records one background reconnection attempt.
-func (n *NetCounters) AddRedial() { n.redials.Add(1) }
+func (n *NetCounters) AddRedial() { n.Redials.Add(1) }
 
-// NetSnapshot is a point-in-time copy of NetCounters.
-type NetSnapshot struct {
-	// Enqueued counts frames accepted into send queues; Drops the frames
-	// evicted by the overflow policy; WriteErrors the frames lost when a
-	// connection write failed mid-flush.
-	Enqueued    uint64
-	Drops       uint64
-	WriteErrors uint64
-	// WriteOps counts write syscalls; Frames the frames they carried.
-	// CoalesceMean = Frames/WriteOps is the amortization the vectored
-	// writer achieves.
-	WriteOps     uint64
-	Frames       uint64
-	CoalesceMean float64
-	// Redials counts background reconnection attempts.
-	Redials uint64
-	// QueueDepth is the instantaneous total backlog; QueuePeak its maximum.
-	QueueDepth int64
-	QueuePeak  int64
-}
-
-// Snapshot returns the current net counter values.
-func (n *NetCounters) Snapshot() NetSnapshot {
-	s := NetSnapshot{
-		Enqueued:    n.enqueued.Load(),
-		Drops:       n.drops.Load(),
-		WriteErrors: n.writeErrors.Load(),
-		WriteOps:    n.writeOps.Load(),
-		Frames:      n.frames.Load(),
-		Redials:     n.redials.Load(),
-		QueueDepth:  n.depth.Load(),
-		QueuePeak:   n.peak.Load(),
+// Metrics lists the outbound pipeline's series.
+func (n *NetCounters) Metrics() []Metric {
+	return []Metric{
+		Counter("zugchain_net_enqueued_total", "Frames accepted into send queues", n.Accepted.Load()),
+		Counter("zugchain_net_drops_total", "Frames dropped by queue overflow", n.Drops.Load()),
+		Counter("zugchain_net_write_errors_total", "Frames lost to failed connection writes", n.WriteErrors.Load()),
+		Counter("zugchain_net_write_ops_total", "Write syscalls issued", n.WriteOps.Load()),
+		Counter("zugchain_net_frames_total", "Frames carried by write syscalls", n.Frames.Load()),
+		Counter("zugchain_net_redials_total", "Background reconnection attempts", n.Redials.Load()),
+		Gauge("zugchain_net_queue_depth", "Instantaneous outbound backlog", float64(n.Depth.Load())),
+		Gauge("zugchain_net_queue_peak", "Peak outbound backlog", float64(n.Peak.Load())),
 	}
-	if s.WriteOps > 0 {
-		s.CoalesceMean = float64(s.Frames) / float64(s.WriteOps)
-	}
-	return s
 }
 
 // WALCounters instruments the PBFT write-ahead log: how many fsync'd append
@@ -550,72 +399,42 @@ func (n *NetCounters) Snapshot() NetSnapshot {
 // recovery found on open. Safe for concurrent use; the zero value is ready
 // to use.
 type WALCounters struct {
-	groups         atomic.Uint64
-	records        atomic.Uint64
-	bytes          atomic.Uint64
-	rotations      atomic.Uint64
-	replayed       atomic.Uint64
-	truncatedBytes atomic.Uint64
-	maxGroup       atomic.Int64
+	Groups         atomic.Uint64
+	Records        atomic.Uint64
+	Bytes          atomic.Uint64
+	Rotations      atomic.Uint64
+	Replayed       atomic.Uint64 // records restored on open
+	TruncatedBytes atomic.Uint64 // corrupt tail bytes recovery discarded
 }
 
 // RecordGroup records one fsync'd append group of n records totalling b
 // payload bytes.
 func (w *WALCounters) RecordGroup(n, b int) {
-	w.groups.Add(1)
-	w.records.Add(uint64(n))
-	w.bytes.Add(uint64(b))
-	v := int64(n)
-	for {
-		cur := w.maxGroup.Load()
-		if v <= cur || w.maxGroup.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	w.Groups.Add(1)
+	w.Records.Add(uint64(n))
+	w.Bytes.Add(uint64(b))
 }
 
 // AddRotation records one checkpoint-triggered segment rotation.
-func (w *WALCounters) AddRotation() { w.rotations.Add(1) }
+func (w *WALCounters) AddRotation() { w.Rotations.Add(1) }
 
 // RecordReplay records what recovery found on open: n replayed records and
 // b corrupt tail bytes discarded.
 func (w *WALCounters) RecordReplay(n int, b int64) {
-	w.replayed.Add(uint64(n))
-	w.truncatedBytes.Add(uint64(b))
+	w.Replayed.Add(uint64(n))
+	w.TruncatedBytes.Add(uint64(b))
 }
 
-// WALSnapshot is a point-in-time copy of WALCounters.
-type WALSnapshot struct {
-	// Groups counts fsync'd append groups; Records and Bytes what they
-	// carried. MeanGroup = Records/Groups is the group-commit amortization.
-	Groups    uint64
-	Records   uint64
-	Bytes     uint64
-	MaxGroup  int64
-	MeanGroup float64
-	// Rotations counts checkpoint-triggered segment rotations.
-	Rotations uint64
-	// Replayed counts records restored on open; TruncatedBytes the corrupt
-	// tail bytes recovery discarded.
-	Replayed       uint64
-	TruncatedBytes uint64
-}
-
-// Snapshot returns the current WAL counter values.
-func (w *WALCounters) Snapshot() WALSnapshot {
-	s := WALSnapshot{
-		Groups:         w.groups.Load(),
-		Records:        w.records.Load(),
-		Bytes:          w.bytes.Load(),
-		MaxGroup:       w.maxGroup.Load(),
-		Rotations:      w.rotations.Load(),
-		Replayed:       w.replayed.Load(),
-		TruncatedBytes: w.truncatedBytes.Load(),
+// Metrics lists the write-ahead log's series.
+func (w *WALCounters) Metrics() []Metric {
+	return []Metric{
+		Counter("zugchain_wal_groups_total", "Fsynced WAL append groups", w.Groups.Load()),
+		Counter("zugchain_wal_records_total", "Records carried by append groups", w.Records.Load()),
+		Counter("zugchain_wal_bytes_total", "Payload bytes appended", w.Bytes.Load()),
+		Counter("zugchain_wal_rotations_total", "Checkpoint-triggered segment rotations", w.Rotations.Load()),
+		Counter("zugchain_wal_replayed_total", "Records replayed by recovery on open", w.Replayed.Load()),
+		Counter("zugchain_wal_truncated_bytes_total", "Corrupt tail bytes discarded by recovery", w.TruncatedBytes.Load()),
 	}
-	if s.Groups > 0 {
-		s.MeanGroup = float64(s.Records) / float64(s.Groups)
-	}
-	return s
 }
 
 // DefaultLatencyCap bounds how many samples a Latency retains. It is sized

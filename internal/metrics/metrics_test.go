@@ -17,31 +17,31 @@ func TestCountersSnapshot(t *testing.T) {
 	c.AddRequest()
 	c.AddDuplicate()
 
-	s := c.Snapshot()
-	if s.MsgsSent != 2 || s.BytesSent != 150 {
-		t.Errorf("sent = %d msgs / %d bytes, want 2/150", s.MsgsSent, s.BytesSent)
+	if c.MsgsSent.Load() != 2 || c.BytesSent.Load() != 150 {
+		t.Errorf("sent = %d msgs / %d bytes, want 2/150", c.MsgsSent.Load(), c.BytesSent.Load())
 	}
-	if s.MsgsReceived != 1 || s.BytesReceived != 30 {
-		t.Errorf("received = %d msgs / %d bytes, want 1/30", s.MsgsReceived, s.BytesReceived)
+	if c.MsgsReceived.Load() != 1 || c.BytesReceived.Load() != 30 {
+		t.Errorf("received = %d msgs / %d bytes, want 1/30", c.MsgsReceived.Load(), c.BytesReceived.Load())
 	}
-	if s.Signatures != 1 || s.Verifications != 2 {
-		t.Errorf("crypto = %d sigs / %d verifies", s.Signatures, s.Verifications)
+	if c.Signatures.Load() != 1 || c.Verifications.Load() != 2 {
+		t.Errorf("crypto = %d sigs / %d verifies", c.Signatures.Load(), c.Verifications.Load())
 	}
-	if s.Requests != 1 || s.Duplicates != 1 {
-		t.Errorf("requests = %d, duplicates = %d", s.Requests, s.Duplicates)
+	if c.Requests.Load() != 1 || c.Duplicates.Load() != 1 {
+		t.Errorf("requests = %d, duplicates = %d", c.Requests.Load(), c.Duplicates.Load())
+	}
+	v := values(c.Metrics())
+	if v["zugchain_core_bytes_sent_total"] != 150 || v["zugchain_core_verifications_total"] != 2 {
+		t.Errorf("Metrics() = %v", v)
 	}
 }
 
-func TestSnapshotSub(t *testing.T) {
-	var c Counters
-	c.AddSent(10)
-	before := c.Snapshot()
-	c.AddSent(25)
-	c.AddRequest()
-	diff := c.Snapshot().Sub(before)
-	if diff.MsgsSent != 1 || diff.BytesSent != 25 || diff.Requests != 1 {
-		t.Errorf("diff = %+v", diff)
+// values flattens a family's samples into name -> value.
+func values(ms []Metric) map[string]float64 {
+	out := make(map[string]float64, len(ms))
+	for _, m := range ms {
+		out[m.Name] = m.Value
 	}
+	return out
 }
 
 func TestCountersConcurrent(t *testing.T) {
@@ -58,22 +58,19 @@ func TestCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s := c.Snapshot()
-	if s.MsgsSent != 8000 || s.BytesReceived != 16000 {
-		t.Errorf("snapshot = %+v", s)
+	if c.MsgsSent.Load() != 8000 || c.BytesReceived.Load() != 16000 {
+		t.Errorf("sent = %d msgs, received = %d bytes", c.MsgsSent.Load(), c.BytesReceived.Load())
 	}
 }
 
 func TestCPUWorkUnitsMonotone(t *testing.T) {
-	light := CounterSnapshot{MsgsSent: 10, BytesSent: 1000}
-	heavy := CounterSnapshot{MsgsSent: 10, BytesSent: 1000, Signatures: 5, Verifications: 20}
-	if light.CPUWorkUnits() >= heavy.CPUWorkUnits() {
-		t.Errorf("work proxy not monotone: light=%v heavy=%v",
-			light.CPUWorkUnits(), heavy.CPUWorkUnits())
+	light := CPUWorkUnits(0, 0, 10, 1000)
+	heavy := CPUWorkUnits(5, 20, 10, 1000)
+	if light >= heavy {
+		t.Errorf("work proxy not monotone: light=%v heavy=%v", light, heavy)
 	}
-	var zero CounterSnapshot
-	if zero.CPUWorkUnits() != 0 {
-		t.Errorf("zero snapshot work = %v", zero.CPUWorkUnits())
+	if zero := CPUWorkUnits(0, 0, 0, 0); zero != 0 {
+		t.Errorf("zero work = %v", zero)
 	}
 }
 
@@ -172,24 +169,17 @@ func TestPoolCountersSnapshot(t *testing.T) {
 	p.RecordTask(10 * time.Millisecond)
 	p.RecordTask(30 * time.Millisecond)
 
-	s := p.Snapshot()
-	if s.Offloaded != 1 || s.Inline != 1 {
-		t.Errorf("offloaded = %d, inline = %d, want 1/1", s.Offloaded, s.Inline)
+	if p.Offloaded.Load() != 1 || p.Inline.Load() != 1 {
+		t.Errorf("offloaded = %d, inline = %d, want 1/1", p.Offloaded.Load(), p.Inline.Load())
 	}
-	if s.QueueDepth != 2 {
-		t.Errorf("queue depth = %d, want 2", s.QueueDepth)
+	if d := p.Depth.Load(); d != 2 {
+		t.Errorf("queue depth = %d, want 2", d)
 	}
-	if s.QueuePeak != 3 {
-		t.Errorf("queue peak = %d, want 3", s.QueuePeak)
+	if pk := p.Peak.Load(); pk != 3 {
+		t.Errorf("queue peak = %d, want 3", pk)
 	}
-	if s.TaskCount != 2 {
-		t.Errorf("task count = %d, want 2", s.TaskCount)
-	}
-	if s.TaskMean != 20*time.Millisecond {
-		t.Errorf("task mean = %v, want 20ms", s.TaskMean)
-	}
-	if s.TaskMax != 30*time.Millisecond {
-		t.Errorf("task max = %v, want 30ms", s.TaskMax)
+	if v := values(p.Metrics()); v["zugchain_pool_task_max_seconds"] != 0.03 {
+		t.Errorf("task max = %vs, want 0.03s", v["zugchain_pool_task_max_seconds"])
 	}
 }
 
@@ -209,46 +199,44 @@ func TestPoolCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s := p.Snapshot()
-	if s.Offloaded != 8000 || s.TaskCount != 8000 {
-		t.Errorf("offloaded = %d, tasks = %d, want 8000/8000", s.Offloaded, s.TaskCount)
+	if o := p.Offloaded.Load(); o != 8000 {
+		t.Errorf("offloaded = %d, want 8000", o)
 	}
-	if s.QueueDepth != 0 {
-		t.Errorf("final queue depth = %d, want 0", s.QueueDepth)
+	if d := p.Depth.Load(); d != 0 {
+		t.Errorf("final queue depth = %d, want 0", d)
 	}
-	if s.QueuePeak < 1 {
-		t.Errorf("queue peak = %d, want >= 1", s.QueuePeak)
+	if pk := p.Peak.Load(); pk < 1 {
+		t.Errorf("queue peak = %d, want >= 1", pk)
 	}
 }
 
 func TestBatchCountersSnapshot(t *testing.T) {
 	var b BatchCounters
-	if snap := b.Snapshot(); snap.Flushes != 0 || snap.MeanSize != 0 || snap.WaitMean != 0 {
-		t.Errorf("zero-value snapshot = %+v", snap)
+	if b.Flushes.Load() != 0 || b.Records.Load() != 0 || b.WaitMaxNs.Load() != 0 {
+		t.Error("zero-value batch counters are not zero")
 	}
 	b.RecordFlush(4, 2*time.Millisecond, false)
 	b.RecordFlush(8, 6*time.Millisecond, true)
 	b.RecordFlush(3, time.Millisecond, true)
 
-	snap := b.Snapshot()
-	if snap.Flushes != 3 || snap.Records != 15 {
-		t.Errorf("flushes/records = %d/%d", snap.Flushes, snap.Records)
+	if b.Flushes.Load() != 3 || b.Records.Load() != 15 {
+		t.Errorf("flushes/records = %d/%d", b.Flushes.Load(), b.Records.Load())
 	}
-	if snap.SizeFlushes != 1 || snap.DelayFlushes != 2 {
-		t.Errorf("triggers = %d size, %d delay", snap.SizeFlushes, snap.DelayFlushes)
+	if b.SizeFlushes.Load() != 1 || b.DelayFlushes.Load() != 2 {
+		t.Errorf("triggers = %d size, %d delay", b.SizeFlushes.Load(), b.DelayFlushes.Load())
 	}
-	if snap.MaxSize != 8 || snap.MeanSize != 5 {
-		t.Errorf("sizes = max %d, mean %v", snap.MaxSize, snap.MeanSize)
+	if m, mean := b.MaxSize.Load(), b.Records.Load()/b.Flushes.Load(); m != 8 || mean != 5 {
+		t.Errorf("sizes = max %d, mean %d", m, mean)
 	}
-	if snap.WaitMax != 6*time.Millisecond || snap.WaitMean != 3*time.Millisecond {
-		t.Errorf("waits = max %v, mean %v", snap.WaitMax, snap.WaitMean)
+	if v := values(b.Metrics()); v["zugchain_batch_wait_max_seconds"] != 0.006 {
+		t.Errorf("wait max = %vs, want 0.006s", v["zugchain_batch_wait_max_seconds"])
 	}
 }
 
 func TestGroupCommitCountersSnapshot(t *testing.T) {
 	var g GroupCommitCounters
-	if snap := g.Snapshot(); snap.Groups != 0 || snap.MeanGroup != 0 {
-		t.Errorf("zero-value snapshot = %+v", snap)
+	if g.Groups.Load() != 0 || g.Blocks.Load() != 0 {
+		t.Error("zero-value group-commit counters are not zero")
 	}
 	g.RecordGroup(1)
 	g.RecordGroup(7)
@@ -256,12 +244,11 @@ func TestGroupCommitCountersSnapshot(t *testing.T) {
 	g.AddSync()
 	g.AddSync()
 
-	snap := g.Snapshot()
-	if snap.Groups != 3 || snap.Blocks != 12 || snap.Syncs != 2 {
-		t.Errorf("snapshot = %+v", snap)
+	if g.Groups.Load() != 3 || g.Blocks.Load() != 12 || g.Syncs.Load() != 2 {
+		t.Errorf("groups = %d, blocks = %d, syncs = %d", g.Groups.Load(), g.Blocks.Load(), g.Syncs.Load())
 	}
-	if snap.MaxGroup != 7 || snap.MeanGroup != 4 {
-		t.Errorf("group sizes = max %d, mean %v", snap.MaxGroup, snap.MeanGroup)
+	if mean := g.Blocks.Load() / g.Groups.Load(); mean != 4 {
+		t.Errorf("mean group = %d, want 4", mean)
 	}
 }
 
@@ -280,12 +267,11 @@ func TestBatchCountersConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	bs, gs := b.Snapshot(), g.Snapshot()
-	if bs.Flushes != 8000 || bs.MaxSize != 8 {
-		t.Errorf("batch snapshot = %+v", bs)
+	if b.Flushes.Load() != 8000 || b.MaxSize.Load() != 8 {
+		t.Errorf("flushes = %d, max size = %d", b.Flushes.Load(), b.MaxSize.Load())
 	}
-	if gs.Groups != 8000 || gs.MaxGroup != 8 {
-		t.Errorf("group snapshot = %+v", gs)
+	if g.Groups.Load() != 8000 || g.Blocks.Load() != 36000 {
+		t.Errorf("groups = %d, blocks = %d", g.Groups.Load(), g.Blocks.Load())
 	}
 }
 
@@ -301,22 +287,25 @@ func TestNetCountersSnapshot(t *testing.T) {
 	n.AddWriteError(2)
 	n.AddRedial()
 
-	s := n.Snapshot()
-	if s.Enqueued != 5 || s.Drops != 1 || s.WriteErrors != 2 || s.Redials != 1 {
-		t.Errorf("snapshot = %+v", s)
+	v := values(n.Metrics())
+	if v["zugchain_net_enqueued_total"] != 5 || v["zugchain_net_drops_total"] != 1 ||
+		v["zugchain_net_write_errors_total"] != 2 || v["zugchain_net_redials_total"] != 1 {
+		t.Errorf("Metrics() = %v", v)
 	}
-	if s.WriteOps != 1 || s.Frames != 3 || s.CoalesceMean != 3 {
-		t.Errorf("coalescing: ops=%d frames=%d mean=%v", s.WriteOps, s.Frames, s.CoalesceMean)
+	if n.WriteOps.Load() != 1 || n.Frames.Load() != 3 {
+		t.Errorf("coalescing: ops=%d frames=%d", n.WriteOps.Load(), n.Frames.Load())
 	}
-	if s.QueueDepth != 1 || s.QueuePeak != 5 {
-		t.Errorf("depth = %d, peak = %d, want 1/5", s.QueueDepth, s.QueuePeak)
+	if n.Depth.Load() != 1 || n.Peak.Load() != 5 {
+		t.Errorf("depth = %d, peak = %d, want 1/5", n.Depth.Load(), n.Peak.Load())
 	}
 }
 
 func TestNetCountersZero(t *testing.T) {
 	var n NetCounters
-	if s := n.Snapshot(); s != (NetSnapshot{}) {
-		t.Errorf("zero snapshot = %+v", s)
+	for _, m := range n.Metrics() {
+		if m.Value != 0 {
+			t.Errorf("zero-value %s = %v", m.Name, m.Value)
+		}
 	}
 }
 
@@ -335,14 +324,13 @@ func TestNetCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s := n.Snapshot()
-	if s.Enqueued != 8000 || s.QueueDepth != 0 {
-		t.Errorf("enqueued = %d, depth = %d", s.Enqueued, s.QueueDepth)
+	if n.Accepted.Load() != 8000 || n.Depth.Load() != 0 {
+		t.Errorf("enqueued = %d, depth = %d", n.Accepted.Load(), n.Depth.Load())
 	}
-	if s.WriteOps != 8000 || s.Frames != 16000 || s.CoalesceMean != 2 {
-		t.Errorf("ops=%d frames=%d mean=%v", s.WriteOps, s.Frames, s.CoalesceMean)
+	if n.WriteOps.Load() != 8000 || n.Frames.Load() != 16000 {
+		t.Errorf("ops=%d frames=%d", n.WriteOps.Load(), n.Frames.Load())
 	}
-	if s.QueuePeak < 1 || s.QueuePeak > 8 {
-		t.Errorf("peak = %d out of [1,8]", s.QueuePeak)
+	if pk := n.Peak.Load(); pk < 1 || pk > 8 {
+		t.Errorf("peak = %d out of [1,8]", pk)
 	}
 }

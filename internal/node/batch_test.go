@@ -29,7 +29,7 @@ func TestClusterBatchingIdenticalChains(t *testing.T) {
 	// The batching stage actually engaged on whichever node was primary.
 	flushes := uint64(0)
 	for _, n := range c.nodes {
-		flushes += n.Layer().Batches().Snapshot().Flushes
+		flushes += n.Layer().Batches().Flushes.Load()
 	}
 	if flushes == 0 {
 		t.Error("no batch flushes recorded on any node")
@@ -88,7 +88,7 @@ func TestClusterByzantinePrimaryBatchDuplicate(t *testing.T) {
 	for {
 		dups := 0
 		for _, n := range c.nodes {
-			if n.Layer().Counters().Snapshot().Duplicates > 0 {
+			if n.Layer().Counters().Duplicates.Load() > 0 {
 				dups++
 			}
 		}

@@ -147,7 +147,6 @@ type Node struct {
 	kp  *crypto.KeyPair
 	reg *crypto.Registry
 	clk clock.Clock
-	cc  *metrics.CryptoCounters
 
 	mux    *transport.Mux
 	pool   *crypto.VerifyPool
@@ -207,7 +206,6 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 		kp:      kp,
 		reg:     reg,
 		clk:     clk,
-		cc:      cc,
 		store:   store,
 		filters: make(map[int]*signal.Filter),
 		quit:    make(chan struct{}),
@@ -290,27 +288,27 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 	}, kp, reg, store, exportChan)
 	n.srv.SetStateReplyHandler(n.onStateReply)
 
-	// Every counter family the node owns self-registers into the observer's
-	// registry: one /metrics scrape sees the whole pipeline.
+	// Every counter family the node owns registers its Metrics method into
+	// the observer's registry: one /metrics scrape sees the whole pipeline.
 	r := n.obs.Registry
-	obsv.RegisterCore(r, n.layer.Counters())
-	obsv.RegisterBatch(r, n.layer.Batches())
-	obsv.RegisterPool(r, n.pool.Stats)
-	obsv.RegisterCrypto(r, cc)
+	r.Register("core", n.layer.Counters().Metrics)
+	r.Register("batch", n.layer.Batches().Metrics)
+	r.Register("pool", n.pool.Counters().Metrics)
+	r.Register("crypto", cc.Metrics)
 	if n.wlog != nil {
-		obsv.RegisterWAL(r, n.wlog.Counters())
+		r.Register("wal", n.wlog.Counters().Metrics)
 	}
-	obsv.RegisterGroupCommit(r, store.GroupCommits())
+	r.Register("store", store.GroupCommits().Metrics)
 	if ns, ok := tr.(transport.NetStats); ok {
 		if nc := ns.NetCounters(); nc != nil {
-			obsv.RegisterNet(r, nc)
+			r.Register("net", nc.Metrics)
 		}
 	}
-	r.Register("chain", func() []obsv.Metric {
-		return []obsv.Metric{
-			{Name: "zugchain_chain_height", Help: "Blockchain head index", Kind: obsv.KindGauge, Value: float64(n.store.HeadIndex())},
-			{Name: "zugchain_chain_base", Help: "Oldest retained full block", Kind: obsv.KindGauge, Value: float64(n.store.Base())},
-			{Name: "zugchain_chain_open", Help: "Open requests in the queue R", Kind: obsv.KindGauge, Value: float64(n.layer.OpenRequests())},
+	r.Register("chain", func() []metrics.Metric {
+		return []metrics.Metric{
+			metrics.Gauge("zugchain_chain_height", "Blockchain head index", float64(n.store.HeadIndex())),
+			metrics.Gauge("zugchain_chain_base", "Oldest retained full block", float64(n.store.Base())),
+			metrics.Gauge("zugchain_chain_open", "Open requests in the queue R", float64(n.layer.OpenRequests())),
 		}
 	})
 
@@ -357,10 +355,6 @@ func (n *Node) Runner() *pbft.Runner { return n.runner }
 // VerifyPool exposes the node's signature-verification pipeline (stats,
 // inspection).
 func (n *Node) VerifyPool() *crypto.VerifyPool { return n.pool }
-
-// CryptoStats returns the node's crypto acceleration counters: batch
-// verification shape and verified-signature cache traffic.
-func (n *Node) CryptoStats() metrics.CryptoSnapshot { return n.cc.Snapshot() }
 
 // ExportServer exposes the export server.
 func (n *Node) ExportServer() *export.Server { return n.srv }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"zugchain/internal/mvb"
 	"zugchain/internal/obsv"
 )
 
@@ -103,6 +104,28 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 	// The journal saw at least the view-0 primary election.
 	if c.nodes[0].Obs().Journal.Total() == 0 {
 		t.Error("journal empty after startup")
+	}
+}
+
+// TestNodeCountsLayerTraffic: the communication layer's receive and
+// verification series must move once peers exchange requests. The view-0
+// primary's reader misses every bus frame, so the backups' soft timeouts
+// fire and every replica receives and verifies their broadcasts.
+func TestNodeCountsLayerTraffic(t *testing.T) {
+	c := newCluster(t, nil, []mvb.FaultConfig{{DropRate: 1}, {}, {}, {}})
+	c.tickUntilBlocks(1, 30*time.Second)
+
+	for i, n := range c.nodes {
+		v := n.Obs().Registry.Values()
+		for _, name := range []string{
+			"zugchain_core_msgs_received_total",
+			"zugchain_core_bytes_received_total",
+			"zugchain_core_verifications_total",
+		} {
+			if v[name] <= 0 {
+				t.Errorf("node %d: %s = %v after peer broadcasts, want > 0", i, name, v[name])
+			}
+		}
 	}
 }
 

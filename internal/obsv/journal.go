@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"zugchain/internal/crypto"
+	"zugchain/internal/metrics"
 )
 
 // EventKind classifies a consensus journal event.
@@ -136,9 +137,9 @@ func (j *Journal) RegisterOn(r *Registry) {
 	if j == nil {
 		return
 	}
-	r.Register("journal", func() []Metric {
-		return []Metric{
-			{Name: "zugchain_events_total", Help: "Consensus journal events recorded", Value: float64(j.Total())},
+	r.Register("journal", func() []metrics.Metric {
+		return []metrics.Metric{
+			metrics.Counter("zugchain_events_total", "Consensus journal events recorded", j.Total()),
 		}
 	})
 }

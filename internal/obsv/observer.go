@@ -1,7 +1,10 @@
 package obsv
 
 import (
+	"runtime"
 	"time"
+
+	"zugchain/internal/metrics"
 )
 
 // Options parameterizes an Observer.
@@ -45,8 +48,20 @@ func NewObserver(opts Options) *Observer {
 		o.Tracer.RegisterOn(o.Registry)
 	}
 	o.Journal.RegisterOn(o.Registry)
-	RegisterRuntime(o.Registry)
+	o.Registry.Register("runtime", runtimeMetrics)
 	return o
+}
+
+// runtimeMetrics lists the Go runtime gauges (the paper's memory proxy,
+// Fig 7) plus goroutine count.
+func runtimeMetrics() []metrics.Metric {
+	m := metrics.SampleMemory()
+	return []metrics.Metric{
+		metrics.Gauge("zugchain_go_heap_alloc_bytes", "Live heap bytes", float64(m.HeapAlloc)),
+		metrics.Counter("zugchain_go_total_alloc_bytes", "Cumulative heap bytes allocated", m.TotalAlloc),
+		metrics.Counter("zugchain_go_gc_total", "Completed GC cycles", uint64(m.NumGC)),
+		metrics.Gauge("zugchain_go_goroutines", "Live goroutines", float64(runtime.NumGoroutine())),
+	}
 }
 
 // Uptime reports how long the observer has existed.

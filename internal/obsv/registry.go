@@ -13,34 +13,17 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"zugchain/internal/metrics"
 )
 
-// MetricKind distinguishes how an exported series behaves.
-type MetricKind int
+// Source produces a family's current samples, typically a counter family's
+// Metrics method. Sources must be safe to call concurrently (the families
+// load atomics, so this is free).
+type Source func() []metrics.Metric
 
-// Metric kinds.
-const (
-	KindCounter MetricKind = iota // monotonically increasing
-	KindGauge                     // instantaneous value
-)
-
-// Metric is one exported sample. Name must be a valid Prometheus metric
-// name (snake_case, typically prefixed zugchain_); Labels, when non-empty,
-// is the label body without braces, e.g. `phase="commit"`.
-type Metric struct {
-	Name   string
-	Help   string
-	Kind   MetricKind
-	Labels string
-	Value  float64
-}
-
-// Source produces a family's current samples. Sources must be safe to call
-// concurrently (all counter families snapshot atomics, so this is free).
-type Source func() []Metric
-
-// Registry maps family names to snapshot functions. Counter families
-// self-register once at wiring time; Gather and WritePrometheus then pull a
+// Registry maps family names to sources. Counter families register their
+// Metrics method once at wiring time; Gather and WritePrometheus then pull a
 // consistent point-in-time view on every scrape. Registering a name again
 // replaces the previous source (a restarted subsystem re-registers). All
 // methods are safe for concurrent use.
@@ -95,14 +78,14 @@ func (r *Registry) Sources() []string {
 }
 
 // Gather snapshots every source, in registration order.
-func (r *Registry) Gather() []Metric {
+func (r *Registry) Gather() []metrics.Metric {
 	r.mu.RLock()
 	srcs := make([]Source, 0, len(r.order))
 	for _, name := range r.order {
 		srcs = append(srcs, r.srcs[name])
 	}
 	r.mu.RUnlock()
-	var out []Metric
+	var out []metrics.Metric
 	for _, src := range srcs {
 		out = append(out, src()...)
 	}
@@ -145,14 +128,14 @@ func (r *Registry) Histograms() []string {
 // WritePrometheus renders every source and histogram in the Prometheus text
 // exposition format (version 0.0.4).
 func (r *Registry) WritePrometheus(w io.Writer) {
-	metrics := r.Gather()
+	samples := r.Gather()
 
 	// One HELP/TYPE header per metric name, covering all its label
 	// variants; variants stay in gather order under the header.
 	seen := make(map[string]bool)
 	var names []string
-	byName := make(map[string][]Metric)
-	for _, m := range metrics {
+	byName := make(map[string][]metrics.Metric)
+	for _, m := range samples {
 		if !seen[m.Name] {
 			seen[m.Name] = true
 			names = append(names, m.Name)
@@ -164,7 +147,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		if ms[0].Help != "" {
 			fmt.Fprintf(w, "# HELP %s %s\n", name, sanitizeHelp(ms[0].Help))
 		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, ms[0].Kind.promType())
+		fmt.Fprintf(w, "# TYPE %s %s\n", name, promType(ms[0].Kind))
 		for _, m := range ms {
 			if m.Labels != "" {
 				fmt.Fprintf(w, "%s{%s} %v\n", m.Name, m.Labels, m.Value)
@@ -199,8 +182,8 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
-func (k MetricKind) promType() string {
-	if k == KindGauge {
+func promType(k metrics.MetricKind) string {
+	if k == metrics.KindGauge {
 		return "gauge"
 	}
 	return "counter"

@@ -6,15 +6,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"zugchain/internal/metrics"
 )
 
 func TestRegistryRegisterAndGather(t *testing.T) {
 	r := NewRegistry()
-	r.Register("b", func() []Metric {
-		return []Metric{{Name: "zugchain_b_total", Value: 2}}
+	r.Register("b", func() []metrics.Metric {
+		return []metrics.Metric{{Name: "zugchain_b_total", Value: 2}}
 	})
-	r.Register("a", func() []Metric {
-		return []Metric{
+	r.Register("a", func() []metrics.Metric {
+		return []metrics.Metric{
 			{Name: "zugchain_a_total", Value: 1},
 			{Name: "zugchain_a_by_kind", Labels: `kind="x"`, Value: 3},
 			{Name: "zugchain_a_by_kind", Labels: `kind="y"`, Value: 4},
@@ -43,8 +45,8 @@ func TestRegistryRegisterAndGather(t *testing.T) {
 	}
 
 	// Re-registering a name replaces the source without duplicating it.
-	r.Register("a", func() []Metric {
-		return []Metric{{Name: "zugchain_a_total", Value: 10}}
+	r.Register("a", func() []metrics.Metric {
+		return []metrics.Metric{{Name: "zugchain_a_total", Value: 10}}
 	})
 	if got := r.Sources(); len(got) != 2 {
 		t.Fatalf("sources after re-register = %v, want 2", got)
@@ -56,10 +58,10 @@ func TestRegistryRegisterAndGather(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Register("fam", func() []Metric {
-		return []Metric{
+	r.Register("fam", func() []metrics.Metric {
+		return []metrics.Metric{
 			{Name: "zugchain_reqs_total", Help: "Requests\nordered", Value: 7},
-			{Name: "zugchain_depth", Help: "Queue depth", Kind: KindGauge, Value: 3},
+			{Name: "zugchain_depth", Help: "Queue depth", Kind: metrics.KindGauge, Value: 3},
 			{Name: "zugchain_by_kind", Labels: `kind="x"`, Value: 1},
 			{Name: "zugchain_by_kind", Labels: `kind="y"`, Value: 2},
 		}
@@ -161,8 +163,8 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				name := fmt.Sprintf("src-%d-%d", w, i%8)
 				val := float64(i)
-				r.Register(name, func() []Metric {
-					return []Metric{{Name: "zugchain_conc_total", Labels: fmt.Sprintf(`src="%s"`, name), Value: val}}
+				r.Register(name, func() []metrics.Metric {
+					return []metrics.Metric{{Name: "zugchain_conc_total", Labels: fmt.Sprintf(`src="%s"`, name), Value: val}}
 				})
 				h.Observe(time.Duration(i) * time.Microsecond)
 			}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"zugchain/internal/metrics"
 )
 
 func TestReporterOffAtZeroInterval(t *testing.T) {
@@ -68,10 +70,10 @@ func TestSummaryOmitsAbsentFamilies(t *testing.T) {
 		}
 	}
 
-	o.Registry.Register("chain", func() []Metric {
-		return []Metric{
-			{Name: "zugchain_chain_height", Kind: KindGauge, Value: 12},
-			{Name: "zugchain_chain_base", Kind: KindGauge, Value: 3},
+	o.Registry.Register("chain", func() []metrics.Metric {
+		return []metrics.Metric{
+			{Name: "zugchain_chain_height", Kind: metrics.KindGauge, Value: 12},
+			{Name: "zugchain_chain_base", Kind: metrics.KindGauge, Value: 3},
 		}
 	})
 	s = Summary(o)

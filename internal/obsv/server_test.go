@@ -8,12 +8,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"zugchain/internal/metrics"
 )
 
 func testObserver() *Observer {
 	o := NewObserver(Options{TraceRing: 8, JournalSize: 8})
-	o.Registry.Register("test", func() []Metric {
-		return []Metric{
+	o.Registry.Register("test", func() []metrics.Metric {
+		return []metrics.Metric{
 			{Name: "zugchain_test_total", Help: "test counter", Value: 5},
 		}
 	})

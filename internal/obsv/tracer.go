@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"zugchain/internal/crypto"
+	"zugchain/internal/metrics"
 )
 
 // Phase enumerates a record's lifecycle transitions through the ordering
@@ -448,16 +449,16 @@ func (t *Tracer) RegisterOn(r *Registry) {
 		r.RegisterHistogram(name, "Latency from the previous lifecycle phase to "+p.String(), t.phaseHist[p])
 	}
 	r.RegisterHistogram("zugchain_trace_total_seconds", "Ingest-to-execute record latency", t.total)
-	r.Register("tracer", func() []Metric {
+	r.Register("tracer", func() []metrics.Metric {
 		t.mu.Lock()
 		completed := t.ringN
 		inflight := len(t.open)
 		t.mu.Unlock()
-		return []Metric{
-			{Name: "zugchain_trace_completed_total", Help: "Records with completed traces", Value: float64(completed)},
-			{Name: "zugchain_trace_inflight", Help: "Records currently in flight", Kind: KindGauge, Value: float64(inflight)},
-			{Name: "zugchain_trace_slow_total", Help: "Records above the slow threshold", Value: float64(t.slowTotal.Load())},
-			{Name: "zugchain_trace_evicted_total", Help: "In-flight trace entries evicted by memory bounds", Value: float64(t.evicted.Load())},
+		return []metrics.Metric{
+			metrics.Counter("zugchain_trace_completed_total", "Records with completed traces", completed),
+			metrics.Gauge("zugchain_trace_inflight", "Records currently in flight", float64(inflight)),
+			metrics.Counter("zugchain_trace_slow_total", "Records above the slow threshold", t.slowTotal.Load()),
+			metrics.Counter("zugchain_trace_evicted_total", "In-flight trace entries evicted by memory bounds", t.evicted.Load()),
 		}
 	})
 }

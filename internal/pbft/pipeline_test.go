@@ -209,7 +209,7 @@ func TestRunnerClusterWithVerifyPool(t *testing.T) {
 	if len(seen) != n {
 		t.Fatalf("delivered %d distinct requests, want %d", len(seen), n)
 	}
-	if st := pool.Stats(); st.Offloaded+st.Inline == 0 {
+	if st := pool.Counters(); st.Offloaded.Load()+st.Inline.Load() == 0 {
 		t.Error("verify pool was never used")
 	}
 }
@@ -327,8 +327,8 @@ func benchmarkRunnerIngest(b *testing.B, workers int) {
 
 	base := uint64(0)
 	if pool != nil {
-		st := pool.Stats()
-		base = st.Offloaded + st.Inline
+		st := pool.Counters()
+		base = st.Offloaded.Load() + st.Inline.Load()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -339,8 +339,8 @@ func benchmarkRunnerIngest(b *testing.B, workers int) {
 	if pool != nil {
 		// Wait for the pipeline to drain so ns/op covers the full work.
 		for {
-			st := pool.Stats()
-			if st.Offloaded+st.Inline-base >= uint64(b.N) {
+			st := pool.Counters()
+			if st.Offloaded.Load()+st.Inline.Load()-base >= uint64(b.N) {
 				break
 			}
 			time.Sleep(50 * time.Microsecond)

@@ -338,21 +338,10 @@ func runZugChain(s Scenario) (*Result, error) {
 	var bytesTotal, msgsTotal uint64
 	var cpuTotal float64
 	for _, id := range ids {
-		snap := net.Endpoint(id).Counters().Snapshot()
-		layerSnap := nodes[id].Layer().Counters().Snapshot()
-		bytesTotal += snap.BytesSent
-		msgsTotal += snap.MsgsSent + snap.MsgsReceived
-		// Signature work: one per sent protocol message (signing) and one
-		// per received (verification) approximates the Ed25519 load.
-		work := metrics.CounterSnapshot{
-			MsgsSent:      snap.MsgsSent,
-			MsgsReceived:  snap.MsgsReceived,
-			BytesSent:     snap.BytesSent,
-			BytesReceived: snap.BytesReceived,
-			Signatures:    snap.MsgsSent + layerSnap.Signatures,
-			Verifications: snap.MsgsReceived,
-		}
-		cpuTotal += work.CPUWorkUnits()
+		c := net.Endpoint(id).Counters()
+		bytesTotal += c.BytesSent.Load()
+		msgsTotal += c.MsgsSent.Load() + c.MsgsReceived.Load()
+		cpuTotal += cpuWork(c, nodes[id].Layer().Counters().Signatures.Load())
 	}
 	seconds := duration.Seconds()
 	res.NetBytesPerNodePerSec = float64(bytesTotal) / float64(s.Nodes) / seconds
@@ -361,12 +350,20 @@ func runZugChain(s Scenario) (*Result, error) {
 	res.AllocPerNode = (memAfter.TotalAlloc - memBefore.TotalAlloc) / uint64(s.Nodes)
 	res.HeapAlloc = memAfter.HeapAlloc
 
-	node0Snap := nodes[0].Layer().Counters().Snapshot()
-	res.Ordered = node0Snap.Requests
+	res.Ordered = nodes[0].Layer().Counters().Requests.Load()
 	for _, n := range nodes {
-		res.Duplicates += n.Layer().Counters().Snapshot().Duplicates
+		res.Duplicates += n.Layer().Counters().Duplicates.Load()
 	}
 	return res, nil
+}
+
+// cpuWork is one replica's CPU-load proxy (Fig 7): every protocol message it
+// sent counts as a signing and every one it received as a verification,
+// which approximates the Ed25519 load, plus the signatures its request layer
+// generated.
+func cpuWork(net *metrics.Counters, requestSigs uint64) float64 {
+	sent, recv := net.MsgsSent.Load(), net.MsgsReceived.Load()
+	return metrics.CPUWorkUnits(sent+requestSigs, recv, sent+recv, net.BytesSent.Load()+net.BytesReceived.Load())
 }
 
 func runBaseline(s Scenario) (*Result, error) {
@@ -456,19 +453,10 @@ func runBaseline(s Scenario) (*Result, error) {
 	var bytesTotal, msgsTotal uint64
 	var cpuTotal float64
 	for _, id := range ids {
-		snap := net.Endpoint(id).Counters().Snapshot()
-		nodeSnap := nodes[id].Counters().Snapshot()
-		bytesTotal += snap.BytesSent
-		msgsTotal += snap.MsgsSent + snap.MsgsReceived
-		work := metrics.CounterSnapshot{
-			MsgsSent:      snap.MsgsSent,
-			MsgsReceived:  snap.MsgsReceived,
-			BytesSent:     snap.BytesSent,
-			BytesReceived: snap.BytesReceived,
-			Signatures:    snap.MsgsSent + nodeSnap.Signatures,
-			Verifications: snap.MsgsReceived,
-		}
-		cpuTotal += work.CPUWorkUnits()
+		c := net.Endpoint(id).Counters()
+		bytesTotal += c.BytesSent.Load()
+		msgsTotal += c.MsgsSent.Load() + c.MsgsReceived.Load()
+		cpuTotal += cpuWork(c, nodes[id].Counters().Signatures.Load())
 	}
 	seconds := duration.Seconds()
 	res.NetBytesPerNodePerSec = float64(bytesTotal) / float64(s.Nodes) / seconds
@@ -476,7 +464,7 @@ func runBaseline(s Scenario) (*Result, error) {
 	res.CPUWorkPerNode = cpuTotal / float64(s.Nodes)
 	res.AllocPerNode = (memAfter.TotalAlloc - memBefore.TotalAlloc) / uint64(s.Nodes)
 	res.HeapAlloc = memAfter.HeapAlloc
-	res.Ordered = nodes[1].Counters().Snapshot().Requests
+	res.Ordered = nodes[1].Counters().Requests.Load()
 	return res, nil
 }
 

@@ -217,13 +217,12 @@ func TestInprocCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	col.wait(t, 1)
-	as := a.Counters().Snapshot()
-	bs := b.Counters().Snapshot()
-	if as.MsgsSent != 1 || as.BytesSent != 100 {
-		t.Errorf("sender counters = %+v", as)
+	as, bs := a.Counters(), b.Counters()
+	if as.MsgsSent.Load() != 1 || as.BytesSent.Load() != 100 {
+		t.Errorf("sender counters = %v", as.Metrics())
 	}
-	if bs.MsgsReceived != 1 || bs.BytesReceived != 100 {
-		t.Errorf("receiver counters = %+v", bs)
+	if bs.MsgsReceived.Load() != 1 || bs.BytesReceived.Load() != 100 {
+		t.Errorf("receiver counters = %v", bs.Metrics())
 	}
 }
 

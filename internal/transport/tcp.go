@@ -116,8 +116,7 @@ type TCP struct {
 	closing chan struct{}
 	wg      sync.WaitGroup
 
-	counters metrics.Counters
-	net      metrics.NetCounters
+	net metrics.NetCounters
 }
 
 var (
@@ -174,10 +173,6 @@ func (t *TCP) SetHandler(h Handler) {
 	t.handler = h
 	t.mu.Unlock()
 }
-
-// Counters exposes this transport's traffic counters. Sent/received bytes
-// include the frame header, matching actual wire traffic.
-func (t *TCP) Counters() *metrics.Counters { return &t.counters }
 
 // NetCounters exposes the outbound pipeline's queue/coalescing/redial
 // counters.
@@ -399,7 +394,6 @@ func (t *TCP) readLoop(p *tcpPeer, c net.Conn) {
 		if err != nil {
 			return
 		}
-		t.counters.AddReceived(frameHeaderSize + len(data))
 		t.mu.Lock()
 		h := t.handler
 		t.mu.Unlock()
@@ -517,9 +511,6 @@ func (p *tcpPeer) writeLoop() {
 		_, err := nb.WriteTo(c)
 		if err == nil {
 			p.t.net.AddWrite(len(batch))
-			for _, f := range batch {
-				p.t.counters.AddSent(len(*f))
-			}
 		} else {
 			// Wire loss, not overflow: PBFT's retransmit/view-change
 			// machinery recovers. Detach the conn; next loop redials.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"zugchain/internal/crypto"
-	"zugchain/internal/metrics"
 )
 
 // newTCPPair starts two TCP transports that know each other's addresses.
@@ -251,35 +250,6 @@ func TestTCPClosedSend(t *testing.T) {
 	}
 }
 
-// TestTCPCounters checks that traffic counters match actual wire bytes: a
-// 64-byte payload costs 64+4 on the wire (the frame header), on both sides.
-// Send accounting happens on the writer goroutine, so the sender side is
-// polled briefly.
-func TestTCPCounters(t *testing.T) {
-	a, b := newTCPPair(t)
-	col := newCollector()
-	b.SetHandler(col.handler)
-	if err := a.Send(1, make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	col.wait(t, 1)
-	const wire = 64 + frameHeaderSize
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := a.Counters().Snapshot()
-		if s.MsgsSent == 1 && s.BytesSent == wire {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sender counters = %+v, want 1 msg / %d bytes", s, wire)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if s := b.Counters().Snapshot(); s.MsgsReceived != 1 || s.BytesReceived != wire {
-		t.Errorf("receiver counters = %+v, want 1 msg / %d bytes", s, wire)
-	}
-}
-
 // wedgedPeer accepts connections, reads the hello, then never reads again —
 // a live TCP endpoint whose kernel receive buffer eventually fills, the
 // worst kind of slow consumer.
@@ -377,14 +347,14 @@ func TestTCPSlowPeerIsolation(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("healthy peer never received the final frame; got %d messages, pipeline %+v",
-				col.count(), a.NetCounters().Snapshot())
+				col.count(), a.NetCounters().Metrics())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Logf("enqueue %v, healthy delivery %v, pipeline %+v",
-		enqueueTime, time.Since(start), a.NetCounters().Snapshot())
-	if s := a.NetCounters().Snapshot(); s.Drops == 0 {
-		t.Errorf("expected overflow drops toward the wedged peer, got %+v", s)
+		enqueueTime, time.Since(start), a.NetCounters().Metrics())
+	if a.NetCounters().Drops.Load() == 0 {
+		t.Errorf("expected overflow drops toward the wedged peer, got %+v", a.NetCounters().Metrics())
 	}
 }
 
@@ -406,16 +376,16 @@ func TestTCPQueueOverflowDropsOldest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := a.NetCounters().Snapshot()
-	if s.Enqueued != n {
-		t.Errorf("enqueued = %d, want %d", s.Enqueued, n)
+	s := a.NetCounters()
+	if got := s.Accepted.Load(); got != n {
+		t.Errorf("enqueued = %d, want %d", got, n)
 	}
 	// The writer may hold one in-flight frame beyond the queue capacity.
-	if min := uint64(n - 4 - 1); s.Drops < min {
-		t.Errorf("drops = %d, want ≥ %d", s.Drops, min)
+	if min := uint64(n - 4 - 1); s.Drops.Load() < min {
+		t.Errorf("drops = %d, want ≥ %d", s.Drops.Load(), min)
 	}
-	if s.QueueDepth > 4+1 {
-		t.Errorf("queue depth = %d exceeds capacity", s.QueueDepth)
+	if d := s.Depth.Load(); d > 4+1 {
+		t.Errorf("queue depth = %d exceeds capacity", d)
 	}
 }
 
@@ -437,7 +407,7 @@ func TestTCPRedialBackoffAndResume(t *testing.T) {
 	// Push frames at the dead peer until the broken connection is detected
 	// and background redials (against a refused port) start.
 	deadline := time.Now().Add(10 * time.Second)
-	for a.NetCounters().Snapshot().Redials == 0 {
+	for a.NetCounters().Redials.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no background redials recorded")
 		}
@@ -455,7 +425,7 @@ func TestTCPRedialBackoffAndResume(t *testing.T) {
 
 	for col2.count() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no delivery after restart; pipeline %+v", a.NetCounters().Snapshot())
+			t.Fatalf("no delivery after restart; pipeline %+v", a.NetCounters().Metrics())
 		}
 		_ = a.Send(1, []byte("back"))
 		time.Sleep(5 * time.Millisecond)
@@ -518,14 +488,15 @@ func TestTCPFlushIntervalCoalesces(t *testing.T) {
 	col.wait(t, 1)
 	// Write accounting happens on the writer goroutine; wait for the warm
 	// frame to be counted before taking the baseline.
-	var base metrics.NetSnapshot
+	nc := a.NetCounters()
+	var baseFrames, baseWrites uint64
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		base = a.NetCounters().Snapshot()
-		if base.Frames >= 1 {
+		baseFrames, baseWrites = nc.Frames.Load(), nc.WriteOps.Load()
+		if baseFrames >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("warm frame never counted: %+v", base)
+			t.Fatalf("warm frame never counted: %+v", nc.Metrics())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -542,19 +513,17 @@ func TestTCPFlushIntervalCoalesces(t *testing.T) {
 		f.Flush()
 	}
 	col.wait(t, n)
-	var s metrics.NetSnapshot
+	var frames, writes uint64
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		s = a.NetCounters().Snapshot()
-		if s.Frames-base.Frames >= n {
+		frames, writes = nc.Frames.Load()-baseFrames, nc.WriteOps.Load()-baseWrites
+		if frames >= n {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("frames written = %d, want %d", s.Frames-base.Frames, n)
+			t.Fatalf("frames written = %d, want %d", frames, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	writes := s.WriteOps - base.WriteOps
-	frames := s.Frames - base.Frames
 	if frames != n {
 		t.Fatalf("frames written = %d, want %d", frames, n)
 	}

@@ -187,8 +187,8 @@ func TestRotateDropsOldSegments(t *testing.T) {
 	if got[0].Kind != KindView || got[1].Kind != KindCheckpoint || got[2].Kind != KindCommit {
 		t.Errorf("unexpected replay kinds: %v %v %v", got[0].Kind, got[1].Kind, got[2].Kind)
 	}
-	if c := l2.Counters().Snapshot(); c.Replayed != 3 {
-		t.Errorf("counter replayed = %d", c.Replayed)
+	if n := l2.Counters().Replayed.Load(); n != 3 {
+		t.Errorf("counter replayed = %d", n)
 	}
 }
 
@@ -211,12 +211,12 @@ func TestConcurrentAppendsGroupCommit(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	snap := l.Counters().Snapshot()
-	if snap.Records != writers*each {
-		t.Errorf("records = %d, want %d", snap.Records, writers*each)
+	records, groups := l.Counters().Records.Load(), l.Counters().Groups.Load()
+	if records != writers*each {
+		t.Errorf("records = %d, want %d", records, writers*each)
 	}
-	if snap.Groups == 0 || snap.Groups > snap.Records {
-		t.Errorf("groups = %d for %d records", snap.Groups, snap.Records)
+	if groups == 0 || groups > records {
+		t.Errorf("groups = %d for %d records", groups, records)
 	}
 	l.Close()
 

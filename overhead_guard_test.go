@@ -72,7 +72,7 @@ func orderingRate(t *testing.T, records uint64, mutate func(*node.Config)) float
 	ordered := func() uint64 {
 		best := uint64(0)
 		for _, n := range nodes {
-			if got := n.Layer().Counters().Snapshot().Requests; got > best {
+			if got := n.Layer().Counters().Requests.Load(); got > best {
 				best = got
 			}
 		}

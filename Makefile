@@ -25,7 +25,8 @@ lint:
 # durability and crash-restart recovery plus a chaos crash/partition smoke
 # (which now also asserts the consensus event journal), fuzz the WAL decoder
 # briefly, and smoke-run the verification, batching, and transport benchmarks
-# once so a broken benchmark cannot rot unnoticed. zcbench is its own Go
+# once (with the allocation benchmarks of the sealing and digest paths) so
+# a broken benchmark cannot rot unnoticed. zcbench is its own Go
 # module, so the root build never compiles it: vet and self-test it here.
 check: lint
 	$(GO) build ./...
@@ -40,6 +41,7 @@ check: lint
 	$(GO) test -run '^$$' -bench Verify -benchtime 1x ./internal/crypto/... ./internal/pbft/...
 	$(GO) test -run '^$$' -bench Transport -benchtime 1x ./internal/transport
 	$(GO) test -run '^$$' -bench 'StoreAppend|OrderingThroughput' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SealCheckpoint|RequestDigest|VerifyCacheNote' -benchtime 1x ./internal/blockchain ./internal/pbft ./internal/crypto
 	cd zcbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:

@@ -54,16 +54,22 @@ type Header struct {
 	BodyHash crypto.Digest
 }
 
-// Hash computes the block hash: the chain link and the PBFT checkpoint
-// state digest.
-func (h *Header) Hash() crypto.Digest {
-	e := wire.NewEncoder(96)
+func (h *Header) encodeTo(e *wire.Encoder) {
 	e.Uint64(h.Index)
 	e.Bytes32(h.PrevHash)
 	e.Uint64(h.FirstSeq)
 	e.Uint64(h.LastSeq)
 	e.Bytes32(h.BodyHash)
-	return crypto.Hash(e.Data())
+}
+
+// Hash computes the block hash: the chain link and the PBFT checkpoint
+// state digest.
+func (h *Header) Hash() crypto.Digest {
+	e := wire.GetEncoder()
+	h.encodeTo(e)
+	d := crypto.Hash(e.Data())
+	wire.PutEncoder(e)
+	return d
 }
 
 // Block is a sealed bundle of ordered entries.
@@ -72,14 +78,21 @@ type Block struct {
 	Entries []Entry
 }
 
-// BodyDigest computes the commitment over the entries.
-func BodyDigest(entries []Entry) crypto.Digest {
-	e := wire.NewEncoder(256)
+func encodeEntries(e *wire.Encoder, entries []Entry) {
 	e.Uvarint(uint64(len(entries)))
 	for i := range entries {
 		entries[i].encodeTo(e)
 	}
-	return crypto.Hash(e.Data())
+}
+
+// BodyDigest computes the commitment over the entries. It hashes their
+// encoding in a pooled encoder, so in steady state it allocates nothing.
+func BodyDigest(entries []Entry) crypto.Digest {
+	e := wire.GetEncoder()
+	encodeEntries(e, entries)
+	d := crypto.Hash(e.Data())
+	wire.PutEncoder(e)
+	return d
 }
 
 // Genesis returns the fixed genesis block shared by all replicas.
@@ -110,19 +123,13 @@ func (b *Block) Validate() error {
 	return nil
 }
 
-// Marshal encodes the block for storage or transmission.
+// Marshal encodes the block for storage or transmission, allocating the
+// result once at its exact size.
 func (b *Block) Marshal() []byte {
-	e := wire.NewEncoder(256)
-	e.Uint64(b.Index)
-	e.Bytes32(b.PrevHash)
-	e.Uint64(b.FirstSeq)
-	e.Uint64(b.LastSeq)
-	e.Bytes32(b.BodyHash)
-	e.Uvarint(uint64(len(b.Entries)))
-	for i := range b.Entries {
-		b.Entries[i].encodeTo(e)
-	}
-	return e.Data()
+	return wire.Encode(func(e *wire.Encoder) {
+		b.Header.encodeTo(e)
+		encodeEntries(e, b.Entries)
+	})
 }
 
 // Unmarshal decodes a block encoded by Marshal.
@@ -169,17 +176,11 @@ func NewBuilder(prev *Block, size int) *Builder {
 	if size <= 0 {
 		size = 10
 	}
-	prealloc := size
-	if prealloc > 1024 {
-		// Checkpoint-sealed builders pass a huge size sentinel; do not
-		// preallocate for it.
-		prealloc = 1024
-	}
 	return &Builder{
 		size:     size,
 		prevHash: prev.Hash(),
 		next:     prev.Index + 1,
-		pending:  make([]Entry, 0, prealloc),
+		pending:  make([]Entry, 0, min(size, len(prev.Entries))),
 	}
 }
 
@@ -214,11 +215,10 @@ func (bd *Builder) Seal() *Block {
 		return nil
 	}
 	entries := bd.pending
-	prealloc := bd.size
-	if prealloc > 1024 {
-		prealloc = 1024
-	}
-	bd.pending = make([]Entry, 0, prealloc)
+	// The sealed block keeps the entries' storage. Size the next block's
+	// from this one: the size argument may be a "seal at checkpoints"
+	// sentinel far above any real block.
+	bd.pending = make([]Entry, 0, min(bd.size, len(entries)))
 	b := &Block{
 		Header: Header{
 			Index:    bd.next,

@@ -255,11 +255,33 @@ func (l *Layer) WindowSnapshot(maxSeq uint64) []WindowEntry {
 // RestoreWindow seeds the dedup window from entries whose payloads are
 // already durably logged: WAL/chain recovery at startup, and installed
 // state-transfer blocks mid-run. Entries should be sorted by Seq.
+//
+// A restored record is closed exactly as a decided one is: it leaves R with
+// its timers, its latency stamp and any unflushed batch. Left open, its
+// timers would re-broadcast it until the window slid past it, and it would
+// then be ordered and logged a second time.
 func (l *Layer) RestoreWindow(entries []WindowEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, e := range entries {
 		l.decided.add(e.Digest, e.Seq)
+		if st, ok := l.open[e.Digest]; ok {
+			l.removeLocked(e.Digest, st)
+		}
+		delete(l.received, e.Digest)
+	}
+	if len(l.batch) == 0 {
+		return
+	}
+	kept := l.batch[:0]
+	for _, req := range l.batch {
+		if !l.decided.contains(req.PayloadDigest()) {
+			kept = append(kept, req)
+		}
+	}
+	l.batch = kept
+	if len(kept) == 0 {
+		l.resetBatchLocked()
 	}
 }
 

@@ -3,6 +3,7 @@ package crypto
 import (
 	"crypto/ed25519"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -265,5 +266,96 @@ func TestBatchVerifyConcurrentCache(t *testing.T) {
 	}
 	if cc.CacheHits.Load() != 3*128 {
 		t.Fatalf("expected 384 cache hits (three retransmit rounds), got %d", cc.CacheHits.Load())
+	}
+}
+
+// TestVerifyCacheMatchesReferenceLRU drives the cache with a random mix of
+// Seen and Note over a small key universe and checks every answer against a
+// plain slice-based LRU per shard, so hits, refreshes and evictions follow
+// exact LRU order through slot reuse and bucket-chain unlinking.
+func TestVerifyCacheMatchesReferenceLRU(t *testing.T) {
+	const perShard = 3
+	c := NewVerifyCache(perShard*verifyCacheShards, nil)
+	pub := make(ed25519.PublicKey, ed25519.PublicKeySize)
+	sig := make([]byte, SignatureSize)
+	keys := make([]Digest, 40)
+	for i := range keys {
+		keys[i] = Hash([]byte(fmt.Sprintf("key %d", i)))
+	}
+	ref := make([][]Digest, verifyCacheShards) // front = most recent
+	touch := func(s int, d Digest) bool {
+		for i, k := range ref[s] {
+			if k == d {
+				copy(ref[s][1:i+1], ref[s][:i])
+				ref[s][0] = d
+				return true
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(1))
+	for op := 0; op < 20000; op++ {
+		d := keys[rng.Intn(len(keys))]
+		s := int(d[0]) & (verifyCacheShards - 1)
+		if rng.Intn(2) == 0 {
+			if got, want := c.Seen(1, pub, d, sig), touch(s, d); got != want {
+				t.Fatalf("op %d: Seen = %v, reference LRU says %v", op, got, want)
+			}
+			continue
+		}
+		c.Note(1, pub, d, sig)
+		if !touch(s, d) {
+			ref[s] = append([]Digest{d}, ref[s]...)
+			if len(ref[s]) > perShard {
+				ref[s] = ref[s][:perShard]
+			}
+		}
+	}
+	n := 0
+	for _, r := range ref {
+		n += len(r)
+	}
+	if c.Len() != n {
+		t.Fatalf("Len = %d, reference holds %d", c.Len(), n)
+	}
+}
+
+// TestVerifyCacheNoteFullDoesNotAllocate guards the steady state of a full
+// cache: evicting the least recently used entry and inserting the new one
+// reuses its slot.
+func TestVerifyCacheNoteFullDoesNotAllocate(t *testing.T) {
+	c := NewVerifyCache(64, nil)
+	pub := make(ed25519.PublicKey, ed25519.PublicKeySize)
+	sig := make([]byte, SignatureSize)
+	digests := make([]Digest, 256)
+	for i := range digests {
+		digests[i] = Hash([]byte(fmt.Sprintf("note %d", i)))
+		c.Note(1, pub, digests[i], sig)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Note(1, pub, digests[i%len(digests)], sig)
+		i++
+	}); n != 0 {
+		t.Errorf("Note on a full cache allocates %v times per call, want 0", n)
+	}
+}
+
+// BenchmarkVerifyCacheNote measures inserting into a full default-sized
+// cache, every insert evicting the least recently used entry of its shard.
+func BenchmarkVerifyCacheNote(b *testing.B) {
+	c := NewVerifyCache(0, nil)
+	pub := make(ed25519.PublicKey, ed25519.PublicKeySize)
+	sig := make([]byte, SignatureSize)
+	digests := make([]Digest, 4*DefaultVerifyCacheSize)
+	for i := range digests {
+		digests[i] = Hash([]byte(fmt.Sprintf("note %d", i)))
+		c.Note(1, pub, digests[i], sig)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		c.Note(1, pub, digests[i%len(digests)], sig)
+		i++
 	}
 }

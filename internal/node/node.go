@@ -6,11 +6,11 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -445,12 +445,14 @@ func (r *chainRecorder) Log(seq uint64, origin crypto.NodeID, payload, sig []byt
 	n.mu.Unlock()
 }
 
+// parseCompaction recognizes a compaction marker. Every logged record
+// passes through it, so the prefix is checked on the bytes before anything
+// is converted.
 func parseCompaction(payload []byte) (uint64, bool) {
-	s := string(payload)
-	if !strings.HasPrefix(s, compactionPrefix) {
+	if !bytes.HasPrefix(payload, []byte(compactionPrefix)) {
 		return 0, false
 	}
-	v, err := strconv.ParseUint(strings.TrimPrefix(s, compactionPrefix), 10, 64)
+	v, err := strconv.ParseUint(string(payload[len(compactionPrefix):]), 10, 64)
 	if err != nil {
 		return 0, false
 	}

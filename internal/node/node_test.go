@@ -329,6 +329,16 @@ func TestCompactionMarkerParsing(t *testing.T) {
 	}
 }
 
+// TestParseCompactionNonMarkerDoesNotAllocate guards the LOG path: every
+// logged record is checked for the compaction marker, and an ordinary
+// record must not be copied to do it.
+func TestParseCompactionNonMarkerDoesNotAllocate(t *testing.T) {
+	payload := make([]byte, 1024)
+	if n := testing.AllocsPerRun(100, func() { parseCompaction(payload) }); n != 0 {
+		t.Errorf("parseCompaction on a record allocates %v times per call, want 0", n)
+	}
+}
+
 func TestMultipleBusSources(t *testing.T) {
 	c := newCluster(t, nil, nil)
 	// Attach a second, independent bus (e.g. a ProfiNet segment) to every

@@ -216,16 +216,19 @@ func (n *Node) rotateWAL(proof pbft.CheckpointProof) {
 		return
 	}
 	view, sentVC, inVC := n.engine.ViewState()
-	snapshot := []wal.Record{
-		{Kind: wal.KindView, View: view, Seq: sentVC, Flag: inVC},
-		{Kind: wal.KindCheckpoint, Seq: proof.Seq, Data: pbft.EncodeCheckpointProof(proof)},
-	}
+	votes, certs := n.engine.VoteRecords(), n.engine.PreparedProofs()
+	window := n.layer.WindowSnapshot(proof.Seq)
+	snapshot := make([]wal.Record, 0, 2+len(votes)+len(certs)+len(window))
+	snapshot = append(snapshot,
+		wal.Record{Kind: wal.KindView, View: view, Seq: sentVC, Flag: inVC},
+		wal.Record{Kind: wal.KindCheckpoint, Seq: proof.Seq, Data: pbft.EncodeCheckpointProof(proof)},
+	)
 	// Votes for slots in (S, S+window] are routinely cast before the
 	// checkpoint at S stabilizes. The quorum's signatures only re-certify
 	// votes at or below S; everything above it must roll into the new
 	// segment, or a crash right after rotation would restart the replica
 	// with no pins for those slots and let it re-vote a conflicting digest.
-	for _, r := range n.engine.VoteRecords() {
+	for _, r := range votes {
 		kind, ok := persistToWALKind[r.Kind]
 		if !ok {
 			continue
@@ -234,7 +237,7 @@ func (n *Node) rotateWAL(proof pbft.CheckpointProof) {
 	}
 	// Likewise the P set: prepared certificates above the checkpoint back
 	// this replica's ViewChange claims across a restart.
-	for _, p := range n.engine.PreparedProofs() {
+	for _, p := range certs {
 		cp := p
 		snapshot = append(snapshot, wal.Record{
 			Kind: wal.KindPreparedCert,
@@ -243,7 +246,7 @@ func (n *Node) rotateWAL(proof pbft.CheckpointProof) {
 			Data: pbft.EncodePreparedProof(&cp),
 		})
 	}
-	for _, e := range n.layer.WindowSnapshot(proof.Seq) {
+	for _, e := range window {
 		snapshot = append(snapshot, wal.Record{Kind: wal.KindDedup, Seq: e.Seq, Digest: e.Digest})
 	}
 	if err := n.wlog.Rotate(snapshot); err == nil {

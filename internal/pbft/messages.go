@@ -52,34 +52,47 @@ func (r *Request) PayloadDigest() crypto.Digest {
 	return crypto.Hash(r.Payload)
 }
 
-// signingBytes returns the bytes covered by Sig.
-func (r *Request) signingBytes() []byte {
-	e := wire.NewEncoder(48)
-	d := r.PayloadDigest()
-	e.Bytes32(d)
+// signingBytesInto encodes the bytes covered by Sig into e and returns
+// them; the result aliases e's buffer.
+func (r *Request) signingBytesInto(e *wire.Encoder) []byte {
+	e.Bytes32(r.PayloadDigest())
 	e.Uint32(uint32(r.Origin))
 	e.Bool(r.Batch)
 	return e.Data()
 }
 
+// signingBytes returns an owned copy of the bytes covered by Sig.
+func (r *Request) signingBytes() []byte {
+	return r.signingBytesInto(wire.NewEncoder(48))
+}
+
 // SignRequest fills in r.Sig using the origin's key pair.
 func SignRequest(r *Request, kp *crypto.KeyPair) {
 	r.Origin = kp.ID
-	r.Sig = kp.Sign(r.signingBytes())
+	e := wire.GetEncoder()
+	r.Sig = kp.Sign(r.signingBytesInto(e))
+	wire.PutEncoder(e)
 }
 
 // VerifyRequest checks r.Sig against the origin's registered key.
 func VerifyRequest(r *Request, reg *crypto.Registry) error {
-	return reg.Verify(r.Origin, r.signingBytes(), r.Sig)
+	e := wire.GetEncoder()
+	err := reg.Verify(r.Origin, r.signingBytesInto(e), r.Sig)
+	wire.PutEncoder(e)
+	return err
 }
 
 // Digest is the full-request identity used by the three-phase protocol.
 // It covers payload, origin and signature, so a Byzantine primary cannot
 // equivocate between two variants of "the same" request within one slot.
+// The encoding is hashed in a pooled encoder, so in steady state Digest
+// allocates nothing.
 func (r *Request) Digest() crypto.Digest {
-	e := wire.NewEncoder(64 + len(r.Payload))
+	e := wire.GetEncoder()
 	r.encodeTo(e)
-	return crypto.Hash(e.Data())
+	d := crypto.Hash(e.Data())
+	wire.PutEncoder(e)
+	return d
 }
 
 // IsNull reports whether this is a gap-filling null request, which is

@@ -213,6 +213,16 @@ func (e *Engine) VoteRecords() []PersistRecord {
 // runner's event loop.
 func (e *Engine) PreparedProofs() []PreparedProof { return e.preparedProofs() }
 
+// proposalDigest returns pp's request digest, reusing the one computed when
+// pp was accepted as its slot's proposal. Safe only from the runner's event
+// loop.
+func (e *Engine) proposalDigest(pp *PrePrepare) crypto.Digest {
+	if inst, ok := e.log[pp.Seq]; ok && inst.preprepare == pp {
+		return inst.digest
+	}
+	return pp.Req.Digest()
+}
+
 // PreparedCert returns the recorded prepared certificate for seq, or nil.
 // Safe only from the runner's event loop.
 func (e *Engine) PreparedCert(seq uint64) *PreparedProof { return e.certs[seq] }
@@ -225,11 +235,7 @@ func (e *Engine) ViewState() (view, sentVCFor uint64, inViewChange bool) {
 
 // EncodeCheckpointProof serializes a checkpoint proof for stable storage.
 func EncodeCheckpointProof(p CheckpointProof) []byte {
-	enc := wire.NewEncoder(64 + 128*len(p.Checkpoints))
-	p.encodeTo(enc)
-	out := make([]byte, enc.Len())
-	copy(out, enc.Data())
-	return out
+	return wire.Encode(p.encodeTo)
 }
 
 // DecodeCheckpointProof is the inverse of EncodeCheckpointProof. The caller
@@ -243,13 +249,10 @@ func DecodeCheckpointProof(data []byte) (CheckpointProof, error) {
 	return p, nil
 }
 
-// EncodePreparedProof serializes a prepared certificate for stable storage.
+// EncodePreparedProof serializes a prepared certificate for stable storage,
+// allocating the result once at its exact size.
 func EncodePreparedProof(p *PreparedProof) []byte {
-	enc := wire.NewEncoder(256 + 192*len(p.Prepares))
-	p.encodeTo(enc)
-	out := make([]byte, enc.Len())
-	copy(out, enc.Data())
-	return out
+	return wire.Encode(p.encodeTo)
 }
 
 // DecodePreparedProof is the inverse of EncodePreparedProof. The caller

@@ -277,7 +277,7 @@ func (r *Runner) persistBatch(actions []Action) []PersistRecord {
 		switch m := msg.(type) {
 		case *PrePrepare:
 			recs = append(recs, PersistRecord{
-				Kind: PersistPrePrepare, View: m.View, Seq: m.Seq, Digest: m.Req.Digest(),
+				Kind: PersistPrePrepare, View: m.View, Seq: m.Seq, Digest: r.engine.proposalDigest(m),
 			})
 		case *Prepare:
 			recs = append(recs, PersistRecord{

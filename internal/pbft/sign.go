@@ -2,7 +2,6 @@ package pbft
 
 import (
 	"fmt"
-	"sync"
 
 	"zugchain/internal/crypto"
 	"zugchain/internal/wire"
@@ -48,22 +47,6 @@ func (m *NewView) signer() crypto.NodeID   { return m.Replica }
 func (m *NewView) signature() []byte       { return m.Sig }
 func (m *NewView) setSignature(sig []byte) { m.Sig = sig }
 
-// encoders pools wire encoders for the signing/verification hot path, so
-// steady-state signing-bytes computation allocates nothing.
-var encoders = sync.Pool{
-	New: func() any { return wire.NewEncoder(512) },
-}
-
-// uvarintLen returns the encoded size of v as an unsigned varint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // signingBytesInto encodes m's signing bytes (the enveloped wire encoding
 // with an empty Sig) into e, which is reset first, and returns the encoded
 // slice. The result aliases e's buffer: callers must not retain it past the
@@ -79,7 +62,7 @@ func signingBytesInto(e *wire.Encoder, m signable) []byte {
 	e.Uint16(uint16(m.WireType()))
 	m.EncodeWire(e)
 	if sig := m.signature(); len(sig) > 0 {
-		e.Truncate(e.Len() - len(sig) - uvarintLen(uint64(len(sig))))
+		e.Truncate(e.Len() - len(sig) - wire.UvarintLen(uint64(len(sig))))
 		e.Uvarint(0)
 	}
 	return e.Data()
@@ -89,20 +72,15 @@ func signingBytesInto(e *wire.Encoder, m signable) []byte {
 // signingBytesInto with a pooled encoder instead; this helper remains for
 // tests and callers that need to retain the slice.
 func signingBytes(m signable) []byte {
-	e := encoders.Get().(*wire.Encoder)
-	b := signingBytesInto(e, m)
-	out := make([]byte, len(b))
-	copy(out, b)
-	encoders.Put(e)
-	return out
+	return wire.Encode(func(e *wire.Encoder) { signingBytesInto(e, m) })
 }
 
 // sign fills in the message signature using kp, which must belong to the
 // message's declared sender.
 func sign(m signable, kp *crypto.KeyPair) {
-	e := encoders.Get().(*wire.Encoder)
+	e := wire.GetEncoder()
 	m.setSignature(kp.Sign(signingBytesInto(e, m)))
-	encoders.Put(e)
+	wire.PutEncoder(e)
 }
 
 // signedBroadcast signs m and returns a BroadcastAction carrying the cached
@@ -111,14 +89,13 @@ func sign(m signable, kp *crypto.KeyPair) {
 // bytes wire.Marshal would produce — without encoding the message a second
 // (or, counting the runner's marshal, third) time.
 func signedBroadcast(m signable, kp *crypto.KeyPair) BroadcastAction {
-	e := encoders.Get().(*wire.Encoder)
+	e := wire.GetEncoder()
 	sig := kp.Sign(signingBytesInto(e, m))
 	m.setSignature(sig)
 	e.Truncate(e.Len() - 1) // drop the empty-signature length byte
 	e.Bytes(sig)
-	enc := make([]byte, e.Len())
-	copy(enc, e.Data())
-	encoders.Put(e)
+	enc := e.Clone()
+	wire.PutEncoder(e)
 	return BroadcastAction{Msg: m, Encoded: enc}
 }
 
@@ -126,9 +103,9 @@ func signedBroadcast(m signable, kp *crypto.KeyPair) BroadcastAction {
 // concurrently for the same message: the signing bytes are computed without
 // mutating m.
 func verify(m signable, reg *crypto.Registry) error {
-	e := encoders.Get().(*wire.Encoder)
+	e := wire.GetEncoder()
 	err := reg.Verify(m.signer(), signingBytesInto(e, m), m.signature())
-	encoders.Put(e)
+	wire.PutEncoder(e)
 	return err
 }
 

@@ -104,13 +104,13 @@ type Record struct {
 // identical records on different nodes yield identical payload bytes, which
 // is what makes payload-based duplicate filtering possible.
 func (r *Record) Marshal() []byte {
-	e := wire.NewEncoder(64 + 32*len(r.Signals))
-	e.Uint64(r.Cycle)
-	e.Uvarint(uint64(len(r.Signals)))
-	for i := range r.Signals {
-		r.Signals[i].encodeTo(e)
-	}
-	return e.Data()
+	return wire.Encode(func(e *wire.Encoder) {
+		e.Uint64(r.Cycle)
+		e.Uvarint(uint64(len(r.Signals)))
+		for i := range r.Signals {
+			r.Signals[i].encodeTo(e)
+		}
+	})
 }
 
 // UnmarshalRecord decodes a payload produced by Record.Marshal.

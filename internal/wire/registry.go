@@ -44,12 +44,13 @@ func Register(t Type, factory func() Message) {
 	registry[t] = factory
 }
 
-// Marshal encodes msg with its envelope tag prepended.
+// Marshal encodes msg with its envelope tag prepended. The result is
+// allocated once, at its exact size.
 func Marshal(msg Message) []byte {
-	e := NewEncoder(128)
-	e.Uint16(uint16(msg.WireType()))
-	msg.EncodeWire(e)
-	return e.Data()
+	return Encode(func(e *Encoder) {
+		e.Uint16(uint16(msg.WireType()))
+		msg.EncodeWire(e)
+	})
 }
 
 // Unmarshal decodes an enveloped message produced by Marshal. It rejects

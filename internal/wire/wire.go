@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Common encoding errors.
@@ -68,6 +69,61 @@ func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 // Used to rewrite a fixed tail in place — e.g. deriving signing bytes (empty
 // signature) from a full message encoding without re-encoding the message.
 func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
+// Clone returns a copy of the encoded data in storage of exactly its size,
+// safe to retain after the encoder is reused.
+func (e *Encoder) Clone() []byte {
+	out := make([]byte, len(e.buf))
+	copy(out, e.buf)
+	return out
+}
+
+// maxPooledSize bounds the buffers PutEncoder keeps: a rare oversized
+// encoding (a long state-transfer run, a huge batch) is left to the garbage
+// collector rather than pinned in the pool for good.
+const maxPooledSize = 1 << 20
+
+var encoders = sync.Pool{
+	New: func() any { return NewEncoder(512) },
+}
+
+// GetEncoder returns an empty encoder from a shared pool. Hashing, signing
+// and marshalling paths encode into pooled encoders whose buffers have
+// already grown to their steady-state size, so in steady state they
+// allocate nothing. Return it with PutEncoder.
+func GetEncoder() *Encoder {
+	e := encoders.Get().(*Encoder)
+	e.Reset()
+	return e
+}
+
+// PutEncoder returns e to the pool. The caller must not use e, or any slice
+// of its Data, afterwards.
+func PutEncoder(e *Encoder) {
+	if cap(e.buf) <= maxPooledSize {
+		encoders.Put(e)
+	}
+}
+
+// Encode returns what fn writes, encoded in a pooled encoder and copied out
+// once at exact size: one allocation in steady state.
+func Encode(fn func(e *Encoder)) []byte {
+	e := GetEncoder()
+	fn(e)
+	out := e.Clone()
+	PutEncoder(e)
+	return out
+}
+
+// UvarintLen returns the encoded size of v as an unsigned varint.
+func UvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
 
 // Byte appends a single byte.
 func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }

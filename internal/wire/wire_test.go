@@ -342,3 +342,40 @@ func TestDecoderNonCanonical(t *testing.T) {
 		}
 	})
 }
+
+func TestPooledEncoderStartsEmpty(t *testing.T) {
+	e := GetEncoder()
+	e.Bytes([]byte("left behind"))
+	PutEncoder(e)
+	for i := 0; i < 4; i++ {
+		e := GetEncoder()
+		if e.Len() != 0 {
+			t.Fatalf("pooled encoder holds %d bytes", e.Len())
+		}
+		PutEncoder(e)
+	}
+}
+
+func TestCloneIsExactAndOwned(t *testing.T) {
+	e := NewEncoder(64)
+	e.String("record")
+	out := e.Clone()
+	if !bytes.Equal(out, e.Data()) || cap(out) != len(out) {
+		t.Fatalf("Clone = %x (cap %d), want %x at exact size", out, cap(out), e.Data())
+	}
+	e.Reset()
+	e.String("RECORD")
+	if string(out[1:]) != "record" {
+		t.Fatalf("Clone aliases the encoder: %q", out)
+	}
+}
+
+func TestUvarintLen(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 1 << 35, math.MaxUint64} {
+		e := NewEncoder(0)
+		e.Uvarint(v)
+		if got := UvarintLen(v); got != e.Len() {
+			t.Errorf("UvarintLen(%d) = %d, encoding is %d bytes", v, got, e.Len())
+		}
+	}
+}

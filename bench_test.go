@@ -21,6 +21,7 @@ import (
 	"zugchain/internal/clock"
 	"zugchain/internal/crypto"
 	"zugchain/internal/experiments"
+	"zugchain/internal/metrics"
 	"zugchain/internal/netsim"
 	"zugchain/internal/node"
 	"zugchain/internal/testbed"
@@ -436,7 +437,20 @@ func benchOrdering(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.T
 		return best
 	}
 
+	// Bytes every node put on the wire, where the transport counts them
+	// (the in-process network does; TCP does not).
+	sentBytes := func() uint64 {
+		var sum uint64
+		for _, tr := range trs {
+			if c, ok := tr.(interface{ Counters() *metrics.Counters }); ok {
+				sum += c.Counters().BytesSent.Load()
+			}
+		}
+		return sum
+	}
+
 	total, fed := uint64(0), uint64(0)
+	sent0 := sentBytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total += recordsPerIter
@@ -470,4 +484,7 @@ func benchOrdering(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.T
 		b.ReportMetric(float64(total)/secs, "records/s")
 	}
 	b.ReportMetric(float64(nodes[0].Layer().Batches().Flushes.Load()), "flushes")
+	if sent := sentBytes() - sent0; sent > 0 {
+		b.ReportMetric(float64(sent)/float64(total), "net-B/record")
+	}
 }

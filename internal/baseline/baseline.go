@@ -100,13 +100,22 @@ type Node struct {
 	mu      sync.Mutex
 	builder *blockchain.Builder
 	primary crypto.NodeID
+	view    uint64
 	// open tracks this client's in-flight requests by full digest.
 	open map[crypto.Digest]*pendingReq
 	// seen dedups retransmitted client requests by full digest, as PBFT
-	// does on "complete requests including client ids" (§VI): proposed or
-	// ordered requests are not proposed again.
-	seen     map[crypto.Digest]bool
+	// does on "complete requests including client ids" (§VI): it maps a
+	// request to the view this replica proposed it in, or to seenOrdered.
+	// Runner.Propose cannot report whether the engine took the request (it
+	// is a no-op mid view change), so a proposal only blocks re-proposals
+	// within its own view; an ordered request is never proposed again.
+	seen     map[crypto.Digest]uint64
 	seenFIFO []crypto.Digest
+	// payloads holds this client's recent bus payloads by payload digest,
+	// the PayloadSource proposals by reference are rebuilt from; the FIFO
+	// bounds it to payloadWindow entries.
+	payloads    map[crypto.Digest][]byte
+	payloadFIFO []crypto.Digest
 
 	latency  *metrics.Latency
 	counters *metrics.Counters
@@ -115,6 +124,15 @@ type Node struct {
 	stopped sync.Once
 	closed  bool
 }
+
+// seenOrdered marks an ordered request in Node.seen.
+const seenOrdered = ^uint64(0)
+
+// Window sizes of the dedup and payload FIFOs, in requests.
+const (
+	seenWindow    = 4096
+	payloadWindow = 1024
+)
 
 type pendingReq struct {
 	req       pbft.Request
@@ -154,7 +172,8 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 		clk:      clk,
 		store:    store,
 		open:     make(map[crypto.Digest]*pendingReq),
-		seen:     make(map[crypto.Digest]bool),
+		seen:     make(map[crypto.Digest]uint64),
+		payloads: make(map[crypto.Digest][]byte),
 		latency:  &metrics.Latency{},
 		counters: &metrics.Counters{},
 	}
@@ -232,12 +251,14 @@ func (n *Node) Submit(payload []byte) {
 	req := pbft.Request{Payload: payload}
 	pbft.SignRequest(&req, n.kp)
 	n.counters.AddSignature()
+	payloadDigest := req.PayloadDigest()
 
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return
 	}
+	n.rememberPayloadLocked(payloadDigest, payload)
 	digest := req.Digest()
 	p := &pendingReq{req: req, cancel: make(chan struct{}), submitted: n.clk.Now()}
 	n.open[digest] = p
@@ -266,7 +287,10 @@ func (n *Node) armTimer(digest crypto.Digest, p *pendingReq) {
 }
 
 // onClientTimeout escalates per classic PBFT: first re-broadcast the request
-// to all replicas, then suspect the primary.
+// to all replicas, then suspect the primary. The timer re-arms until the
+// request is ordered: a suspicion that does not lead to a view in which the
+// request is ordered is repeated, instead of leaving the client waiting for
+// good.
 func (n *Node) onClientTimeout(digest crypto.Digest) {
 	n.mu.Lock()
 	p, ok := n.open[digest]
@@ -274,56 +298,63 @@ func (n *Node) onClientTimeout(digest crypto.Digest) {
 		n.mu.Unlock()
 		return
 	}
-	if !p.broadcast && !n.cfg.SuspectOnFirstTimeout {
-		p.broadcast = true
-		primary := n.primary
-		n.mu.Unlock()
+	suspect := p.broadcast || n.cfg.SuspectOnFirstTimeout
+	p.broadcast = true
+	primary := n.primary
+	n.mu.Unlock()
+	if suspect {
+		n.runner.Suspect(primary)
+	} else {
 		n.broadcastRequest(p.req)
-		_ = primary
-		n.mu.Lock()
-		if _, still := n.open[digest]; still && !n.closed {
-			n.armTimer(digest, p)
-		}
-		n.mu.Unlock()
-		return
+	}
+	n.mu.Lock()
+	if _, still := n.open[digest]; still && !n.closed {
+		n.armTimer(digest, p)
 	}
 	n.mu.Unlock()
-	// Second expiry: the primary is censoring.
-	n.runner.Suspect(n.currentPrimary())
 }
 
-// markSeenLocked records a full request digest in the dedup window.
-func (n *Node) markSeenLocked(d crypto.Digest) {
-	if n.seen[d] {
-		return
+// markSeenLocked records in the dedup window that the full request with
+// digest d was proposed in view (or ordered, with seenOrdered).
+func (n *Node) markSeenLocked(d crypto.Digest, view uint64) {
+	if _, ok := n.seen[d]; !ok {
+		n.seenFIFO = append(n.seenFIFO, d)
 	}
-	n.seen[d] = true
-	n.seenFIFO = append(n.seenFIFO, d)
-	const window = 4096
-	for len(n.seenFIFO) > window {
+	if n.seen[d] != seenOrdered {
+		n.seen[d] = view
+	}
+	for len(n.seenFIFO) > seenWindow {
 		delete(n.seen, n.seenFIFO[0])
 		n.seenFIFO = n.seenFIFO[1:]
 	}
 }
 
+// rememberPayloadLocked adds one of this client's bus payloads to the
+// PayloadSource window.
+func (n *Node) rememberPayloadLocked(d crypto.Digest, payload []byte) {
+	if _, ok := n.payloads[d]; ok {
+		return
+	}
+	n.payloads[d] = payload
+	n.payloadFIFO = append(n.payloadFIFO, d)
+	for len(n.payloadFIFO) > payloadWindow {
+		delete(n.payloads, n.payloadFIFO[0])
+		n.payloadFIFO = n.payloadFIFO[1:]
+	}
+}
+
 // propose submits to the local engine unless the full request was already
-// proposed or ordered here.
+// ordered here, or proposed here in the current view.
 func (n *Node) propose(req pbft.Request) {
 	d := req.Digest()
 	n.mu.Lock()
-	if n.seen[d] {
+	if v, ok := n.seen[d]; ok && (v == seenOrdered || v == n.view) {
 		n.mu.Unlock()
 		return
 	}
-	n.markSeenLocked(d)
+	n.markSeenLocked(d, n.view)
 	n.mu.Unlock()
 	n.runner.Propose(req)
-}
-
-func (n *Node) currentPrimary() crypto.NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.primary
 }
 
 func (n *Node) sendRequest(to crypto.NodeID, req pbft.Request, rebroadcast bool) {
@@ -412,7 +443,7 @@ func (a *baselineApp) Deliver(seq uint64, req pbft.Request) {
 
 	digest := req.Digest()
 	n.mu.Lock()
-	n.markSeenLocked(digest)
+	n.markSeenLocked(digest, seenOrdered)
 	if p, ok := n.open[digest]; ok {
 		p.stop()
 		delete(n.open, digest)
@@ -442,13 +473,16 @@ func (a *baselineApp) CheckpointDigest(seq uint64) crypto.Digest {
 // StableCheckpoint implements pbft.Application.
 func (a *baselineApp) StableCheckpoint(proof pbft.CheckpointProof) {}
 
-// NewPrimary implements pbft.Application.
+// NewPrimary implements pbft.Application. Each open request gets the new
+// primary a full client timeout before it is broadcast again.
 func (a *baselineApp) NewPrimary(view uint64, primary crypto.NodeID) {
 	n := (*Node)(a)
 	n.mu.Lock()
 	n.primary = primary
+	n.view = view
 	open := make([]pbft.Request, 0, len(n.open))
 	for _, p := range n.open {
+		p.broadcast = false
 		open = append(open, p.req)
 	}
 	isPrimary := primary == n.cfg.ID
@@ -461,6 +495,17 @@ func (a *baselineApp) NewPrimary(view uint64, primary crypto.NodeID) {
 			_ = n.reqChan.Send(primary, wire.Marshal(&ClientRequest{Req: req}))
 		}
 	}
+}
+
+// Payload implements pbft.PayloadSource over this client's recent bus
+// payloads: every baseline client reads the same bus, so backups rebuild the
+// primary's proposals by reference exactly as ZugChain replicas do.
+func (a *baselineApp) Payload(d crypto.Digest) ([]byte, bool) {
+	n := (*Node)(a)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	payload, ok := n.payloads[d]
+	return payload, ok
 }
 
 // StateTransferNeeded implements pbft.Application. The baseline has no

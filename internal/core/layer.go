@@ -223,6 +223,26 @@ func (l *Layer) OpenRequests() int {
 	return len(l.open)
 }
 
+// Payload implements pbft.PayloadSource: the payload with digest d if it is
+// open in R, which is where a backup holds the bus records its primary is
+// about to propose. R's payload slices are never mutated once admitted, so
+// the rebuilt proposal — and the block it ends up in — may alias them.
+func (l *Layer) Payload(d crypto.Digest) ([]byte, bool) {
+	var payload []byte
+	l.mu.Lock()
+	st, ok := l.open[d]
+	if ok {
+		payload = st.req.Payload
+	}
+	l.mu.Unlock()
+	if ok {
+		l.counters.PayloadHits.Add(1)
+	} else {
+		l.counters.PayloadMisses.Add(1)
+	}
+	return payload, ok
+}
+
 // WindowEntry is one dedup-window entry: payload digest Digest was decided
 // at sequence Seq. Used by the node's crash-recovery path to checkpoint and
 // restore the window.

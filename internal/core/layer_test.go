@@ -644,3 +644,31 @@ func TestStartupAnnouncementDoesNotRepropose(t *testing.T) {
 		t.Errorf("proposals after real view change = %d, want 4", got)
 	}
 }
+
+// TestPayloadServesOpenRecords: a backup rebuilds its primary's referenced
+// proposals from R, and only while the record is open; every lookup is
+// counted as a hit or a miss.
+func TestPayloadServesOpenRecords(t *testing.T) {
+	fx := newFixture(t, 1, nil)
+	payload := []byte("cycle-1")
+	fx.layer.OnBusRecord(0, payload)
+	d := crypto.Hash(payload)
+
+	got, ok := fx.layer.Payload(d)
+	if !ok || string(got) != "cycle-1" {
+		t.Fatalf("Payload(open record) = %q, %v", got, ok)
+	}
+	if _, ok := fx.layer.Payload(crypto.Hash([]byte("never read"))); ok {
+		t.Fatal("Payload found a record this node never read")
+	}
+	req := pbft.Request{Payload: payload}
+	pbft.SignRequest(&req, fx.kps[0])
+	fx.layer.OnDecide(1, req)
+	if _, ok := fx.layer.Payload(d); ok {
+		t.Fatal("Payload still serves a decided record")
+	}
+	c := fx.layer.Counters()
+	if c.PayloadHits.Load() != 1 || c.PayloadMisses.Load() != 2 {
+		t.Fatalf("hits/misses = %d/%d, want 1/2", c.PayloadHits.Load(), c.PayloadMisses.Load())
+	}
+}

@@ -74,6 +74,11 @@ type Counters struct {
 	Verifications atomic.Uint64
 	Requests      atomic.Uint64 // ordered (decided) requests
 	Duplicates    atomic.Uint64 // filtered duplicate requests
+	// PayloadHits and PayloadMisses count the lookups of a referenced
+	// proposal's payload in the request queue R; each miss makes the
+	// backup fetch the full PrePrepare from the primary.
+	PayloadHits   atomic.Uint64
+	PayloadMisses atomic.Uint64
 }
 
 // AddSent records an outbound message of n bytes.
@@ -112,6 +117,8 @@ func (c *Counters) Metrics() []Metric {
 		Counter("zugchain_core_verifications_total", "Signatures verified", c.Verifications.Load()),
 		Counter("zugchain_core_ordered_total", "Requests ordered and logged", c.Requests.Load()),
 		Counter("zugchain_core_duplicates_total", "Duplicate requests filtered", c.Duplicates.Load()),
+		Counter("zugchain_core_payload_hits_total", "Referenced proposal payloads found in R", c.PayloadHits.Load()),
+		Counter("zugchain_core_payload_misses_total", "Referenced proposal payloads missing from R (each fetches the full PrePrepare)", c.PayloadMisses.Load()),
 	}
 }
 

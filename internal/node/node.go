@@ -532,6 +532,12 @@ func (a *pbftApp) OnPrePrepared(seq uint64, payloadDigest crypto.Digest) {
 	(*Node)(a).layer.OnPrePrepared(payloadDigest)
 }
 
+// Payload implements pbft.PayloadSource: the payloads a backup already read
+// from the bus sit in the layer's request queue R.
+func (a *pbftApp) Payload(d crypto.Digest) ([]byte, bool) {
+	return (*Node)(a).layer.Payload(d)
+}
+
 // StableCheckpoint implements pbft.Application. Besides notifying the
 // export server, a stable checkpoint is the WAL's truncation point: every
 // pinned vote at or below it is re-certified by the quorum's signatures, so

@@ -108,6 +108,18 @@ type Engine struct {
 	pinnedView  uint64
 	lastNewView *NewView
 	helped      map[crypto.NodeID]uint64
+
+	// Payload-reference state (ref.go): the (peer, seq) fetches this
+	// primary answered, O(n · window) and retired by installStable, and
+	// the peers that fetched, which get full PrePrepares.
+	fetched map[fetchKey]bool
+	inline  map[crypto.NodeID]*inlinePeer
+
+	// early holds verified phase messages for the view this replica is
+	// about to enter. They can overtake that view's NewView, because
+	// verify-pool completions are unordered; installNewView replays them.
+	// At most maxEarly messages are held.
+	early []earlyMsg
 }
 
 // NewEngine creates a PBFT engine. kp must belong to cfg.ID and reg must
@@ -230,9 +242,10 @@ func (e *Engine) Suspect(id crypto.NodeID) []Action {
 	return e.startViewChange(e.view+1, false)
 }
 
-// Receive processes one signed protocol message from the transport,
-// verifying its signature inline. Malformed or unverifiable messages are
-// dropped (Byzantine senders gain nothing by sending garbage).
+// Receive processes one signed protocol message (or an unsigned
+// PrePrepareFetch) from the transport, verifying its signature inline.
+// Malformed or unverifiable messages are dropped (Byzantine senders gain
+// nothing by sending garbage).
 func (e *Engine) Receive(from crypto.NodeID, msg wire.Message) []Action {
 	return e.receive(from, msg, false)
 }
@@ -249,6 +262,9 @@ func (e *Engine) ReceiveVerified(from crypto.NodeID, msg wire.Message) []Action 
 }
 
 func (e *Engine) receive(from crypto.NodeID, msg wire.Message, preVerified bool) []Action {
+	if f, ok := msg.(*PrePrepareFetch); ok {
+		return e.onFetch(from, f) // unsigned by design
+	}
 	s, ok := msg.(signable)
 	if !ok {
 		return nil
@@ -322,7 +338,11 @@ func (e *Engine) getInstance(seq uint64) *instance {
 }
 
 func (e *Engine) onPrePrepare(pp *PrePrepare, reqVerified bool) []Action {
-	if e.inViewChange || pp.View != e.view || pp.Replica != e.primaryOf(pp.View) {
+	if pp.Replica != e.primaryOf(pp.View) {
+		return nil
+	}
+	if e.inViewChange || pp.View != e.view {
+		e.holdEarly(pp.View, pp.Seq, pp, reqVerified)
 		return nil
 	}
 	if !e.inWatermarks(pp.Seq) {
@@ -388,12 +408,17 @@ func (e *Engine) acceptPrePrepare(pp *PrePrepare) []Action {
 }
 
 func (e *Engine) onPrepare(p *Prepare) []Action {
-	if e.inViewChange || p.View != e.view || !e.inWatermarks(p.Seq) {
+	if e.inViewChange || p.View != e.view {
+		e.holdEarly(p.View, p.Seq, p, true)
+		return nil
+	}
+	if !e.inWatermarks(p.Seq) {
 		return nil
 	}
 	if p.Replica == e.primaryOf(p.View) {
 		return nil // the primary's preprepare is its prepare
 	}
+	e.probePrepared(p)
 	inst := e.getInstance(p.Seq)
 	if _, dup := inst.prepares[p.Replica]; dup {
 		return nil
@@ -403,7 +428,11 @@ func (e *Engine) onPrepare(p *Prepare) []Action {
 }
 
 func (e *Engine) onCommit(c *Commit) []Action {
-	if e.inViewChange || c.View != e.view || !e.inWatermarks(c.Seq) {
+	if e.inViewChange || c.View != e.view {
+		e.holdEarly(c.View, c.Seq, c, true)
+		return nil
+	}
+	if !e.inWatermarks(c.Seq) {
 		return nil
 	}
 	inst := e.getInstance(c.Seq)
@@ -588,6 +617,7 @@ func (e *Engine) installStable(proof CheckpointProof) []Action {
 			delete(e.certs, seq)
 		}
 	}
+	e.gcFetches(proof.Seq)
 
 	actions = append(actions, StableCheckpointAction{Proof: proof})
 	actions = append(actions, e.drainProposals()...)

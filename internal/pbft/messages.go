@@ -13,6 +13,8 @@ const (
 	typeCheckpoint
 	typeViewChange
 	typeNewView
+	typePrePrepareRef
+	typePrePrepareFetch
 )
 
 func init() {
@@ -22,6 +24,8 @@ func init() {
 	wire.Register(typeCheckpoint, func() wire.Message { return new(Checkpoint) })
 	wire.Register(typeViewChange, func() wire.Message { return new(ViewChange) })
 	wire.Register(typeNewView, func() wire.Message { return new(NewView) })
+	wire.Register(typePrePrepareRef, func() wire.Message { return new(PrePrepareRef) })
+	wire.Register(typePrePrepareFetch, func() wire.Message { return new(PrePrepareFetch) })
 }
 
 // Request is the unit of agreement: one bus cycle's consolidated signals,

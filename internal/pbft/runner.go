@@ -74,6 +74,10 @@ type Runner struct {
 	app    Application
 	cfg    RunnerConfig
 
+	// payloads is app as a PayloadSource, nil when app is not one: then
+	// proposals go out in full and inbound references are always fetched.
+	payloads PayloadSource
+
 	mu     sync.Mutex
 	queue  []func() []Action
 	wake   chan struct{}
@@ -104,6 +108,7 @@ func NewRunner(engine *Engine, tr transport.Transport, clk clock.Clock, app Appl
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	r.payloads, _ = app.(PayloadSource)
 	tr.SetHandler(r.onMessage)
 	return r
 }
@@ -163,10 +168,31 @@ func (r *Runner) Inspect(f func(e *Engine)) {
 // here also means Byzantine flooding burns pool workers, not the ordering
 // path. Pool tasks may complete in any order; PBFT tolerates reordered
 // delivery, so no resequencing is needed (see DESIGN.md).
+//
+// A PrePrepareRef is first rebuilt into the full PrePrepare from the
+// payloads this replica already read, then checked like any PrePrepare; if
+// a payload is missing, the primary is asked for the full message instead
+// (DESIGN.md §3.14). An unsigned PrePrepareFetch goes straight to the
+// engine, which bounds the answers.
 func (r *Runner) onMessage(from crypto.NodeID, data []byte) {
 	msg, err := wire.Unmarshal(data)
 	if err != nil {
 		return // garbage from a Byzantine or broken peer
+	}
+	switch m := msg.(type) {
+	case *PrePrepareFetch:
+		r.enqueue(func() []Action { return r.engine.ReceiveVerified(from, m) })
+		return
+	case *PrePrepareRef:
+		if m.PrePrepare.Replica != from {
+			return
+		}
+		pp, ok := m.hydrate(r.payloads)
+		if !ok {
+			_ = r.tr.Send(from, wire.Marshal(&PrePrepareFetch{View: m.PrePrepare.View, Seq: m.PrePrepare.Seq}))
+			return
+		}
+		msg = pp
 	}
 	s, ok := msg.(signable)
 	if !ok {
@@ -251,6 +277,32 @@ func encodeAction(msg wire.Message, cached []byte) []byte {
 	return wire.Marshal(msg)
 }
 
+// broadcastProposal sends this primary's own proposal by reference: every
+// backup read the payload from the bus itself and rebuilds the full
+// message (DESIGN.md §3.14). Backups that fetched get the full encoding
+// instead (Engine.proposalInline).
+func (r *Runner) broadcastProposal(pp *PrePrepare, full []byte) {
+	ref := newPrePrepareRef(pp)
+	if ref == nil {
+		_ = r.tr.Broadcast(full)
+		return
+	}
+	refData := wire.Marshal(ref)
+	if len(r.engine.inline) == 0 {
+		_ = r.tr.Broadcast(refData)
+		return
+	}
+	for _, id := range r.engine.cfg.Replicas {
+		switch {
+		case id == r.engine.cfg.ID:
+		case r.engine.proposalInline(id, pp.Seq):
+			_ = r.tr.Send(id, full)
+		default:
+			_ = r.tr.Send(id, refData)
+		}
+	}
+}
+
 // persistBatch condenses one action batch into the durable records the
 // log-before-send rule requires: the digest of every outbound phase vote,
 // plus one view-state record whenever the batch shows the view machinery
@@ -265,6 +317,9 @@ func (r *Runner) persistBatch(actions []Action) []PersistRecord {
 		var msg wire.Message
 		switch act := a.(type) {
 		case SendAction:
+			if _, resend := act.Msg.(*PrePrepare); resend {
+				continue // a fetch reply: the proposal was logged when broadcast
+			}
 			msg = act.Msg
 		case BroadcastAction:
 			msg = act.Msg
@@ -358,6 +413,10 @@ func (r *Runner) execute(actions []Action) {
 				continue
 			}
 			r.traceOutbound(act.Msg)
+			if pp, ok := act.Msg.(*PrePrepare); ok && r.payloads != nil {
+				r.broadcastProposal(pp, encodeAction(act.Msg, act.Encoded))
+				continue
+			}
 			_ = r.tr.Broadcast(encodeAction(act.Msg, act.Encoded))
 		case DeliverAction:
 			r.cfg.Tracer.StampSlot(act.Seq, obsv.PhaseCommit)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"zugchain/internal/crypto"
+	"zugchain/internal/wire"
 )
 
 // startViewChange abandons the current view and broadcasts a ViewChange for
@@ -421,6 +422,7 @@ func (e *Engine) installNewView(nv *NewView) []Action {
 	for i := range nv.PrePrepares {
 		actions = append(actions, e.acceptPrePrepare(&nv.PrePrepares[i])...)
 	}
+	actions = append(actions, e.replayEarly()...)
 
 	actions = append(actions, NewPrimaryAction{View: e.view, Primary: e.primaryOf(e.view)})
 	actions = append(actions, e.drainProposals()...)
@@ -435,4 +437,53 @@ func (e *Engine) OnViewTimer(view uint64) []Action {
 		return nil
 	}
 	return e.startViewChange(view+1, true)
+}
+
+// earlyMsg is a verified phase message held for a view not yet entered.
+// reqVerified records, for a PrePrepare, whether its request signatures
+// were already checked (see Engine.ReceiveVerified).
+type earlyMsg struct {
+	msg         wire.Message
+	reqVerified bool
+}
+
+// maxEarly bounds Engine.early: one PrePrepare, Prepare and Commit per
+// replica and slot of the watermark window.
+func (e *Engine) maxEarly() int {
+	return 3 * len(e.cfg.Replicas) * int(e.cfg.WatermarkWindow)
+}
+
+// holdEarly keeps a verified phase message of a view above the current one
+// that this replica is changing to (or, outside a view change, of the next
+// view): its NewView may still be on a verify-pool worker. Anything else is
+// dropped, as is everything once maxEarly messages are held.
+func (e *Engine) holdEarly(view, seq uint64, msg wire.Message, reqVerified bool) {
+	next := e.sentVCFor
+	if next <= e.view {
+		next = e.view + 1
+	}
+	if view <= e.view || view > next || seq <= e.lowWater || len(e.early) >= e.maxEarly() {
+		return
+	}
+	e.early = append(e.early, earlyMsg{msg: msg, reqVerified: reqVerified})
+}
+
+// replayEarly feeds the held messages back through the normal handlers once
+// a view is installed: those of the new view are processed, those of a
+// later view are held again, the rest are dropped.
+func (e *Engine) replayEarly() []Action {
+	held := e.early
+	e.early = nil
+	var actions []Action
+	for _, h := range held {
+		switch m := h.msg.(type) {
+		case *PrePrepare:
+			actions = append(actions, e.onPrePrepare(m, h.reqVerified)...)
+		case *Prepare:
+			actions = append(actions, e.onPrepare(m)...)
+		case *Commit:
+			actions = append(actions, e.onCommit(m)...)
+		}
+	}
+	return actions
 }

@@ -259,7 +259,7 @@ func runZugChain(s Scenario) (*Result, error) {
 	if s.PrimaryDelay > 0 {
 		delay := s.scaled(s.PrimaryDelay)
 		net.SetInterceptor(0, func(to crypto.NodeID, data []byte) (time.Duration, bool) {
-			if isPrePrepare(data) {
+			if pbft.IsProposal(data) {
 				return delay, false
 			}
 			return 0, false
@@ -466,11 +466,6 @@ func runBaseline(s Scenario) (*Result, error) {
 	res.HeapAlloc = memAfter.HeapAlloc
 	res.Ordered = nodes[1].Counters().Requests.Load()
 	return res, nil
-}
-
-// isPrePrepare matches the PBFT preprepare wire tag without decoding.
-func isPrePrepare(data []byte) bool {
-	return len(data) >= 2 && data[0] == 0x10 && data[1] == 0x00
 }
 
 // fabricator injects fabricated requests from a faulty backup (Fig 9a): the

@@ -21,13 +21,13 @@ lint:
 		echo "staticcheck not installed; skipped"; fi
 
 # check is the pre-merge gate: lint, build, race-test the consensus, crypto,
-# ordering, persistence, transport, observability and baseline packages,
-# race-test WAL durability and crash-restart recovery plus a chaos
+# ordering, persistence, transport, observability, export and baseline
+# packages, race-test WAL durability and crash-restart recovery plus a chaos
 # crash/partition smoke (which now also asserts the consensus event journal),
-# fuzz the WAL, batch-verify and PrePrepare-reference decoders briefly, and
-# smoke-run the verification, batching, and transport benchmarks
-# once (with the allocation benchmarks of the sealing and digest paths) so
-# a broken benchmark cannot rot unnoticed. zcbench is its own Go
+# fuzz the WAL, batch-verify, PrePrepare-reference and block-run decoders
+# briefly, and smoke-run the verification, batching, and transport
+# benchmarks once (with the allocation benchmarks of the sealing and digest
+# paths) so a broken benchmark cannot rot unnoticed. zcbench is its own Go
 # module, so the root build never compiles it: vet and self-test it here.
 check: lint
 	$(GO) build ./...
@@ -36,11 +36,12 @@ check: lint
 	$(GO) test -race ./internal/transport
 	$(GO) test -race ./internal/wal ./internal/node
 	$(GO) test -race ./internal/obsv ./internal/metrics
-	$(GO) test -race ./internal/baseline
+	$(GO) test -race ./internal/baseline ./internal/export
 	$(GO) test -race -run 'TestChaos' ./internal/testbed
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzBatchVerify -fuzztime 5s ./internal/crypto
 	$(GO) test -run '^$$' -fuzz FuzzPrePrepareRefDecode -fuzztime 5s ./internal/pbft
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRun -fuzztime 5s ./internal/blockchain
 	$(GO) test -run '^$$' -bench Verify -benchtime 1x ./internal/crypto/... ./internal/pbft/...
 	$(GO) test -run '^$$' -bench Transport -benchtime 1x ./internal/transport
 	$(GO) test -run '^$$' -bench 'StoreAppend|OrderingThroughput' -benchtime 1x .

@@ -37,8 +37,8 @@ func TestDigestsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestMarshalAllocatesOnce guards the block encoding written to disk and
-// served to data centers: one allocation, at the exact size.
+// TestMarshalAllocatesOnce guards the block encoding written to disk: one
+// allocation, at the exact size.
 func TestMarshalAllocatesOnce(t *testing.T) {
 	skipUnderRace(t)
 	blk := &Block{Entries: recordEntries(10)}

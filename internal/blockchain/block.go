@@ -108,6 +108,12 @@ func (b *Block) Validate() error {
 	if BodyDigest(b.Entries) != b.BodyHash {
 		return fmt.Errorf("blockchain: block %d body hash mismatch", b.Index)
 	}
+	return b.validateSeqs()
+}
+
+// validateSeqs checks that the sequence range matches the entries and that
+// they are in agreement order.
+func (b *Block) validateSeqs() error {
 	if len(b.Entries) > 0 {
 		if b.Entries[0].Seq != b.FirstSeq || b.Entries[len(b.Entries)-1].Seq != b.LastSeq {
 			return fmt.Errorf("blockchain: block %d sequence range mismatch", b.Index)

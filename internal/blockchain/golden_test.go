@@ -53,9 +53,9 @@ func goldenBlocks() map[string]*Block {
 
 // TestEncodingGolden pins the bytes everything durable is made of: header
 // hashes (the chain links and checkpoint digests), body digests and the
-// block encoding written to disk and served to data centers. Stored chains
-// and export archives stay verifiable only while these are unchanged. Run
-// with -update to regenerate after an intended format change.
+// block encoding written to disk. Stored chains and export archives stay
+// verifiable only while these are unchanged. Run with -update to regenerate
+// after an intended format change.
 func TestEncodingGolden(t *testing.T) {
 	blocks := goldenBlocks()
 	var b strings.Builder

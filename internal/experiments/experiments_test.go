@@ -118,9 +118,13 @@ func TestTableIISmall(t *testing.T) {
 			t.Errorf("%d blocks: zero durations %+v", r.Blocks, r)
 		}
 	}
-	// Export time grows with block count (bandwidth-bound).
+	// Export time and the bytes received grow with block count
+	// (bandwidth-bound).
 	if rows[1].Read < rows[0].Read {
 		t.Errorf("read time shrank with more blocks: %v then %v", rows[0].Read, rows[1].Read)
+	}
+	if rows[0].ReplyBytes <= 0 || rows[1].ReplyBytes <= rows[0].ReplyBytes {
+		t.Errorf("reply bytes %d then %d: not growing with blocks", rows[0].ReplyBytes, rows[1].ReplyBytes)
 	}
 	out := FormatTableII(rows)
 	if !strings.Contains(out, "#blocks") {

@@ -17,12 +17,14 @@ import (
 
 // TableIIRow is one export measurement of Table II.
 type TableIIRow struct {
-	Blocks     int
-	Read       time.Duration
-	Delete     time.Duration
-	Verify     time.Duration
-	Exported   int
-	TotalBytes int
+	Blocks   int
+	Read     time.Duration
+	Delete   time.Duration
+	Verify   time.Duration
+	Exported int
+	// ReplyBytes is what the data center received in the read round: the
+	// wire bytes of the replies it collected over the uplink.
+	ReplyBytes int
 }
 
 // TableIIBlockCounts are the paper's export sizes (500 blocks ≈ 5 minutes of
@@ -95,7 +97,7 @@ func runTableIIPoint(count int, opt TableIIOptions) (*TableIIRow, error) {
 	pairs = append(pairs, dcKP)
 	reg := crypto.NewRegistry(pairs...)
 
-	blocks, totalBytes := synthesizeChain(count, opt)
+	blocks := synthesizeChain(count, opt)
 
 	servers := make([]*export.Server, 0, len(replicaIDs))
 	for _, id := range replicaIDs {
@@ -162,16 +164,14 @@ func runTableIIPoint(count int, opt TableIIOptions) (*TableIIRow, error) {
 		Delete:     deleteDur,
 		Verify:     res.VerifyDuration,
 		Exported:   res.NewBlocks,
-		TotalBytes: totalBytes,
+		ReplyBytes: res.ReplyBytes,
 	}, nil
 }
 
-// synthesizeChain builds count blocks of JRU-like records and reports the
-// total serialized size.
-func synthesizeChain(count int, opt TableIIOptions) ([]*blockchain.Block, int) {
+// synthesizeChain builds count blocks of JRU-like records.
+func synthesizeChain(count int, opt TableIIOptions) []*blockchain.Block {
 	builder := blockchain.NewBuilder(blockchain.Genesis(), opt.EntriesPerBlock)
 	blocks := make([]*blockchain.Block, 0, count)
-	totalBytes := 0
 	seq := uint64(0)
 	for len(blocks) < count {
 		seq++
@@ -190,10 +190,9 @@ func synthesizeChain(count int, opt TableIIOptions) ([]*blockchain.Block, int) {
 			Payload: rec.Marshal(),
 		}); b != nil {
 			blocks = append(blocks, b)
-			totalBytes += len(b.Marshal())
 		}
 	}
-	return blocks, totalBytes
+	return blocks
 }
 
 // FormatTableII renders the export latency table like the paper's Table II.
@@ -208,7 +207,7 @@ func FormatTableII(rows []TableIIRow) string {
 			r.Read.Round(10*time.Millisecond),
 			r.Delete.Round(time.Millisecond),
 			r.Verify.Round(time.Millisecond),
-			r.Exported, r.TotalBytes)
+			r.Exported, r.ReplyBytes)
 	}
 	return b.String()
 }

@@ -62,6 +62,9 @@ type ReadResult struct {
 	Proof pbft.CheckpointProof
 	// NewBlocks are the verified blocks appended to the archive.
 	NewBlocks int
+	// ReplyBytes counts the wire bytes of the read replies the round
+	// collected: what crossed the uplink to the data center.
+	ReplyBytes int
 	// ReadDuration covers request to last required reply.
 	ReadDuration time.Duration
 	// VerifyDuration covers proof and chain verification.
@@ -96,6 +99,7 @@ type readRound struct {
 	needed  int
 	source  crypto.NodeID // replica asked for the full blocks
 	heard   bool          // the block source has replied
+	bytes   int           // wire bytes of the collected replies
 }
 
 // NewDataCenter creates a data center client. archive is its durable chain
@@ -132,7 +136,7 @@ func (dc *DataCenter) onMessage(from crypto.NodeID, data []byte) {
 		if verifyMsg(m, dc.reg) != nil || m.Replica != from {
 			return
 		}
-		dc.onReadReply(m)
+		dc.onReadReply(m, len(data))
 	case *DeleteAck:
 		if verifyMsg(m, dc.reg) != nil || m.Replica != from {
 			return
@@ -141,7 +145,7 @@ func (dc *DataCenter) onMessage(from crypto.NodeID, data []byte) {
 	}
 }
 
-func (dc *DataCenter) onReadReply(m *ReadReply) {
+func (dc *DataCenter) onReadReply(m *ReadReply, size int) {
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
 	r := dc.pending
@@ -152,6 +156,7 @@ func (dc *DataCenter) onReadReply(m *ReadReply) {
 		return
 	}
 	r.replies[m.Replica] = m
+	r.bytes += size
 	if m.Replica == r.source {
 		r.heard = true
 	}
@@ -257,12 +262,14 @@ func (dc *DataCenter) readRoundOnce(ctx context.Context) (*ReadResult, error) {
 	for _, rep := range r.replies {
 		replies = append(replies, rep)
 	}
+	source := r.replies[r.source]
+	replyBytes := r.bytes
 	dc.mu.Unlock()
 
 	// Step ④: select the newest checkpoint with a valid 2f+1 proof —
 	// replies bypass consensus and may be mutually stale (§III-D step ②).
 	verifyStart := time.Now()
-	var best *ReadReply
+	var best, sourceProof *ReadReply
 	for _, rep := range replies {
 		if rep.BlockIndex == 0 {
 			continue
@@ -273,6 +280,9 @@ func (dc *DataCenter) readRoundOnce(ctx context.Context) (*ReadResult, error) {
 		if rep.Ckpt.Seq/dc.cfg.CheckpointInterval != rep.BlockIndex {
 			continue // checkpoint does not cover the claimed block
 		}
+		if rep == source {
+			sourceProof = rep
+		}
 		if best == nil || rep.BlockIndex > best.BlockIndex {
 			best = rep
 		}
@@ -281,20 +291,13 @@ func (dc *DataCenter) readRoundOnce(ctx context.Context) (*ReadResult, error) {
 		return nil, ErrNoCheckpoint
 	}
 
-	// Decode, verify, and install the blocks from the chosen source.
+	// Verify and install the blocks from the chosen source, vouched for by
+	// the best checkpoint or the source's own.
 	newBlocks := 0
-	for _, rep := range replies {
-		if len(rep.Blocks) == 0 {
-			continue
-		}
-		blocks, err := decodeBlocks(rep.Blocks)
-		if err != nil {
-			continue // corrupt reply from a faulty replica: ignore
-		}
-		n, err := dc.installBlocks(blocks, best)
-		newBlocks += n
-		if err != nil {
-			continue
+	if source != nil {
+		var err error
+		if newBlocks, err = dc.installBlocks(source.Blocks, best, sourceProof); err != nil {
+			return nil, err
 		}
 	}
 
@@ -303,6 +306,7 @@ func (dc *DataCenter) readRoundOnce(ctx context.Context) (*ReadResult, error) {
 		BlockHash:      best.Ckpt.StateDigest,
 		Proof:          best.Ckpt,
 		NewBlocks:      newBlocks,
+		ReplyBytes:     replyBytes,
 		ReadDuration:   readDur,
 		VerifyDuration: time.Since(verifyStart),
 	}
@@ -333,24 +337,36 @@ func (e errMissingBlocks) Error() string {
 	return fmt.Sprintf("blocks missing after read: have %d, checkpoint covers %d", e.have, e.want)
 }
 
-// installBlocks appends verified blocks extending the archive head. The
-// block named by the best checkpoint must carry the proven hash; any prefix
-// is validated by hash linkage from the archive head.
-func (dc *DataCenter) installBlocks(blocks []*blockchain.Block, best *ReadReply) (int, error) {
-	installed := 0
-	for _, b := range blocks {
-		if b.Index != dc.archive.HeadIndex()+1 {
-			continue // duplicate or gapped: skip
-		}
-		if b.Index == best.BlockIndex && b.Hash() != best.Ckpt.StateDigest {
-			return installed, fmt.Errorf("export: block %d does not match checkpoint", b.Index)
-		}
-		if err := dc.archive.Append(b); err != nil {
-			return installed, err
-		}
-		installed++
+// installBlocks appends to the archive the longest prefix of run that
+// starts at the archive head + 1 and ends at a block whose hash one of the
+// verified checkpoints in certs (nil ones skipped) certifies. The receiver derived the run's
+// headers itself, so the certified hash at the prefix's end is what vouches
+// for its content — through the hash chain, for every block before it too.
+// A run that never reaches a certified block installs nothing, and the read
+// falls through to a round with another source. The prefix goes to the
+// archive as one batch, which validates each block and its linkage to the
+// head.
+func (dc *DataCenter) installBlocks(run []*blockchain.Block, certs ...*ReadReply) (int, error) {
+	if len(run) == 0 || run[0].Index != dc.archive.HeadIndex()+1 {
+		return 0, nil
 	}
-	return installed, nil
+	first := run[0].Index
+	end := 0
+	for _, c := range certs {
+		if c == nil || c.BlockIndex < first || c.BlockIndex-first >= uint64(len(run)) {
+			continue
+		}
+		if i := int(c.BlockIndex - first); i >= end && run[i].Hash() == c.Ckpt.StateDigest {
+			end = i + 1
+		}
+	}
+	if end == 0 {
+		return 0, nil
+	}
+	if err := dc.archive.AppendBatch(run[:end]); err != nil {
+		return 0, fmt.Errorf("export: install blocks %d–%d: %w", run[0].Index, run[end-1].Index, err)
+	}
+	return end, nil
 }
 
 // SendDelete performs step ⑤ of Fig 4: sign and broadcast the delete

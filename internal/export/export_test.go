@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -104,16 +105,22 @@ func nextBlock(head *blockchain.Block) *blockchain.Block {
 	return block
 }
 
+// checkpointFor returns the 2f+1 stable checkpoint proof certifying block.
+func (fx *fixture) checkpointFor(block *blockchain.Block) pbft.CheckpointProof {
+	proof := pbft.CheckpointProof{Seq: block.LastSeq, StateDigest: block.Hash()}
+	for _, id := range fx.replicas[:3] { // 2f+1 = 3 signatures
+		proof.Checkpoints = append(proof.Checkpoints,
+			pbft.NewSignedCheckpoint(block.LastSeq, block.Hash(), fx.kps[id]))
+	}
+	return proof
+}
+
 func (fx *fixture) addBlocks(n int) {
 	fx.t.Helper()
 	for i := 0; i < n; i++ {
 		// Build the identical next block on every replica.
 		block := nextBlock(fx.stores[0].Head())
-		proof := pbft.CheckpointProof{Seq: block.LastSeq, StateDigest: block.Hash()}
-		for _, id := range fx.replicas[:3] { // 2f+1 = 3 signatures
-			proof.Checkpoints = append(proof.Checkpoints,
-				pbft.NewSignedCheckpoint(block.LastSeq, block.Hash(), fx.kps[id]))
-		}
+		proof := fx.checkpointFor(block)
 		for _, id := range fx.replicas {
 			if err := fx.stores[id].Append(mustClone(fx.t, block)); err != nil {
 				fx.t.Fatal(err)
@@ -248,6 +255,16 @@ func TestFullExportRoundPrunesReplicas(t *testing.T) {
 		}
 		if err := dc.Archive().VerifyChain(); err != nil {
 			t.Errorf("dc%d archive: %v", i, err)
+		}
+	}
+
+	// ExportRound returns once 2f+1 replicas acked; wait for all four
+	// before checking that every replica pruned.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i, dc := range fx.dcs {
+		if err := dc.WaitDeleteAcks(ctx, 4, len(fx.replicas)); err != nil {
+			t.Fatalf("dc%d: %v", i, err)
 		}
 	}
 
@@ -392,10 +409,7 @@ func TestStateTransferBetweenReplicas(t *testing.T) {
 
 	select {
 	case reply := <-replyCh:
-		blocks, err := decodeBlocks(reply.Blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
+		blocks := reply.Blocks
 		if err := blockchain.VerifySegment(blockchain.Genesis().Header, blocks); err != nil {
 			t.Fatalf("transferred segment: %v", err)
 		}
@@ -500,5 +514,99 @@ func TestSecondRoundFetchesMissingBlocks(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("export never completed: %v", err)
 		}
+	}
+}
+
+// TestByzantineSourceCannotPoisonArchive: replica 0 holds a forged chain —
+// linked from genesis, its replies correctly signed — while every replica
+// offers the honest 2f+1 checkpoints. The data center's first block source
+// is replica 0. The archive must never hold a block the honest replicas do
+// not, and a later round with an honest source must complete the export.
+func TestByzantineSourceCannotPoisonArchive(t *testing.T) {
+	fx := newFixture(t, 1, 1)
+	const blocks = 3
+	for i := 0; i < blocks; i++ {
+		honest := nextBlock(fx.stores[1].Head())
+		proof := fx.checkpointFor(honest)
+		forger := blockchain.NewBuilder(fx.stores[0].Head(), testInterval)
+		var forged *blockchain.Block
+		for j := uint64(1); forged == nil; j++ {
+			seq := fx.stores[0].Head().LastSeq + j
+			forged = forger.Add(blockchain.Entry{
+				Seq: seq, Origin: crypto.NodeID(seq % 4), Payload: []byte(fmt.Sprintf("forged-%d", seq)),
+			})
+		}
+		for _, id := range fx.replicas {
+			b := mustClone(t, honest)
+			if id == 0 {
+				b = forged
+			}
+			if err := fx.stores[id].Append(b); err != nil {
+				t.Fatal(err)
+			}
+			fx.servers[id].OnStableCheckpoint(proof)
+		}
+	}
+
+	dc := fx.dcs[0]
+	fx.askFirst(dc, 0)
+
+	for round := 0; ; round++ {
+		_, err := dc.Read(context.Background())
+		archive := dc.Archive()
+		for idx := uint64(1); idx <= archive.HeadIndex(); idx++ {
+			got, gerr := archive.Get(idx)
+			want, werr := fx.stores[1].Get(idx)
+			if gerr != nil || werr != nil || got.Hash() != want.Hash() {
+				t.Fatalf("round %d: archive block %d is not the honest replicas' block", round, idx)
+			}
+		}
+		if err == nil && archive.HeadIndex() == blocks {
+			return
+		}
+		if round == 20 {
+			t.Fatalf("export never completed: head %d, last error %v", archive.HeadIndex(), err)
+		}
+	}
+}
+
+// askFirst seeds dc's block-source choice so its next read round asks
+// replica id for the blocks.
+func (fx *fixture) askFirst(dc *DataCenter, id crypto.NodeID) {
+	seed := int64(0)
+	for fx.replicas[rand.New(rand.NewSource(seed)).Intn(len(fx.replicas))] != id {
+		seed++
+	}
+	dc.rng = rand.New(rand.NewSource(seed))
+}
+
+// TestStaleSourceInstallsItsCertifiedPrefix: the block source lags one
+// checkpoint behind the best one the round offers. Its run ends below the
+// best checkpoint, but its own verified checkpoint certifies that end, so
+// the round archives the run and leaves only the newest block missing.
+func TestStaleSourceInstallsItsCertifiedPrefix(t *testing.T) {
+	fx := newFixture(t, 1, 1)
+	fx.addBlocks(2)
+	block := nextBlock(fx.stores[1].Head())
+	proof := fx.checkpointFor(block)
+	for _, id := range fx.replicas[1:] {
+		if err := fx.stores[id].Append(mustClone(t, block)); err != nil {
+			t.Fatal(err)
+		}
+		fx.servers[id].OnStableCheckpoint(proof)
+	}
+
+	dc := fx.dcs[0]
+	fx.askFirst(dc, 0)
+	_, err := dc.readRoundOnce(context.Background())
+	var missing errMissingBlocks
+	if !errors.As(err, &missing) {
+		t.Fatalf("round with a stale source = %v, want missing blocks", err)
+	}
+	if dc.LastExported() != 2 {
+		t.Errorf("archive head = %d, want the stale source's certified block 2", dc.LastExported())
+	}
+	if _, err := dc.Read(context.Background()); err != nil || dc.LastExported() != 3 {
+		t.Errorf("next read: %v, archive head %d, want 3", err, dc.LastExported())
 	}
 }

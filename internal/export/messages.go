@@ -78,9 +78,9 @@ type ReadReply struct {
 	BlockIndex uint64
 	// Ckpt is the stable checkpoint proof (2f+1 signatures).
 	Ckpt pbft.CheckpointProof
-	// Blocks are the encoded blocks (LastIndex+1 .. BlockIndex); empty
-	// unless WantBlocks was set.
-	Blocks [][]byte
+	// Blocks are the blocks LastIndex+1 .. BlockIndex, sent as one compact
+	// run (blockchain.EncodeRun); empty unless WantBlocks was set.
+	Blocks []*blockchain.Block
 	// FirstAvailable is the replica's pruning base: blocks below it are
 	// gone from this replica (export error (iv)).
 	FirstAvailable uint64
@@ -96,10 +96,7 @@ func (m *ReadReply) EncodeWire(e *wire.Encoder) {
 	e.Uint64(m.Round)
 	e.Uint64(m.BlockIndex)
 	encodeProof(e, &m.Ckpt)
-	e.Uvarint(uint64(len(m.Blocks)))
-	for _, b := range m.Blocks {
-		e.Bytes(b)
-	}
+	blockchain.EncodeRun(e, m.Blocks)
 	e.Uint64(m.FirstAvailable)
 	e.Uint32(uint32(m.Replica))
 	e.Bytes(m.Sig)
@@ -110,15 +107,7 @@ func (m *ReadReply) DecodeWire(d *wire.Decoder) {
 	m.Round = d.Uint64()
 	m.BlockIndex = d.Uint64()
 	m.Ckpt = decodeProof(d)
-	n := d.Uvarint()
-	if n > 1<<20 {
-		d.Bytes32() // poison
-		return
-	}
-	m.Blocks = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Blocks = append(m.Blocks, d.BytesCopy())
-	}
+	m.Blocks = blockchain.DecodeRun(d)
 	m.FirstAvailable = d.Uint64()
 	m.Replica = crypto.NodeID(d.Uint32())
 	m.Sig = d.BytesCopy()
@@ -206,10 +195,10 @@ func (m *StateRequest) DecodeWire(d *wire.Decoder) {
 	m.Sig = d.BytesCopy()
 }
 
-// StateReply carries the blocks for a state transfer plus the prune
-// authorization for the sender's base.
+// StateReply carries the blocks for a state transfer, as one compact run
+// (blockchain.EncodeRun), plus the prune authorization for the sender's base.
 type StateReply struct {
-	Blocks    [][]byte
+	Blocks    []*blockchain.Block
 	PruneAuth []byte
 	Replica   crypto.NodeID
 	Sig       []byte
@@ -220,10 +209,7 @@ func (m *StateReply) WireType() wire.Type { return typeStateReply }
 
 // EncodeWire implements wire.Message.
 func (m *StateReply) EncodeWire(e *wire.Encoder) {
-	e.Uvarint(uint64(len(m.Blocks)))
-	for _, b := range m.Blocks {
-		e.Bytes(b)
-	}
+	blockchain.EncodeRun(e, m.Blocks)
 	e.Bytes(m.PruneAuth)
 	e.Uint32(uint32(m.Replica))
 	e.Bytes(m.Sig)
@@ -231,15 +217,7 @@ func (m *StateReply) EncodeWire(e *wire.Encoder) {
 
 // DecodeWire implements wire.Message.
 func (m *StateReply) DecodeWire(d *wire.Decoder) {
-	n := d.Uvarint()
-	if n > 1<<20 {
-		d.Bytes32()
-		return
-	}
-	m.Blocks = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Blocks = append(m.Blocks, d.BytesCopy())
-	}
+	m.Blocks = blockchain.DecodeRun(d)
 	m.PruneAuth = d.BytesCopy()
 	m.Replica = crypto.NodeID(d.Uint32())
 	m.Sig = d.BytesCopy()
@@ -340,17 +318,4 @@ func decodeProof(d *wire.Decoder) pbft.CheckpointProof {
 		p.Checkpoints = append(p.Checkpoints, c)
 	}
 	return p
-}
-
-// decodeBlocks unmarshals and returns the blocks carried in a reply.
-func decodeBlocks(raw [][]byte) ([]*blockchain.Block, error) {
-	blocks := make([]*blockchain.Block, 0, len(raw))
-	for _, data := range raw {
-		b, err := blockchain.Unmarshal(data)
-		if err != nil {
-			return nil, err
-		}
-		blocks = append(blocks, b)
-	}
-	return blocks, nil
 }

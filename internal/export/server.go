@@ -142,11 +142,6 @@ func (s *Server) RequestStateTransfer(peer crypto.NodeID, fromIndex uint64) {
 	s.send(peer, req)
 }
 
-// DecodeStateBlocks decodes the blocks of a state reply.
-func DecodeStateBlocks(m *StateReply) ([]*blockchain.Block, error) {
-	return decodeBlocks(m.Blocks)
-}
-
 // handleRead implements step ② of Fig 4.
 func (s *Server) handleRead(req *ReadRequest) {
 	s.mu.Lock()
@@ -175,10 +170,7 @@ func (s *Server) handleRead(req *ReadRequest) {
 			// delete must not be the only surviving copy's ancestor.
 			_ = s.store.Sync()
 			if blocks, err := s.store.Range(from, index); err == nil {
-				reply.Blocks = make([][]byte, 0, len(blocks))
-				for _, b := range blocks {
-					reply.Blocks = append(reply.Blocks, b.Marshal())
-				}
+				reply.Blocks = blocks
 			}
 		}
 	}
@@ -264,11 +256,9 @@ func (s *Server) handleStateRequest(req *StateRequest) {
 		return
 	}
 	reply := &StateReply{
+		Blocks:    blocks,
 		PruneAuth: s.store.PruneAuth(),
 		Replica:   s.cfg.ID,
-	}
-	for _, b := range blocks {
-		reply.Blocks = append(reply.Blocks, b.Marshal())
 	}
 	signMsg(reply, s.kp)
 	s.send(req.Replica, reply)

@@ -20,7 +20,10 @@ var (
 )
 
 // signableMsg mirrors pbft's internal signing convention: the signature
-// covers the wire encoding with the Sig field emptied.
+// covers the wire encoding with the Sig field emptied. Sig MUST be the final
+// field of every signableMsg's encoding, written with Encoder.Bytes, as
+// wire.SigningBytesInto requires; TestSigningBytesMatchesReference guards
+// it for every export message.
 type signableMsg interface {
 	wire.Message
 	signer() crypto.NodeID
@@ -52,22 +55,15 @@ func (m *StateReply) signer() crypto.NodeID   { return m.Replica }
 func (m *StateReply) signature() []byte       { return m.Sig }
 func (m *StateReply) setSignature(sig []byte) { m.Sig = sig }
 
-func signingBytes(m signableMsg) []byte {
-	saved := m.signature()
-	m.setSignature(nil)
-	e := wire.NewEncoder(256)
-	e.Uint16(uint16(m.WireType()))
-	m.EncodeWire(e)
-	m.setSignature(saved)
-	out := make([]byte, e.Len())
-	copy(out, e.Data())
-	return out
-}
-
 func signMsg(m signableMsg, kp *crypto.KeyPair) {
-	m.setSignature(kp.Sign(signingBytes(m)))
+	e := wire.GetEncoder()
+	m.setSignature(kp.Sign(wire.SigningBytesInto(e, m, m.signature())))
+	wire.PutEncoder(e)
 }
 
 func verifyMsg(m signableMsg, reg *crypto.Registry) error {
-	return reg.Verify(m.signer(), signingBytes(m), m.signature())
+	e := wire.GetEncoder()
+	err := reg.Verify(m.signer(), wire.SigningBytesInto(e, m, m.signature()), m.signature())
+	wire.PutEncoder(e)
+	return err
 }

@@ -575,13 +575,9 @@ func (a *pbftApp) StateTransferNeeded(seq uint64, digest crypto.Digest) {
 // so the whole transfer costs a single group commit instead of one fsync
 // per block.
 func (n *Node) onStateReply(reply *export.StateReply) {
-	blocks, err := export.DecodeStateBlocks(reply)
-	if err != nil {
-		return
-	}
 	next := n.store.HeadIndex() + 1
 	var run []*blockchain.Block
-	for _, b := range blocks {
+	for _, b := range reply.Blocks {
 		if b.Index == next+uint64(len(run)) {
 			run = append(run, b)
 		}

@@ -50,22 +50,11 @@ func (m *NewView) setSignature(sig []byte) { m.Sig = sig }
 // signingBytesInto encodes m's signing bytes (the enveloped wire encoding
 // with an empty Sig) into e, which is reset first, and returns the encoded
 // slice. The result aliases e's buffer: callers must not retain it past the
-// next use of e.
-//
-// Unlike a clear-and-restore implementation this never mutates m: because
-// Sig is the final encoded field (see the signable invariant), the signing
-// bytes are the full encoding with the signature tail replaced by a zero
-// length prefix. That makes concurrent verification of the same message —
-// as the VerifyPool's workers do — race-free.
+// next use of e. It never mutates m (see wire.SigningBytesInto), which makes
+// concurrent verification of the same message — as the VerifyPool's workers
+// do — race-free.
 func signingBytesInto(e *wire.Encoder, m signable) []byte {
-	e.Reset()
-	e.Uint16(uint16(m.WireType()))
-	m.EncodeWire(e)
-	if sig := m.signature(); len(sig) > 0 {
-		e.Truncate(e.Len() - len(sig) - wire.UvarintLen(uint64(len(sig))))
-		e.Uvarint(0)
-	}
-	return e.Data()
+	return wire.SigningBytesInto(e, m, m.signature())
 }
 
 // signingBytes returns an owned copy of m's signing bytes. Hot paths use

@@ -115,6 +115,26 @@ func Encode(fn func(e *Encoder)) []byte {
 	return out
 }
 
+// SigningBytesInto encodes the bytes a signature over m covers — m's
+// enveloped encoding with its signature sig emptied — into e, which is reset
+// first, and returns them. The result aliases e's buffer.
+//
+// sig must be m's final field, written with Bytes: the signing bytes are
+// then the full encoding with the signature tail rewritten as a zero length
+// prefix. m is never mutated, so goroutines may verify one message
+// concurrently, and e may be a pooled encoder, so signing and verifying
+// allocate nothing in steady state.
+func SigningBytesInto(e *Encoder, m Message, sig []byte) []byte {
+	e.Reset()
+	e.Uint16(uint16(m.WireType()))
+	m.EncodeWire(e)
+	if len(sig) > 0 {
+		e.Truncate(e.Len() - len(sig) - UvarintLen(uint64(len(sig))))
+		e.Uvarint(0)
+	}
+	return e.Data()
+}
+
 // UvarintLen returns the encoded size of v as an unsigned varint.
 func UvarintLen(v uint64) int {
 	n := 1
@@ -199,8 +219,11 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining reports the number of bytes left to decode.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
-// fail records the first error.
-func (d *Decoder) fail(err error) {
+// Fail records err as the decoder's error unless an earlier one is already
+// recorded. Codecs built on the decoder use it to reject input that is
+// well-formed byte by byte but invalid for them, such as a count larger
+// than the bytes left.
+func (d *Decoder) Fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
@@ -212,7 +235,7 @@ func (d *Decoder) take(n int) []byte {
 		return nil
 	}
 	if n < 0 || d.Remaining() < n {
-		d.fail(ErrShortBuffer)
+		d.Fail(ErrShortBuffer)
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -239,7 +262,7 @@ func (d *Decoder) Bool() bool {
 	case 1:
 		return true
 	default:
-		d.fail(ErrNonCanonical)
+		d.Fail(ErrNonCanonical)
 		return false
 	}
 }
@@ -288,11 +311,11 @@ func (d *Decoder) Uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
-		d.fail(ErrShortBuffer)
+		d.Fail(ErrShortBuffer)
 		return 0
 	}
 	if n > 1 && d.buf[d.off+n-1] == 0 {
-		d.fail(ErrNonCanonical)
+		d.Fail(ErrNonCanonical)
 		return 0
 	}
 	d.off += n
@@ -313,7 +336,7 @@ func (d *Decoder) Bytes32() (v [32]byte) {
 func (d *Decoder) Bytes() []byte {
 	n := d.Uvarint()
 	if n > MaxElementSize {
-		d.fail(fmt.Errorf("%w: %d bytes", ErrTooLarge, n))
+		d.Fail(fmt.Errorf("%w: %d bytes", ErrTooLarge, n))
 		return nil
 	}
 	b := d.take(int(n))

@@ -45,7 +45,7 @@ check: lint
 	$(GO) test -run '^$$' -bench Verify -benchtime 1x ./internal/crypto/... ./internal/pbft/...
 	$(GO) test -run '^$$' -bench Transport -benchtime 1x ./internal/transport
 	$(GO) test -run '^$$' -bench 'StoreAppend|OrderingThroughput' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'SealCheckpoint|RequestDigest|VerifyCacheNote' -benchtime 1x ./internal/blockchain ./internal/pbft ./internal/crypto
+	$(GO) test -run '^$$' -bench 'SealSlot|RequestDigest|VerifyCacheNote' -benchtime 1x ./internal/blockchain ./internal/pbft ./internal/crypto
 	cd zcbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:

@@ -214,19 +214,20 @@ func BenchmarkJRURequirements(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBlockSize sweeps the block/checkpoint size — the design
-// choice DESIGN.md §3(4) calls out (one checkpoint per block).
-func BenchmarkAblationBlockSize(b *testing.B) {
+// BenchmarkAblationCheckpointInterval sweeps the checkpoint interval — the
+// design choice DESIGN.md §2(4) calls out (a block per slot, a checkpoint
+// every K slots).
+func BenchmarkAblationCheckpointInterval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationBlockSize(benchOptions())
+		rows, err := experiments.AblationCheckpointInterval(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
 		first, last := rows[0].Result, rows[len(rows)-1].Result
-		b.ReportMetric(float64(first.Blocks), "blocks-size1")
-		b.ReportMetric(float64(last.Blocks), "blocks-size50")
-		b.ReportMetric(first.NetBytesPerNodePerSec, "net-size1")
-		b.ReportMetric(last.NetBytesPerNodePerSec, "net-size50")
+		b.ReportMetric(float64(first.Blocks), "blocks-ckpt1")
+		b.ReportMetric(float64(last.Blocks), "blocks-ckpt50")
+		b.ReportMetric(first.NetBytesPerNodePerSec, "net-ckpt1")
+		b.ReportMetric(last.NetBytesPerNodePerSec, "net-ckpt50")
 	}
 }
 
@@ -246,28 +247,48 @@ func BenchmarkAblationSoftTimeout(b *testing.B) {
 }
 
 // buildBenchBlocks constructs n linked single-entry blocks outside the timed
-// region, so the store benchmarks measure persistence alone.
-func buildBenchBlocks(n int) []*blockchain.Block {
+// region, so the store benchmarks measure persistence alone. Each entry
+// carries a payload and a signature of the given sizes.
+func buildBenchBlocks(n, payloadSize, sigSize int) []*blockchain.Block {
 	bd := blockchain.NewBuilder(blockchain.Genesis(), 1)
-	payload := make([]byte, 256)
+	payload, sig := make([]byte, payloadSize), make([]byte, sigSize)
 	blocks := make([]*blockchain.Block, 0, n)
 	for seq := uint64(1); len(blocks) < n; seq++ {
-		if blk := bd.Add(blockchain.Entry{Seq: seq, Origin: 0, Payload: payload}); blk != nil {
+		if blk := bd.Add(blockchain.Entry{Seq: seq, Origin: 0, Payload: payload, Sig: sig}); blk != nil {
 			blocks = append(blocks, blk)
 		}
 	}
 	return blocks
 }
 
-// BenchmarkStoreAppend compares the three persistence modes of
-// blockchain.Store: the in-memory map, fsync'd single appends (one durable
-// group per block), and group commit via AppendBatch (64 blocks per fsync'd
-// directory sync). The group-commit ratio is what the ordering pipeline's
-// state transfers and catch-up batches gain.
+// benchAppendEach appends blocks one at a time to a disk store, each its
+// own durable group.
+func benchAppendEach(b *testing.B, blocks []*blockchain.Block) {
+	s, err := blockchain.NewStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, blk := range blocks {
+		if err := s.Append(blk); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportBlocksPerSec(b, len(blocks))
+}
+
+// BenchmarkStoreAppend compares the persistence modes of blockchain.Store:
+// the in-memory map, fsync'd single appends (one durable group per block),
+// and group commit via AppendBatch (64 blocks per fsync'd directory sync).
+// The group-commit ratio is what the ordering pipeline's state transfers
+// and catch-up batches gain. disk-record appends the block a replica seals
+// per executed slot: one 1 KB record with its 64-byte signature.
 func BenchmarkStoreAppend(b *testing.B) {
 	const groupSize = 64
 	b.Run("memory", func(b *testing.B) {
-		blocks := buildBenchBlocks(b.N)
+		blocks := buildBenchBlocks(b.N, 256, 0)
 		s, err := blockchain.NewStore("")
 		if err != nil {
 			b.Fatal(err)
@@ -281,22 +302,13 @@ func BenchmarkStoreAppend(b *testing.B) {
 		reportBlocksPerSec(b, len(blocks))
 	})
 	b.Run("disk-single", func(b *testing.B) {
-		blocks := buildBenchBlocks(b.N)
-		s, err := blockchain.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		b.ResetTimer()
-		for _, blk := range blocks {
-			if err := s.Append(blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportBlocksPerSec(b, len(blocks))
+		benchAppendEach(b, buildBenchBlocks(b.N, 256, 0))
+	})
+	b.Run("disk-record", func(b *testing.B) {
+		benchAppendEach(b, buildBenchBlocks(b.N, 1024, 64))
 	})
 	b.Run(fmt.Sprintf("disk-group-%d", groupSize), func(b *testing.B) {
-		blocks := buildBenchBlocks(b.N)
+		blocks := buildBenchBlocks(b.N, 256, 0)
 		s, err := blockchain.NewStore(b.TempDir())
 		if err != nil {
 			b.Fatal(err)

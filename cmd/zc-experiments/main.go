@@ -162,12 +162,12 @@ func runFig9(opt experiments.Options) error {
 }
 
 func runAblations(opt experiments.Options) error {
-	rows, err := experiments.AblationBlockSize(opt)
+	rows, err := experiments.AblationCheckpointInterval(opt)
 	if err != nil {
 		return err
 	}
 	fmt.Print(experiments.FormatAblation(
-		"Ablation: block/checkpoint size (64ms cycle, 1kB payload)", rows))
+		"Ablation: checkpoint interval (64ms cycle, 1kB payload, a block per slot)", rows))
 	fmt.Println()
 	rows, err = experiments.AblationSoftTimeout(opt)
 	if err != nil {

@@ -54,7 +54,7 @@ func run() error {
 		dataDir     = flag.String("datadir", "", "blockchain directory (empty = memory)")
 		walDir      = flag.String("wal-dir", "", "consensus WAL directory (empty = <datadir>/wal)")
 		noWAL       = flag.Bool("no-wal", false, "disable the consensus WAL (no crash-restart protocol recovery)")
-		blockSize   = flag.Uint64("blocksize", 10, "requests per block/checkpoint")
+		ckptEvery   = flag.Uint64("checkpoint-interval", 10, "agreement slots per checkpoint (blocks are sealed per slot)")
 		busCycle    = flag.Duration("bus-cycle", 64*time.Millisecond, "simulated MVB cycle time")
 		payload     = flag.Int("payload", 0, "pad records to this size (0 = raw signals)")
 		seed        = flag.Int64("seed", 1, "bus workload seed (identical on all replicas)")
@@ -100,15 +100,15 @@ func run() error {
 	defer tr.Close()
 
 	n, err := node.New(node.Config{
-		ID:            id,
-		Replicas:      kr.ReplicaIDs(),
-		BlockSize:     *blockSize,
-		DataDir:       *dataDir,
-		WALDir:        *walDir,
-		DisableWAL:    *noWAL,
-		DataCenters:   kr.DataCenterIDs(),
-		MaxBatch:      *batchSize,
-		MaxBatchDelay: *batchDelay,
+		ID:                 id,
+		Replicas:           kr.ReplicaIDs(),
+		CheckpointInterval: *ckptEvery,
+		DataDir:            *dataDir,
+		WALDir:             *walDir,
+		DisableWAL:         *noWAL,
+		DataCenters:        kr.DataCenterIDs(),
+		MaxBatch:           *batchSize,
+		MaxBatchDelay:      *batchDelay,
 
 		VerifyCacheSize:    *verifyCache,
 		DisableBatchVerify: !*batchVerify,

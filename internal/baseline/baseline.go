@@ -58,8 +58,9 @@ func (m *ClientRequest) DecodeWire(d *wire.Decoder) {
 type Config struct {
 	ID       crypto.NodeID
 	Replicas []crypto.NodeID
-	// BlockSize is the requests-per-block/checkpoint count (10 in §V).
-	BlockSize uint64
+	// CheckpointInterval is the number of agreement slots per checkpoint
+	// (10 in §V). Blocks are sealed per slot, as in ZugChain.
+	CheckpointInterval uint64
 	// ClientTimeout is the client's wait before re-broadcasting and
 	// suspecting (500 ms in Fig 8).
 	ClientTimeout time.Duration
@@ -73,8 +74,8 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.BlockSize == 0 {
-		c.BlockSize = pbft.DefaultCheckpointInterval
+	if c.CheckpointInterval == 0 {
+		c.CheckpointInterval = pbft.DefaultCheckpointInterval
 	}
 	if c.ClientTimeout <= 0 {
 		c.ClientTimeout = 500 * time.Millisecond
@@ -177,7 +178,7 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 		latency:  &metrics.Latency{},
 		counters: &metrics.Counters{},
 	}
-	n.builder = blockchain.NewBuilder(store.Head(), 1<<30)
+	n.builder = blockchain.NewSlotBuilder(store.Head(), cfg.CheckpointInterval)
 
 	n.mux = transport.NewMux(tr)
 	pbftChan := n.mux.Channel(0x10, 0x2f)
@@ -187,7 +188,7 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 	engine, err := pbft.NewEngine(pbft.Config{
 		ID:                 cfg.ID,
 		Replicas:           cfg.Replicas,
-		CheckpointInterval: cfg.BlockSize,
+		CheckpointInterval: cfg.CheckpointInterval,
 	}, kp, reg)
 	if err != nil {
 		return nil, err
@@ -456,18 +457,36 @@ func (a *baselineApp) Deliver(seq uint64, req pbft.Request) {
 		Sig:     req.Sig,
 	})
 	n.mu.Unlock()
+	// A slot that cannot be sealed (a gap, or a store failure) surfaces at
+	// the next checkpoint, whose digest then differs from the quorum's.
+	_ = n.sealSlot(seq)
 }
 
-// CheckpointDigest implements pbft.Application.
+// CheckpointDigest implements pbft.Application: the hash of the block
+// ending at seq, sealed by the same rule as ZugChain's.
 func (a *baselineApp) CheckpointDigest(seq uint64) crypto.Digest {
 	n := (*Node)(a)
-	n.mu.Lock()
-	block := n.builder.SealCheckpoint(seq)
-	n.mu.Unlock()
-	if err := n.store.Append(block); err != nil {
-		return crypto.Hash([]byte(fmt.Sprintf("corrupt-%d", seq)))
+	if err := n.sealSlot(seq); err != nil {
+		// A replica that jumped to a stable checkpoint has no state
+		// transfer to fill the gap: report a per-replica digest rather
+		// than mint blocks at the wrong index.
+		return crypto.Hash([]byte(fmt.Sprintf("gap-%d-%d", seq, n.cfg.ID)))
 	}
-	return block.Hash()
+	if h := n.store.Head(); h.LastSeq == seq {
+		return h.Hash()
+	}
+	return crypto.Hash([]byte(fmt.Sprintf("corrupt-%d-%d", seq, n.cfg.ID)))
+}
+
+// sealSlot seals and stores the blocks executing slot seq completes.
+func (n *Node) sealSlot(seq uint64) error {
+	n.mu.Lock()
+	blocks, err := n.builder.SealSlot(seq)
+	n.mu.Unlock()
+	if err != nil || len(blocks) == 0 {
+		return err
+	}
+	return n.store.AppendBatch(blocks)
 }
 
 // StableCheckpoint implements pbft.Application.

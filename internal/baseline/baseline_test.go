@@ -89,7 +89,7 @@ func TestBaselineOrdersEveryClientCopy(t *testing.T) {
 		n.Submit(payload)
 	}
 
-	// 4 copies ordered; with block size 10 they sit in the pending block.
+	// 4 copies ordered, each sealed into its slot's block.
 	deadline := time.Now().Add(15 * time.Second)
 	for _, n := range c.nodes {
 		for n.Counters().Requests.Load() < 4 {
@@ -103,17 +103,18 @@ func TestBaselineOrdersEveryClientCopy(t *testing.T) {
 
 func TestBaselineDuplicationFactorIsN(t *testing.T) {
 	c := newCluster(t)
-	// 10 bus cycles read by 4 clients each: 40 ordered requests = 4 blocks.
+	// 10 bus cycles read by 4 clients each: 40 ordered requests, each in
+	// its own slot and so its own block.
 	for i := 0; i < 10; i++ {
 		payload := []byte(fmt.Sprintf("cycle-%02d", i))
 		for _, n := range c.nodes {
 			n.Submit(payload)
 		}
 	}
-	c.waitHeight(4, 30*time.Second)
+	c.waitHeight(40, 30*time.Second)
 
 	// Count how many times each cycle appears in the chain.
-	blocks, err := c.nodes[0].Store().Range(1, 4)
+	blocks, err := c.nodes[0].Store().Range(1, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +182,8 @@ func TestBaselineHandleFrame(t *testing.T) {
 			}
 		}
 	}
-	// 3 cycles x 4 clients = 12 ordered requests = 1 full block.
-	c.waitHeight(1, 30*time.Second)
+	// 3 cycles x 4 clients = 12 ordered requests, a block each.
+	c.waitHeight(12, 30*time.Second)
 }
 
 func TestBaselineClientLatencyRecorded(t *testing.T) {

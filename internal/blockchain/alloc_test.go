@@ -51,59 +51,90 @@ func TestMarshalAllocatesOnce(t *testing.T) {
 	}
 }
 
-// sealBytesPerBlock reports the heap bytes one checkpoint seal of ten
-// recorder-sized entries costs on a builder made with size.
-func sealBytesPerBlock(size int) float64 {
-	entries := recordEntries(10)
-	bd := NewBuilder(Genesis(), size)
-	const blocks = 200
+// TestSealSlotAllocations guards the per-slot seal on the replica's path:
+// a one-record slot and a batched slot of ten records each cost the
+// block, the next slot's entry storage and the result slice, and nothing
+// that grows with the entries.
+func TestSealSlotAllocations(t *testing.T) {
+	skipUnderRace(t)
+	for _, n := range []int{1, 10} {
+		entries := recordEntries(n)
+		bd := NewSlotBuilder(Genesis(), 10)
+		seq := uint64(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			seq++
+			for i := range entries {
+				entries[i].Seq = seq
+				bd.Add(entries[i])
+			}
+			if blocks, err := bd.SealSlot(seq); err != nil || len(blocks) != 1 {
+				t.Fatalf("slot %d sealed %d blocks, err %v", seq, len(blocks), err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("%d-record slot: SealSlot allocates %v times per block, want at most 3 (entries, block, result)", n, allocs)
+		}
+	}
+}
+
+// storeAppendBytes reports the heap bytes one durable Append of a
+// one-record block costs, beyond the block itself: the blocks are built
+// before the measurement.
+func storeAppendBytes(t *testing.T) float64 {
+	const blocks = 100
+	s, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	bd := NewSlotBuilder(Genesis(), 10)
+	built := make([]*Block, 0, blocks)
+	for seq := uint64(1); len(built) < blocks; seq++ {
+		e := recordEntries(1)[0]
+		e.Seq = seq
+		bd.Add(e)
+		sealed, err := bd.SealSlot(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built = append(built, sealed...)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for b := 0; b < blocks; b++ {
-		for i := range entries {
-			bd.Add(entries[i])
+	for _, b := range built {
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
 		}
-		bd.SealCheckpoint(uint64(b+1) * 10)
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / blocks
 }
 
-// TestSealCheckpointCostIndependentOfSize guards against sizing each new
-// block from the builder's size argument: the node passes a huge "seal at
-// checkpoints" sentinel, which must cost no more per seal than a real size.
-func TestSealCheckpointCostIndependentOfSize(t *testing.T) {
+// TestStoreAppendAllocations guards the store's write path, which a
+// replica pays once per executed slot: the block is encoded into a pooled
+// encoder and its file paths are built without formatting, so appending a
+// one-record block must not allocate a copy of its encoding.
+func TestStoreAppendAllocations(t *testing.T) {
 	skipUnderRace(t)
-	small, huge := sealBytesPerBlock(16), sealBytesPerBlock(1<<30)
-	if huge > small*1.1+256 {
-		t.Errorf("seal with the sentinel size allocates %.0f B per block, with size 16 %.0f B", huge, small)
-	}
-	entries := recordEntries(10)
-	for _, size := range []int{16, 1 << 30} {
-		bd := NewBuilder(Genesis(), size)
-		n := testing.AllocsPerRun(100, func() {
-			for i := range entries {
-				bd.Add(entries[i])
-			}
-			bd.SealCheckpoint(bd.NextIndex() * 10)
-		})
-		if n > 2 {
-			t.Errorf("size %d: SealCheckpoint allocates %v times per block, want at most 2 (entries, block)", size, n)
-		}
+	got := storeAppendBytes(t)
+	t.Logf("durable Append of a one-record block: %.0f B", got)
+	if got > 1792 {
+		t.Errorf("a durable Append of a one-record block allocates %.0f B, want at most 1792", got)
 	}
 }
 
-// BenchmarkSealCheckpoint measures sealing one checkpoint block of ten
-// recorder-sized entries on a builder sized like the node's.
-func BenchmarkSealCheckpoint(b *testing.B) {
-	entries := recordEntries(10)
-	bd := NewBuilder(Genesis(), 1<<30)
+// BenchmarkSealSlot measures sealing one slot's block of one
+// recorder-sized entry on a replica's builder.
+func BenchmarkSealSlot(b *testing.B) {
+	e := recordEntries(1)[0]
+	bd := NewSlotBuilder(Genesis(), 10)
 	b.ReportAllocs()
 	for b.Loop() {
-		for i := range entries {
-			bd.Add(entries[i])
+		e.Seq++
+		bd.Add(e)
+		if _, err := bd.SealSlot(e.Seq); err != nil {
+			b.Fatal(err)
 		}
-		bd.SealCheckpoint(bd.NextIndex() * 10)
 	}
 }

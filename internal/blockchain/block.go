@@ -165,50 +165,59 @@ func Unmarshal(data []byte) (*Block, error) {
 	return b, nil
 }
 
-// Builder accumulates ordered entries and seals a block every Size entries.
-// All replicas run identical builders over identical delivery streams, so
-// the resulting blocks — and therefore checkpoint digests — agree.
+// ErrChainGap reports that a slot cannot be sealed yet: the chain misses
+// slots below it that this replica never executed.
+var ErrChainGap = errors.New("blockchain: chain misses a checkpoint block below the slot")
+
+// Builder turns the ordered delivery stream into hash-chained blocks. All
+// replicas run identical builders over identical delivery streams, so the
+// resulting blocks — and therefore checkpoint digests — agree.
+//
+// A replica's builder (NewSlotBuilder) follows the chain's one sealing
+// rule, SealSlot. A count builder (NewBuilder) seals every size entries
+// instead: fixtures and experiments build chains of a fixed shape with it.
 type Builder struct {
-	size     int
+	size     int    // entries per block for Add; 0 for a slot builder
+	interval uint64 // checkpoint interval of a slot builder
 	prevHash crypto.Digest
 	next     uint64
+	lastSeq  uint64 // LastSeq of the block the builder extends
 	pending  []Entry
 }
 
-// NewBuilder starts building on top of prev (usually Genesis() or the last
-// persisted block). size is the paper's block size of 10 requests unless
-// overridden.
+// NewBuilder starts a count builder on top of prev (usually Genesis() or
+// the last persisted block) that seals a block every size entries, the
+// paper's 10 unless overridden.
 func NewBuilder(prev *Block, size int) *Builder {
 	if size <= 0 {
 		size = 10
 	}
-	return &Builder{
-		size:     size,
-		prevHash: prev.Hash(),
-		next:     prev.Index + 1,
-		pending:  make([]Entry, 0, min(size, len(prev.Entries))),
-	}
+	bd := &Builder{size: size}
+	bd.ResetTo(prev)
+	bd.pending = make([]Entry, 0, min(size, len(prev.Entries)))
+	return bd
+}
+
+// NewSlotBuilder starts a replica's builder on top of prev, the store head:
+// Add only collects the entries a slot logs, and SealSlot seals them, with
+// a checkpoint every checkpointInterval slots.
+func NewSlotBuilder(prev *Block, checkpointInterval uint64) *Builder {
+	bd := &Builder{interval: checkpointInterval}
+	bd.ResetTo(prev)
+	return bd
 }
 
 // Pending reports how many entries await sealing.
 func (bd *Builder) Pending() int { return len(bd.pending) }
 
-// PendingEntries returns a copy of the unsealed entries, needed when
-// checkpoint state must cover open requests (§III-D error (ii)).
-func (bd *Builder) PendingEntries() []Entry {
-	out := make([]Entry, len(bd.pending))
-	copy(out, bd.pending)
-	return out
-}
-
 // NextIndex returns the index the next sealed block will get.
 func (bd *Builder) NextIndex() uint64 { return bd.next }
 
-// Add appends one ordered entry; when the block size is reached it seals and
-// returns the block, otherwise it returns nil.
+// Add appends one ordered entry. A count builder seals and returns the
+// block once it holds size entries; otherwise Add returns nil.
 func (bd *Builder) Add(e Entry) *Block {
 	bd.pending = append(bd.pending, e)
-	if len(bd.pending) < bd.size {
+	if bd.size == 0 || len(bd.pending) < bd.size {
 		return nil
 	}
 	return bd.Seal()
@@ -220,54 +229,95 @@ func (bd *Builder) Seal() *Block {
 	if len(bd.pending) == 0 {
 		return nil
 	}
-	entries := bd.pending
-	// The sealed block keeps the entries' storage. Size the next block's
-	// from this one: the size argument may be a "seal at checkpoints"
-	// sentinel far above any real block.
-	bd.pending = make([]Entry, 0, min(bd.size, len(entries)))
+	return bd.sealPending(len(bd.pending))
+}
+
+// SealSlot seals the blocks that executing slot seq completes, by the
+// chain's one rule: every executed slot that logged an entry gets its own
+// block (the records of a batched slot share it, and their seq), and a
+// checkpoint slot, a multiple of the interval, that logged nothing gets an
+// empty block with FirstSeq = LastSeq = seq. Null slots and other empty
+// slots seal nothing. So at every checkpoint seq the chain holds a block
+// ending there; its hash is the checkpoint digest, and through the hash
+// chain it certifies every block since the previous checkpoint.
+//
+// Entries of earlier slots still pending (slots executed while the chain
+// waited for a state transfer) are sealed first, one block per slot. A
+// slot the chain already holds, because a transfer installed it before
+// execution got there, seals nothing, and its entries are dropped.
+//
+// SealSlot seals nothing and keeps every entry pending, returning
+// ErrChainGap, when the last checkpoint block precedes seq by more than the
+// interval: execution jumped to a stable checkpoint past slots this
+// replica never executed, and sealing would mint blocks at wrong indices.
+// SealSlot is for builders made by NewSlotBuilder.
+func (bd *Builder) SealSlot(seq uint64) ([]*Block, error) {
+	if seq <= bd.lastSeq {
+		bd.dropThrough(bd.lastSeq)
+		return nil, nil
+	}
+	if seq-(bd.lastSeq-bd.lastSeq%bd.interval) > bd.interval {
+		return nil, ErrChainGap
+	}
+	var blocks []*Block
+	for len(bd.pending) > 0 && bd.pending[0].Seq <= seq {
+		n := 1
+		for n < len(bd.pending) && bd.pending[n].Seq == bd.pending[0].Seq {
+			n++
+		}
+		blocks = append(blocks, bd.sealPending(n))
+	}
+	if seq%bd.interval == 0 && bd.lastSeq < seq {
+		blocks = append(blocks, bd.seal(nil, seq, seq))
+	}
+	return blocks, nil
+}
+
+// sealPending seals the first n pending entries as one block.
+func (bd *Builder) sealPending(n int) *Block {
+	entries := bd.pending[:n:n]
+	if n == len(bd.pending) {
+		// The sealed block keeps the entries' storage; size the next
+		// block's from this one.
+		bd.pending = make([]Entry, 0, n)
+	} else {
+		bd.pending = bd.pending[n:]
+	}
+	return bd.seal(entries, entries[0].Seq, entries[n-1].Seq)
+}
+
+func (bd *Builder) seal(entries []Entry, firstSeq, lastSeq uint64) *Block {
 	b := &Block{
 		Header: Header{
 			Index:    bd.next,
 			PrevHash: bd.prevHash,
-			FirstSeq: entries[0].Seq,
-			LastSeq:  entries[len(entries)-1].Seq,
+			FirstSeq: firstSeq,
+			LastSeq:  lastSeq,
 			BodyHash: BodyDigest(entries),
 		},
 		Entries: entries,
 	}
 	bd.prevHash = b.Hash()
 	bd.next++
+	bd.lastSeq = lastSeq
 	return b
 }
 
-// SealCheckpoint closes the block for a checkpoint boundary, always
-// producing a block even when no entries accumulated (every duplicate in
-// the interval was filtered): ZugChain creates exactly one block per PBFT
-// checkpoint so the checkpoint digest is always defined (§III-C
-// "Checkpointing"). seq is the checkpoint sequence number, recorded as the
-// covered range on empty blocks.
-func (bd *Builder) SealCheckpoint(seq uint64) *Block {
-	if b := bd.Seal(); b != nil {
-		return b
-	}
-	b := &Block{
-		Header: Header{
-			Index:    bd.next,
-			PrevHash: bd.prevHash,
-			FirstSeq: seq,
-			LastSeq:  seq,
-			BodyHash: BodyDigest(nil),
-		},
-	}
-	bd.prevHash = b.Hash()
-	bd.next++
-	return b
-}
-
-// ResetTo re-anchors the builder on top of prev, discarding pending entries.
-// Used after a state transfer installs blocks from peers.
+// ResetTo re-anchors the builder on top of prev, after a state transfer
+// installed blocks from peers. Pending entries prev already covers are
+// dropped; those of later slots stay pending.
 func (bd *Builder) ResetTo(prev *Block) {
 	bd.prevHash = prev.Hash()
 	bd.next = prev.Index + 1
-	bd.pending = bd.pending[:0]
+	bd.lastSeq = prev.LastSeq
+	bd.dropThrough(prev.LastSeq)
+}
+
+// dropThrough drops the pending entries at or below seq.
+func (bd *Builder) dropThrough(seq uint64) {
+	n := 0
+	for n < len(bd.pending) && bd.pending[n].Seq <= seq {
+		n++
+	}
+	bd.pending = bd.pending[n:]
 }

@@ -2,6 +2,7 @@ package blockchain
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -255,16 +256,6 @@ func TestGenesisIsStable(t *testing.T) {
 	}
 }
 
-func TestPendingEntriesIsCopy(t *testing.T) {
-	bd := NewBuilder(Genesis(), 5)
-	bd.Add(entry(1, "a"))
-	got := bd.PendingEntries()
-	got[0].Seq = 999
-	if bd.pending[0].Seq != 1 {
-		t.Error("PendingEntries exposed internal state")
-	}
-}
-
 // Fuzz-ish: Unmarshal must never panic on random bytes.
 func TestUnmarshalNoPanicOnGarbage(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -272,5 +263,100 @@ func TestUnmarshalNoPanicOnGarbage(t *testing.T) {
 		data := make([]byte, rng.Intn(300))
 		rng.Read(data)
 		_, _ = Unmarshal(data) // must not panic
+	}
+}
+
+// TestSealSlotRule pins the chain's sealing rule on a slot builder with a
+// checkpoint every 10 slots.
+func TestSealSlotRule(t *testing.T) {
+	bd := NewSlotBuilder(Genesis(), 10)
+	seal := func(seq uint64) []*Block {
+		t.Helper()
+		blocks, err := bd.SealSlot(seq)
+		if err != nil {
+			t.Fatalf("SealSlot(%d): %v", seq, err)
+		}
+		return blocks
+	}
+
+	// A batched slot: its records share one block and one seq.
+	for i := 0; i < 3; i++ {
+		bd.Add(entry(1, fmt.Sprintf("batched-%d", i)))
+	}
+	got := seal(1)
+	if len(got) != 1 || len(got[0].Entries) != 3 || got[0].FirstSeq != 1 || got[0].LastSeq != 1 {
+		t.Fatalf("batch slot sealed %d blocks, first %+v", len(got), got[0].Header)
+	}
+	if err := got[0].Validate(); err != nil || got[0].PrevHash != Genesis().Hash() {
+		t.Errorf("batch block invalid or unlinked: %v", err)
+	}
+
+	// Slot 2 logged nothing (every record a duplicate) and slot 3 was
+	// null: neither seals a block. Slot 4 gets its own.
+	if got := seal(2); len(got) != 0 {
+		t.Errorf("empty slot sealed %d blocks", len(got))
+	}
+	bd.Add(entry(4, "single"))
+	if got := seal(4); len(got) != 1 || got[0].Index != 2 || got[0].FirstSeq != 4 || got[0].LastSeq != 4 {
+		t.Fatalf("slot 4 sealed %+v", got)
+	}
+
+	// Checkpoint slot 10 logged nothing: an empty block ending at it.
+	got = seal(10)
+	if len(got) != 1 || len(got[0].Entries) != 0 || got[0].FirstSeq != 10 || got[0].LastSeq != 10 || got[0].Index != 3 {
+		t.Fatalf("empty checkpoint slot sealed %+v", got)
+	}
+	// Checkpoint slot 20 logged a record: its own block ends there, and no
+	// empty block follows.
+	bd.Add(entry(20, "at-checkpoint"))
+	if got := seal(20); len(got) != 1 || len(got[0].Entries) != 1 || got[0].LastSeq != 20 {
+		t.Fatalf("checkpoint slot with a record sealed %+v", got)
+	}
+
+	// A slot the chain already holds seals nothing and drops its entries.
+	bd.Add(entry(20, "again"))
+	if got := seal(20); len(got) != 0 || bd.Pending() != 0 {
+		t.Errorf("re-executed slot sealed %d blocks, %d entries pending", len(got), bd.Pending())
+	}
+}
+
+// TestSealSlotGap: execution that jumped past a checkpoint this builder
+// never sealed must not seal; once a state transfer re-anchors the
+// builder, the slots executed meanwhile seal one block each.
+func TestSealSlotGap(t *testing.T) {
+	bd := NewSlotBuilder(Genesis(), 10)
+	bd.Add(entry(21, "a"))
+	bd.Add(entry(21, "b"))
+	if blocks, err := bd.SealSlot(21); !errors.Is(err, ErrChainGap) || len(blocks) != 0 {
+		t.Fatalf("slot 21 on genesis: %d blocks, err %v", len(blocks), err)
+	}
+	bd.Add(entry(23, "c"))
+	if _, err := bd.SealSlot(23); !errors.Is(err, ErrChainGap) {
+		t.Fatalf("slot 23 on genesis: err %v", err)
+	}
+
+	// The transfer installs the chain through the checkpoint at 20.
+	transferred := NewSlotBuilder(Genesis(), 10)
+	var head *Block
+	for _, seq := range []uint64{10, 20} {
+		blocks, err := transferred.SealSlot(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head = blocks[len(blocks)-1]
+	}
+	bd.ResetTo(head)
+	bd.Add(entry(24, "d"))
+	blocks, err := bd.SealSlot(24)
+	if err != nil || len(blocks) != 3 {
+		t.Fatalf("catch-up sealed %d blocks, err %v", len(blocks), err)
+	}
+	for i, want := range []uint64{21, 23, 24} {
+		if b := blocks[i]; b.FirstSeq != want || b.LastSeq != want {
+			t.Errorf("block %d covers %d–%d, want slot %d", i, b.FirstSeq, b.LastSeq, want)
+		}
+	}
+	if err := VerifySegment(head.Header, blocks); err != nil {
+		t.Errorf("catch-up blocks do not extend the transferred head: %v", err)
 	}
 }

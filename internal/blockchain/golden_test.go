@@ -19,7 +19,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/encoding.golden 
 // payloads, and a recorder-sized block (ten 1 KB records) large enough to
 // outgrow any small initial buffer.
 func goldenBlocks() map[string]*Block {
-	empty := NewBuilder(Genesis(), 10).SealCheckpoint(10)
+	sealed, err := NewSlotBuilder(Genesis(), 10).SealSlot(10)
+	if err != nil || len(sealed) != 1 {
+		panic(fmt.Sprintf("empty checkpoint slot sealed %d blocks, err %v", len(sealed), err))
+	}
+	empty := sealed[0]
 
 	bd := NewBuilder(empty, 100)
 	for i := 0; i < 3; i++ {

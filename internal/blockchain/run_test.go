@@ -16,7 +16,7 @@ func testChain(n, size int, entry func(seq uint64) Entry) []*Block {
 	var chain []*Block
 	for seq := uint64(1); len(chain) < n; seq++ {
 		if len(chain)%5 == 4 {
-			chain = append(chain, bd.SealCheckpoint(seq))
+			chain = append(chain, bd.seal(nil, seq, seq))
 			continue
 		}
 		if b := bd.Add(entry(seq)); b != nil {
@@ -52,9 +52,10 @@ func TestRunRoundTrip(t *testing.T) {
 	}{
 		{"empty run", Genesis(), nil},
 		{"empty checkpoint blocks", Genesis(), func() []*Block {
-			bd := NewBuilder(Genesis(), 10)
-			a := bd.SealCheckpoint(10)
-			return []*Block{a, bd.SealCheckpoint(20)}
+			bd := NewSlotBuilder(Genesis(), 10)
+			a, _ := bd.SealSlot(10)
+			b, _ := bd.SealSlot(20)
+			return append(a, b...)
 		}()},
 		{"golden shapes", Genesis(), []*Block{golden["empty"], golden["batched"], golden["nilsig"], golden["large"]}},
 		{"shared-seq batches", Genesis(), batched},

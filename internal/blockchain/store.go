@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"zugchain/internal/metrics"
+	"zugchain/internal/wire"
 )
 
 // Store errors.
@@ -381,15 +382,22 @@ func (s *Store) commitGroup(group []*writeReq) error {
 // writeBlockFile persists one block atomically and durably: the temp file
 // is fsync'd before the rename, so the rename can never install a file
 // whose contents might still be lost to power failure. The directory fsync
-// that makes the rename itself durable is the group's, in commitGroup.
+// that makes the rename itself durable is the group's, in commitGroup. The
+// block is encoded into a pooled encoder, so a write allocates little
+// beyond its file path.
 func (s *Store) writeBlockFile(b *Block) error {
-	final := filepath.Join(s.dir, fmt.Sprintf("block-%08d.zc", b.Index))
-	tmp := final + ".tmp"
+	tmp := s.blockPath(b.Index, ".tmp")
+	final := tmp[:len(tmp)-len(".tmp")]
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("blockchain: write block %d: %w", b.Index, err)
 	}
-	if _, err := f.Write(b.Marshal()); err != nil {
+	e := wire.GetEncoder()
+	b.Header.encodeTo(e)
+	encodeEntries(e, b.Entries)
+	_, err = f.Write(e.Data())
+	wire.PutEncoder(e)
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("blockchain: write block %d: %w", b.Index, err)
 	}
@@ -404,6 +412,25 @@ func (s *Store) writeBlockFile(b *Block) error {
 		return fmt.Errorf("blockchain: commit block %d: %w", b.Index, err)
 	}
 	return nil
+}
+
+// blockPath returns the path of block index's file, block-%08d.zc, with
+// suffix appended, built in one allocation.
+func (s *Store) blockPath(index uint64, suffix string) string {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], index, 10)
+	var p strings.Builder
+	p.Grow(len(s.dir) + len("/block-.zc") + max(len(d), 8) + len(suffix))
+	p.WriteString(s.dir)
+	p.WriteByte(filepath.Separator)
+	p.WriteString("block-")
+	for i := len(d); i < 8; i++ {
+		p.WriteByte('0')
+	}
+	p.Write(d)
+	p.WriteString(".zc")
+	p.WriteString(suffix)
+	return p.String()
 }
 
 // syncDir fsyncs the store directory, making completed renames durable.
@@ -450,6 +477,36 @@ func (s *Store) Header(index uint64) (Header, error) {
 		return h, nil
 	}
 	return Header{}, fmt.Errorf("%w: %d", ErrNotFound, index)
+}
+
+// HeaderAtSeq returns the header of the last block whose LastSeq is at
+// most seq: the block a checkpoint at seq certifies. Compacted blocks
+// count; blocks below the pruning base are gone (ErrPruned).
+func (s *Store) HeaderAtSeq(seq uint64) (Header, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	lo, hi := s.base, s.head
+	if s.headerLocked(lo).LastSeq > seq {
+		return Header{}, fmt.Errorf("%w: seq %d below base %d", ErrPruned, seq, s.base)
+	}
+	// LastSeq grows with the index: find the last index at or below seq.
+	for lo < hi {
+		mid := lo + (hi-lo+1)/2
+		if s.headerLocked(mid).LastSeq <= seq {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return s.headerLocked(lo), nil
+}
+
+// headerLocked returns the header at a retained index in [base, head].
+func (s *Store) headerLocked(index uint64) Header {
+	if b, ok := s.blocks[index]; ok {
+		return b.Header
+	}
+	return s.headers[index]
 }
 
 // Head returns the highest block.
@@ -514,7 +571,7 @@ func (s *Store) Prune(keepFrom uint64, auth []byte) error {
 		delete(s.blocks, i)
 		delete(s.headers, i)
 		if s.dir != "" && i > 0 {
-			_ = os.Remove(filepath.Join(s.dir, fmt.Sprintf("block-%08d.zc", i)))
+			_ = os.Remove(s.blockPath(i, ""))
 		}
 	}
 	s.base = keepFrom
@@ -589,7 +646,7 @@ func (s *Store) CompactToHeaders(through uint64) error {
 		s.headers[i] = b.Header
 		delete(s.blocks, i)
 		if s.dir != "" {
-			_ = os.Remove(filepath.Join(s.dir, fmt.Sprintf("block-%08d.zc", i)))
+			_ = os.Remove(s.blockPath(i, ""))
 		}
 	}
 	return nil

@@ -14,26 +14,27 @@ type AblationRow struct {
 	Result testbed.Result
 }
 
-// AblationBlockSize sweeps the block/checkpoint size: smaller blocks mean
-// more frequent checkpoints (earlier export eligibility, §III-C argues for
-// a checkpoint per block) at the cost of more checkpoint traffic; larger
-// blocks amortize signatures but delay exportability.
-func AblationBlockSize(opt Options) ([]AblationRow, error) {
-	sizes := []uint64{1, 5, 10, 20, 50}
-	rows := make([]AblationRow, 0, len(sizes))
-	for _, size := range sizes {
+// AblationCheckpointInterval sweeps the checkpoint interval K: blocks are
+// sealed per slot whatever K is, so a shorter interval means more
+// frequent checkpoints (earlier export eligibility) at the cost of more
+// checkpoint traffic, and a longer one amortizes signatures but delays
+// exportability.
+func AblationCheckpointInterval(opt Options) ([]AblationRow, error) {
+	intervals := []uint64{1, 5, 10, 20, 50}
+	rows := make([]AblationRow, 0, len(intervals))
+	for _, k := range intervals {
 		res, err := testbed.Run(testbed.Scenario{
-			BusCycle:    64 * time.Millisecond,
-			PayloadSize: 1024,
-			Cycles:      opt.Cycles,
-			TimeScale:   opt.TimeScale,
-			Seed:        opt.Seed,
-			BlockSize:   size,
+			BusCycle:           64 * time.Millisecond,
+			PayloadSize:        1024,
+			Cycles:             opt.Cycles,
+			TimeScale:          opt.TimeScale,
+			Seed:               opt.Seed,
+			CheckpointInterval: k,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("block size %d: %w", size, err)
+			return nil, fmt.Errorf("checkpoint interval %d: %w", k, err)
 		}
-		rows = append(rows, AblationRow{Label: fmt.Sprintf("block=%d", size), Result: *res})
+		rows = append(rows, AblationRow{Label: fmt.Sprintf("ckpt=%d", k), Result: *res})
 	}
 	return rows, nil
 }

@@ -121,7 +121,7 @@ func runTableIIPoint(count int, opt TableIIOptions) (*TableIIRow, error) {
 	// One stable checkpoint proof for the chain head, signed by 2f+1.
 	head := blocks[len(blocks)-1]
 	proof := pbft.CheckpointProof{
-		Seq:         head.Index * pbft.DefaultCheckpointInterval,
+		Seq:         head.LastSeq,
 		StateDigest: head.Hash(),
 	}
 	for _, id := range replicaIDs[:3] {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -28,9 +29,6 @@ type DataCenterConfig struct {
 	// CheckpointQuorum is the signature quorum for checkpoint proofs
 	// (2f+1 of the replica set).
 	CheckpointQuorum int
-	// CheckpointInterval maps checkpoint sequence numbers to block
-	// indices; must match the replica configuration.
-	CheckpointInterval uint64
 	// ReadTimeout bounds one read round.
 	ReadTimeout time.Duration
 	// Seed makes the full-block replica choice reproducible in tests.
@@ -44,9 +42,6 @@ func (c *DataCenterConfig) applyDefaults() {
 	if c.CheckpointQuorum == 0 {
 		c.CheckpointQuorum = 2*c.F + 1
 	}
-	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = pbft.DefaultCheckpointInterval
-	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 30 * time.Second
 	}
@@ -54,7 +49,8 @@ func (c *DataCenterConfig) applyDefaults() {
 
 // ReadResult is the outcome of one read round (steps ①–④ of Fig 4).
 type ReadResult struct {
-	// BlockIndex is the newest block index proven by the best checkpoint.
+	// BlockIndex is the index of the block the best checkpoint certifies,
+	// taken from the archived block whose hash the proof carries.
 	BlockIndex uint64
 	// BlockHash is that block's hash from the checkpoint proof.
 	BlockHash crypto.Digest
@@ -268,22 +264,18 @@ func (dc *DataCenter) readRoundOnce(ctx context.Context) (*ReadResult, error) {
 
 	// Step ④: select the newest checkpoint with a valid 2f+1 proof —
 	// replies bypass consensus and may be mutually stale (§III-D step ②).
+	// Newest is by the certified sequence number: a reply's BlockIndex is
+	// the replica's unsigned claim, and nothing here relies on it.
 	verifyStart := time.Now()
 	var best, sourceProof *ReadReply
 	for _, rep := range replies {
-		if rep.BlockIndex == 0 {
+		if rep.Ckpt.Seq == 0 || rep.Ckpt.Verify(dc.reg, dc.cfg.CheckpointQuorum) != nil {
 			continue
-		}
-		if rep.Ckpt.Verify(dc.reg, dc.cfg.CheckpointQuorum) != nil {
-			continue
-		}
-		if rep.Ckpt.Seq/dc.cfg.CheckpointInterval != rep.BlockIndex {
-			continue // checkpoint does not cover the claimed block
 		}
 		if rep == source {
 			sourceProof = rep
 		}
-		if best == nil || rep.BlockIndex > best.BlockIndex {
+		if best == nil || rep.Ckpt.Seq > best.Ckpt.Seq {
 			best = rep
 		}
 	}
@@ -302,7 +294,6 @@ func (dc *DataCenter) readRoundOnce(ctx context.Context) (*ReadResult, error) {
 	}
 
 	result := &ReadResult{
-		BlockIndex:     best.BlockIndex,
 		BlockHash:      best.Ckpt.StateDigest,
 		Proof:          best.Ckpt,
 		NewBlocks:      newBlocks,
@@ -310,13 +301,15 @@ func (dc *DataCenter) readRoundOnce(ctx context.Context) (*ReadResult, error) {
 		ReadDuration:   readDur,
 		VerifyDuration: time.Since(verifyStart),
 	}
-	// All blocks up to the proven index must now be present (§III-D
+	// All blocks up to the certified one must now be present (§III-D
 	// guarantee (ii)); otherwise the caller must run a second round.
-	if dc.archive.HeadIndex() < best.BlockIndex {
+	h, err := dc.archive.HeaderAtSeq(best.Ckpt.Seq)
+	if err != nil || h.Hash() != best.Ckpt.StateDigest {
 		return result, fmt.Errorf("export: %w", errMissingBlocks{
-			have: dc.archive.HeadIndex(), want: best.BlockIndex,
+			have: dc.archive.Head().LastSeq, want: best.Ckpt.Seq,
 		})
 	}
+	result.BlockIndex = h.Index
 	return result, nil
 }
 
@@ -331,32 +324,35 @@ func (dc *DataCenter) abandonRound(r *readRound) int {
 	return len(r.replies)
 }
 
+// errMissingBlocks reports the archive short of the certified block, in
+// sequence numbers: the archive head's LastSeq and the checkpoint's seq.
 type errMissingBlocks struct{ have, want uint64 }
 
 func (e errMissingBlocks) Error() string {
-	return fmt.Sprintf("blocks missing after read: have %d, checkpoint covers %d", e.have, e.want)
+	return fmt.Sprintf("blocks missing after read: archive through seq %d, checkpoint at seq %d", e.have, e.want)
 }
 
 // installBlocks appends to the archive the longest prefix of run that
 // starts at the archive head + 1 and ends at a block whose hash one of the
-// verified checkpoints in certs (nil ones skipped) certifies. The receiver derived the run's
-// headers itself, so the certified hash at the prefix's end is what vouches
-// for its content — through the hash chain, for every block before it too.
-// A run that never reaches a certified block installs nothing, and the read
-// falls through to a round with another source. The prefix goes to the
-// archive as one batch, which validates each block and its linkage to the
-// head.
+// verified checkpoints in certs (nil ones skipped) certifies: the last
+// block of the run with LastSeq at most the checkpoint's seq. The receiver
+// derived the run's headers itself, so the certified hash at the prefix's
+// end is what vouches for its content — through the hash chain, for every
+// block before it too. A run that never reaches a certified block installs
+// nothing, and the read falls through to a round with another source. The
+// prefix goes to the archive as one batch, which validates each block and
+// its linkage to the head.
 func (dc *DataCenter) installBlocks(run []*blockchain.Block, certs ...*ReadReply) (int, error) {
 	if len(run) == 0 || run[0].Index != dc.archive.HeadIndex()+1 {
 		return 0, nil
 	}
-	first := run[0].Index
 	end := 0
 	for _, c := range certs {
-		if c == nil || c.BlockIndex < first || c.BlockIndex-first >= uint64(len(run)) {
+		if c == nil {
 			continue
 		}
-		if i := int(c.BlockIndex - first); i >= end && run[i].Hash() == c.Ckpt.StateDigest {
+		i := sort.Search(len(run), func(i int) bool { return run[i].LastSeq > c.Ckpt.Seq }) - 1
+		if i >= end && run[i].Hash() == c.Ckpt.StateDigest {
 			end = i + 1
 		}
 	}

@@ -66,10 +66,9 @@ func newFixture(t *testing.T, nDCs int, deleteQuorum int) *fixture {
 		}
 		fx.stores[id] = store
 		fx.servers[id] = NewServer(ServerConfig{
-			ID:                 id,
-			CheckpointInterval: testInterval,
-			DeleteQuorum:       deleteQuorum,
-			DataCenters:        dcIDs,
+			ID:           id,
+			DeleteQuorum: deleteQuorum,
+			DataCenters:  dcIDs,
 		}, fx.kps[id], fx.reg, store, fx.net.Endpoint(id))
 	}
 	for _, id := range dcIDs {
@@ -78,10 +77,9 @@ func newFixture(t *testing.T, nDCs int, deleteQuorum int) *fixture {
 			t.Fatal(err)
 		}
 		fx.dcs = append(fx.dcs, NewDataCenter(DataCenterConfig{
-			ID:                 id,
-			Replicas:           fx.replicas,
-			CheckpointInterval: testInterval,
-			ReadTimeout:        5 * time.Second,
+			ID:          id,
+			Replicas:    fx.replicas,
+			ReadTimeout: 5 * time.Second,
 		}, fx.kps[id], fx.reg, archive, fx.net.Endpoint(id)))
 	}
 	return fx
@@ -608,5 +606,74 @@ func TestStaleSourceInstallsItsCertifiedPrefix(t *testing.T) {
 	}
 	if _, err := dc.Read(context.Background()); err != nil || dc.LastExported() != 3 {
 		t.Errorf("next read: %v, archive head %d, want 3", err, dc.LastExported())
+	}
+}
+
+// lyingIndex is a Byzantine replica's transport: every ReadReply it sends
+// names index as its BlockIndex, correctly re-signed, while the checkpoint
+// proof and the blocks stay honest.
+type lyingIndex struct {
+	transport.Transport
+	kp    *crypto.KeyPair
+	index uint64
+}
+
+func (l *lyingIndex) Send(to crypto.NodeID, data []byte) error {
+	if msg, err := wire.Unmarshal(data); err == nil {
+		if rr, ok := msg.(*ReadReply); ok {
+			rr.BlockIndex = l.index
+			signMsg(rr, l.kp)
+			data = wire.Marshal(rr)
+		}
+	}
+	return l.Transport.Send(to, data)
+}
+
+// TestByzantineReplyWrongIndex: replica 0 alone offers the newest stable
+// checkpoint, and is the block source, but its replies claim a false
+// BlockIndex. The data center must take the index from the archived block
+// whose hash the proof certifies, never from the claim: the export round
+// reads, deletes and prunes through the true index.
+func TestByzantineReplyWrongIndex(t *testing.T) {
+	for _, lie := range []uint64{1, 7} {
+		t.Run(fmt.Sprintf("claims %d", lie), func(t *testing.T) {
+			fx := newFixture(t, 1, 1)
+			fx.servers[0] = NewServer(ServerConfig{
+				ID:           0,
+				DeleteQuorum: 1,
+				DataCenters:  []crypto.NodeID{crypto.DataCenterIDBase},
+			}, fx.kps[0], fx.reg, fx.stores[0], &lyingIndex{Transport: fx.net.Endpoint(0), kp: fx.kps[0], index: lie})
+			fx.addBlocks(2)
+			block := nextBlock(fx.stores[1].Head())
+			for _, id := range fx.replicas {
+				if err := fx.stores[id].Append(mustClone(t, block)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fx.servers[0].OnStableCheckpoint(fx.checkpointFor(block))
+
+			dc := fx.dcs[0]
+			fx.askFirst(dc, 0)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			report, err := (&Group{DCs: fx.dcs}).ExportRound(ctx)
+			if err != nil {
+				t.Fatalf("ExportRound: %v", err)
+			}
+			if report.BlockIndex != 3 || dc.LastExported() != 3 {
+				t.Fatalf("exported through %d, archive head %d, want the certified block 3", report.BlockIndex, dc.LastExported())
+			}
+			if dc.Archive().Head().Hash() != block.Hash() {
+				t.Error("archive head is not the certified block")
+			}
+			if err := dc.WaitDeleteAcks(ctx, 3, len(fx.replicas)); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range fx.replicas {
+				if base := fx.stores[id].Base(); base != 3 {
+					t.Errorf("replica %d pruned to %d, want 3", id, base)
+				}
+			}
+		})
 	}
 }

@@ -14,10 +14,6 @@ import (
 type ServerConfig struct {
 	// ID is the local replica.
 	ID crypto.NodeID
-	// CheckpointInterval maps checkpoint sequence numbers to block
-	// indices (block index = seq / interval). Must match the PBFT
-	// configuration.
-	CheckpointInterval uint64
 	// DeleteQuorum is the number of distinct data-center deletes required
 	// before blocks are pruned ("a certain, configurable number", §III-D
 	// step 6).
@@ -40,7 +36,10 @@ type Server struct {
 
 	mu          sync.Mutex
 	latestProof pbft.CheckpointProof
-	latestIndex uint64 // block index covered by latestProof
+	latestIndex uint64 // index of the block latestProof certifies
+	// newest is the newest stable checkpoint; it becomes latestProof once
+	// this replica has sealed the block it certifies.
+	newest pbft.CheckpointProof
 	// deletes collects signed deletes per block index per data center.
 	deletes map[uint64]map[crypto.NodeID]Delete
 	// pending parks deletes whose block does not exist yet (error (i)).
@@ -54,9 +53,6 @@ type Server struct {
 // NewServer creates an export server and installs it as the transport
 // handler for the export channel.
 func NewServer(cfg ServerConfig, kp *crypto.KeyPair, reg *crypto.Registry, store *blockchain.Store, tr transport.Transport) *Server {
-	if cfg.CheckpointInterval == 0 {
-		cfg.CheckpointInterval = pbft.DefaultCheckpointInterval
-	}
 	if cfg.DeleteQuorum <= 0 {
 		cfg.DeleteQuorum = 1
 	}
@@ -73,13 +69,16 @@ func NewServer(cfg ServerConfig, kp *crypto.KeyPair, reg *crypto.Registry, store
 }
 
 // OnStableCheckpoint feeds a newly stable PBFT checkpoint into the export
-// state. The node calls it from the PBFT application callback.
+// state. The node calls it from the PBFT application callback. The proof
+// certifies the last block whose LastSeq is at most proof.Seq; a replica
+// that has not sealed that block yet resolves the proof on a later call or
+// read.
 func (s *Server) OnStableCheckpoint(proof pbft.CheckpointProof) {
 	s.mu.Lock()
-	if proof.Seq > s.latestProof.Seq {
-		s.latestProof = proof
-		s.latestIndex = proof.Seq / s.cfg.CheckpointInterval
+	if proof.Seq > s.newest.Seq {
+		s.newest = proof
 	}
+	s.resolveLocked()
 	pending := s.pending
 	s.pending = nil
 	s.mu.Unlock()
@@ -89,11 +88,33 @@ func (s *Server) OnStableCheckpoint(proof pbft.CheckpointProof) {
 	}
 }
 
+// resolveLocked promotes the newest stable checkpoint to the exportable one
+// once the block it certifies is in the local chain: the last block with
+// LastSeq ≤ Seq, whose hash must be the checkpoint's state digest. A block
+// with another hash means this replica's chain diverged from the quorum's,
+// and it exports nothing under that proof.
+func (s *Server) resolveLocked() {
+	p := s.newest
+	if p.Seq <= s.latestProof.Seq {
+		return
+	}
+	h, err := s.store.HeaderAtSeq(p.Seq)
+	if err != nil {
+		return
+	}
+	if h.Hash() == p.StateDigest {
+		s.latestProof, s.latestIndex = p, h.Index
+	} else if s.store.Head().LastSeq >= p.Seq {
+		s.newest = s.latestProof // diverged: the block will not come
+	}
+}
+
 // LatestExportable returns the newest block index backed by a stable
 // checkpoint.
 func (s *Server) LatestExportable() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.resolveLocked()
 	return s.latestIndex
 }
 
@@ -145,6 +166,7 @@ func (s *Server) RequestStateTransfer(peer crypto.NodeID, fromIndex uint64) {
 // handleRead implements step ② of Fig 4.
 func (s *Server) handleRead(req *ReadRequest) {
 	s.mu.Lock()
+	s.resolveLocked()
 	proof := s.latestProof
 	index := s.latestIndex
 	s.mu.Unlock()

@@ -17,14 +17,15 @@ func TestClusterBatchingIdenticalChains(t *testing.T) {
 		cfg.MaxBatch = 8
 		cfg.MaxBatchDelay = 2 * time.Millisecond
 	}, nil)
-	c.tickUntilBlocks(3, 30*time.Second)
+	c.tickUntilSeq(30, 30*time.Second)
+	height := minHeight(c.nodes)
 
 	for i, n := range c.nodes {
 		if err := n.Store().VerifyChain(); err != nil {
 			t.Errorf("node %d chain: %v", i, err)
 		}
 	}
-	c.assertChainsAgree(3)
+	c.assertChainsAgree(height)
 
 	// The batching stage actually engaged on whichever node was primary.
 	flushes := uint64(0)
@@ -37,7 +38,7 @@ func TestClusterBatchingIdenticalChains(t *testing.T) {
 
 	// Exactly-once per record, even through batched agreement slots.
 	seen := make(map[uint64]int)
-	blocks, err := c.nodes[0].Store().Range(1, 3)
+	blocks, err := c.nodes[0].Store().Range(1, height)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +104,8 @@ func TestClusterByzantinePrimaryBatchDuplicate(t *testing.T) {
 
 	// The suspicion triggers a view change; the cluster keeps ordering bus
 	// traffic under the new primary.
-	c.tickUntilBlocks(2, 60*time.Second)
-	c.assertChainsAgree(2)
+	c.tickUntilSeq(20, 60*time.Second)
+	c.assertChainsAgree(minHeight(c.nodes))
 
 	// The Byzantine payloads appear exactly once on every chain.
 	for i, n := range c.nodes {

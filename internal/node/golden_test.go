@@ -45,10 +45,10 @@ func normalizeExposition(text string) string {
 // an intended change.
 func TestMetricsExpositionGolden(t *testing.T) {
 	c := newCluster(t, func(cfg *Config) {
-		cfg.BlockSize = 5
+		cfg.CheckpointInterval = 5
 		cfg.DataDir = filepath.Join(t.TempDir(), string(rune('a'+cfg.ID)))
 	}, nil)
-	c.tickUntilBlocks(2, 30*time.Second)
+	c.tickUntilSeq(10, 30*time.Second)
 
 	var buf bytes.Buffer
 	c.nodes[0].Obs().Registry.WritePrometheus(&buf)

@@ -1,13 +1,15 @@
 // Package node assembles a complete ZugChain replica: the MVB reader feeds
 // parsed, filtered signal records into the communication layer (Algorithm
-// 1), which orders them through PBFT; decided requests are bundled into the
-// blockchain, every block is checkpointed, and the export server serves
-// data centers and state transfers — the full pipeline of Fig 3.
+// 1), which orders them through PBFT; every executed slot that logs a
+// request is sealed into its own block, a checkpoint every K slots certifies
+// the chain, and the export server serves data centers and state transfers
+// — the full pipeline of Fig 3.
 package node
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -45,9 +47,9 @@ type Config struct {
 	ID crypto.NodeID
 	// Replicas lists all replica IDs in ascending order.
 	Replicas []crypto.NodeID
-	// BlockSize is the number of ordered requests per block and
-	// checkpoint (the paper evaluates with 10).
-	BlockSize uint64
+	// CheckpointInterval is the number of agreement slots per checkpoint
+	// (the paper evaluates with 10). Blocks are sealed per slot.
+	CheckpointInterval uint64
 	// DataDir, when set, persists the blockchain to disk.
 	DataDir string
 	// SoftTimeout/HardTimeout drive Algorithm 1 (250 ms each in §V).
@@ -118,8 +120,8 @@ func (c *Config) walDir() string {
 }
 
 func (c *Config) applyDefaults() {
-	if c.BlockSize == 0 {
-		c.BlockSize = pbft.DefaultCheckpointInterval
+	if c.CheckpointInterval == 0 {
+		c.CheckpointInterval = pbft.DefaultCheckpointInterval
 	}
 	if c.SoftTimeout <= 0 {
 		c.SoftTimeout = 250 * time.Millisecond
@@ -165,8 +167,8 @@ type Node struct {
 	builder *blockchain.Builder
 
 	// State-transfer retry machinery (see fetchLoop): fetchTarget is the
-	// block index the chain must reach; fetchActive whether a retry loop
-	// is running.
+	// sequence number the chain head's LastSeq must reach; fetchActive
+	// whether a retry loop is running.
 	fetchMu     sync.Mutex
 	fetchTarget uint64
 	fetchActive bool
@@ -216,7 +218,7 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 		}),
 	}
 	n.recovery.StoreReport = store.Recovery()
-	n.builder = blockchain.NewBuilder(store.Head(), 1<<30 /* seal at checkpoints, not by count */)
+	n.builder = blockchain.NewSlotBuilder(store.Head(), cfg.CheckpointInterval)
 
 	var walRecs []wal.Record
 	if dir := cfg.walDir(); dir != "" {
@@ -235,7 +237,7 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 	engine, err := pbft.NewEngine(pbft.Config{
 		ID:                 cfg.ID,
 		Replicas:           cfg.Replicas,
-		CheckpointInterval: cfg.BlockSize,
+		CheckpointInterval: cfg.CheckpointInterval,
 	}, kp, reg)
 	if err != nil {
 		if n.wlog != nil {
@@ -281,10 +283,9 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 	}
 
 	n.srv = export.NewServer(export.ServerConfig{
-		ID:                 cfg.ID,
-		CheckpointInterval: cfg.BlockSize,
-		DeleteQuorum:       cfg.DeleteQuorum,
-		DataCenters:        cfg.DataCenters,
+		ID:           cfg.ID,
+		DeleteQuorum: cfg.DeleteQuorum,
+		DataCenters:  cfg.DataCenters,
 	}, kp, reg, store, exportChan)
 	n.srv.SetStateReplyHandler(n.onStateReply)
 
@@ -320,20 +321,23 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 // that rejoins via the existing transfer path.
 func (n *Node) Start() {
 	n.runner.Start()
-	if t := n.recovery.PendingTransfer; t > n.store.HeadIndex() {
+	if t := n.recovery.PendingTransfer; t > n.store.Head().LastSeq {
 		n.ensureStateFetch(t)
 	}
 }
 
-// Stop shuts down the node. The verify pool closes last: in-flight
+// Stop shuts down the node. The runner stops before the layer closes: a
+// slot executed after the layer closed would log none of its records yet
+// still seal its block, and that durable block would diverge from the
+// quorum's chain after a restart. The verify pool closes last: in-flight
 // verification tasks may still try to enqueue into the runner or layer,
 // whose closed-checks make that a safe no-op. The store and WAL close after
 // the bus drains, once nothing can append anymore.
 func (n *Node) Stop() {
 	n.stopped.Do(func() {
 		close(n.quit)
-		n.layer.Close()
 		n.runner.Stop()
+		n.layer.Close()
 		n.pool.Close()
 		n.busWG.Wait()
 		if n.wlog != nil {
@@ -424,7 +428,7 @@ func (n *Node) ProposeCompaction(through uint64) {
 }
 
 // chainRecorder adapts the node to core.Recorder: the LOG up-call of
-// Table I appends the decided request to the pending block.
+// Table I appends the decided request to its slot's pending block.
 type chainRecorder Node
 
 // Log implements core.Recorder.
@@ -463,67 +467,64 @@ func parseCompaction(payload []byte) (uint64, bool) {
 type pbftApp Node
 
 // Deliver implements pbft.Application: hand the DECIDE to the layer, which
-// filters duplicates before logging.
+// filters duplicates before logging, then seal the slot's block. The block
+// is final once durable on a quorum: it holds only committed slots.
 func (a *pbftApp) Deliver(seq uint64, req pbft.Request) {
-	(*Node)(a).layer.OnDecide(seq, req)
+	n := (*Node)(a)
+	n.layer.OnDecide(seq, req)
+	if err := n.sealSlot(seq); errors.Is(err, blockchain.ErrChainGap) {
+		n.ensureStateFetch(seq)
+	}
 }
 
-// CheckpointDigest implements pbft.Application: seal the block for this
-// checkpoint and persist it; its hash is the checkpoint state digest.
+// CheckpointDigest implements pbft.Application: the checkpoint digest is
+// the hash of the block ending at seq — the slot's own block, or the empty
+// block a checkpoint slot that logged nothing seals.
 func (a *pbftApp) CheckpointDigest(seq uint64) crypto.Digest {
 	n := (*Node)(a)
-	// A state transfer may have installed this checkpoint's block already
-	// (local execution racing the transferred run): sealing again would mint
-	// a block at the wrong index. One block per checkpoint since genesis,
-	// so the checkpoint's block index is seq over the block size.
-	idx := seq / n.cfg.BlockSize
-	if idx <= n.store.HeadIndex() {
-		if b, err := n.store.Get(idx); err == nil {
-			head := n.store.Head()
-			n.mu.Lock()
-			if n.builder.NextIndex() <= head.Header.Index {
-				retained := n.builder.PendingEntries()
-				n.builder.ResetTo(head)
-				for _, e := range retained {
-					if e.Seq > head.Header.LastSeq {
-						n.builder.Add(e)
-					}
-				}
-			}
-			n.mu.Unlock()
-			return b.Hash()
-		}
-	}
-	n.mu.Lock()
-	if n.builder.NextIndex() < idx {
+	err := n.sealSlot(seq)
+	if errors.Is(err, blockchain.ErrChainGap) {
 		// The executed watermark jumped past slots this replica never
 		// delivered (stable-checkpoint catch-up) and the transfer filling
-		// the gap has not landed: sealing now would mint this block at the
-		// wrong index and silently fork the chain. Keep the entries pending,
-		// report a divergent digest, and let the checkpoint exchange drive
-		// state transfer until the chain catches a boundary again.
-		n.mu.Unlock()
-		n.ensureStateFetch(idx)
-		// The divergent digest mixes in this replica's ID: correlated
-		// lagging (e.g. simultaneous crash-restarts) must not let 2f+1
-		// matching gap digests certify a stable checkpoint on a phantom
-		// state that corresponds to no block.
+		// the gap has not landed: the slot's entries stay pending, and the
+		// checkpoint exchange drives state transfer until the chain
+		// catches up. The divergent digest mixes in this replica's ID:
+		// correlated lagging (e.g. simultaneous crash-restarts) must not
+		// let 2f+1 matching gap digests certify a stable checkpoint on a
+		// phantom state that corresponds to no block.
+		n.ensureStateFetch(seq)
 		return crypto.Hash([]byte(fmt.Sprintf("gap-%d-%d", seq, n.cfg.ID)))
 	}
-	block := n.builder.SealCheckpoint(seq)
-	n.mu.Unlock()
-	if err := n.store.Append(block); err == nil {
-		// The block is durable: stamp fsync on every completed trace at or
-		// below this checkpoint's sequence.
-		n.obs.Tracer.Fsync(seq)
-	} else {
-		// Appending a locally built block to the local head can only
-		// fail after state corruption; the checkpoint exchange will
-		// detect the divergence (StateTransferNeeded follows). Per-replica
-		// digest for the same reason as the gap case above.
-		return crypto.Hash([]byte(fmt.Sprintf("corrupt-%d-%d", seq, n.cfg.ID)))
+	if err == nil {
+		// A state transfer may have installed the block before local
+		// execution got here, so look it up in the chain.
+		if h, err := n.store.HeaderAtSeq(seq); err == nil && h.LastSeq == seq {
+			return h.Hash()
+		}
 	}
-	return block.Hash()
+	// Appending a locally built block to the local head can only fail
+	// after state corruption; the checkpoint exchange will detect the
+	// divergence (StateTransferNeeded follows). Per-replica digest for the
+	// same reason as the gap case above.
+	return crypto.Hash([]byte(fmt.Sprintf("corrupt-%d-%d", seq, n.cfg.ID)))
+}
+
+// sealSlot seals the blocks executing slot seq completes and appends them
+// to the store; see blockchain.Builder.SealSlot.
+func (n *Node) sealSlot(seq uint64) error {
+	n.mu.Lock()
+	blocks, err := n.builder.SealSlot(seq)
+	n.mu.Unlock()
+	if err != nil || len(blocks) == 0 {
+		return err
+	}
+	if err := n.store.AppendBatch(blocks); err != nil {
+		return err
+	}
+	// The blocks are durable: stamp fsync on every completed trace at or
+	// below this slot.
+	n.obs.Tracer.Fsync(seq)
+	return nil
 }
 
 // OnPrePrepared implements pbft.PrePrepareObserver: relay the primary's
@@ -561,12 +562,11 @@ func (a *pbftApp) NewPrimary(view uint64, primary crypto.NodeID) {
 // one frame were lost.
 func (a *pbftApp) StateTransferNeeded(seq uint64, digest crypto.Digest) {
 	n := (*Node)(a)
-	target := n.targetBlockIndex(seq)
 	n.obs.Journal.Record(obsv.Event{
 		Kind: obsv.EventStateTransferNeeded, Seq: seq, Node: n.cfg.ID,
-		Detail: fmt.Sprintf("target-block=%d head=%d", target, n.store.HeadIndex()),
+		Detail: fmt.Sprintf("head=%d head-seq=%d", n.store.HeadIndex(), n.store.Head().LastSeq),
 	})
-	n.ensureStateFetch(target)
+	n.ensureStateFetch(seq)
 	_ = digest // the installed blocks are verified by hash linkage
 }
 
@@ -594,19 +594,16 @@ func (n *Node) onStateReply(reply *export.StateReply) {
 	})
 
 	// The transfer runs while consensus keeps deciding: slots beyond the
-	// transferred range may already sit in the builder and must survive the
-	// rebase, and the installed entries must enter the dedup window — they
-	// were logged by the quorum, so deciding their payloads again (e.g. a
-	// hard-timeout rebroadcast racing the transfer) must filter, not
-	// double-LOG.
+	// transferred range may already sit in the builder and survive the
+	// rebase (ResetTo keeps them pending), and the installed entries must
+	// enter the dedup window — they were logged by the quorum, so deciding
+	// their payloads again (e.g. a hard-timeout rebroadcast racing the
+	// transfer) must filter, not double-LOG. A builder that sealed past the
+	// transferred head stays where it is.
 	head := n.store.Head()
 	n.mu.Lock()
-	retained := n.builder.PendingEntries()
-	n.builder.ResetTo(head)
-	for _, e := range retained {
-		if e.Seq > head.Header.LastSeq {
-			n.builder.Add(e)
-		}
+	if head.Index >= n.builder.NextIndex() {
+		n.builder.ResetTo(head)
 	}
 	n.mu.Unlock()
 

@@ -10,6 +10,7 @@ import (
 	"zugchain/internal/crypto"
 	"zugchain/internal/export"
 	"zugchain/internal/mvb"
+	"zugchain/internal/pbft"
 	"zugchain/internal/signal"
 	"zugchain/internal/transport"
 )
@@ -52,7 +53,7 @@ func newCluster(t *testing.T, tweak func(*Config), faults []mvb.FaultConfig) *cl
 	// can take longer than these production-scale timeouts, and a cluster
 	// whose view timeout fires faster than a view change completes livelocks
 	// in a view-change storm until the CPU frees up. Scale the timeouts like
-	// tickUntilBlocks scales its deadlines.
+	// tickUntilSeq scales its deadlines.
 	scale := time.Duration(1)
 	if raceEnabled {
 		scale = 5
@@ -92,9 +93,11 @@ func newCluster(t *testing.T, tweak func(*Config), faults []mvb.FaultConfig) *cl
 	return c
 }
 
-// tickUntilBlocks drives bus cycles until every node's chain reaches the
-// given height (or the deadline passes).
-func (c *cluster) tickUntilBlocks(height uint64, deadline time.Duration) {
+// tickUntilSeq drives bus cycles until every node's chain has sealed
+// through agreement slot seq — its head block's LastSeq reaches seq — or the
+// deadline passes. Blocks are sealed per slot, so a seq names how much was
+// ordered independently of how many slots logged nothing.
+func (c *cluster) tickUntilSeq(seq uint64, deadline time.Duration) {
 	c.t.Helper()
 	if raceEnabled {
 		deadline *= 3
@@ -103,21 +106,14 @@ func (c *cluster) tickUntilBlocks(height uint64, deadline time.Duration) {
 	for {
 		c.bus.Tick()
 		time.Sleep(5 * time.Millisecond)
-		done := true
-		for _, n := range c.nodes {
-			if n.Store().HeadIndex() < height {
-				done = false
-				break
-			}
-		}
-		if done {
+		if minSeq(c.nodes) >= seq {
 			return
 		}
 		if time.Now().After(end) {
 			for i, n := range c.nodes {
-				c.t.Logf("node %d: head=%d open=%d", i, n.Store().HeadIndex(), n.Layer().OpenRequests())
+				c.t.Logf("node %d: head=%d seq=%d open=%d", i, n.Store().HeadIndex(), n.Store().Head().LastSeq, n.Layer().OpenRequests())
 			}
-			c.t.Fatalf("chains did not reach height %d in %v", height, deadline)
+			c.t.Fatalf("chains did not reach seq %d in %v", seq, deadline)
 		}
 	}
 }
@@ -129,6 +125,15 @@ func minHeight(nodes []*Node) uint64 {
 		if h := n.Store().HeadIndex(); h < low {
 			low = h
 		}
+	}
+	return low
+}
+
+// minSeq returns the lowest chain head LastSeq across nodes.
+func minSeq(nodes []*Node) uint64 {
+	low := nodes[0].Store().Head().LastSeq
+	for _, n := range nodes[1:] {
+		low = min(low, n.Store().Head().LastSeq)
 	}
 	return low
 }
@@ -153,7 +158,8 @@ func (c *cluster) assertChainsAgree(height uint64) {
 
 func TestClusterEndToEndIdenticalChains(t *testing.T) {
 	c := newCluster(t, nil, nil)
-	c.tickUntilBlocks(3, 30*time.Second)
+	c.tickUntilSeq(30, 30*time.Second)
+	height := minHeight(c.nodes)
 
 	// All chains verify and agree block by block.
 	ref := c.nodes[0].Store()
@@ -162,7 +168,7 @@ func TestClusterEndToEndIdenticalChains(t *testing.T) {
 		if err := store.VerifyChain(); err != nil {
 			t.Errorf("node %d chain: %v", i, err)
 		}
-		for idx := uint64(1); idx <= 3; idx++ {
+		for idx := uint64(1); idx <= height; idx++ {
 			a, errA := ref.Get(idx)
 			b, errB := store.Get(idx)
 			if errA != nil || errB != nil {
@@ -177,7 +183,7 @@ func TestClusterEndToEndIdenticalChains(t *testing.T) {
 	// Duplicate filtering: each bus cycle must appear exactly once in the
 	// chain even though all four nodes read it.
 	seen := make(map[uint64]int)
-	blocks, err := ref.Range(1, 3)
+	blocks, err := ref.Range(1, height)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +211,7 @@ func TestClusterToleratesBusFaults(t *testing.T) {
 		{}, // one clean reader
 	}
 	c := newCluster(t, nil, faults)
-	c.tickUntilBlocks(2, 60*time.Second)
+	c.tickUntilSeq(20, 60*time.Second)
 
 	for i, n := range c.nodes {
 		if err := n.Store().VerifyChain(); err != nil {
@@ -215,7 +221,7 @@ func TestClusterToleratesBusFaults(t *testing.T) {
 	// Chains agree despite per-node bus faults.
 	a := c.nodes[0].Store()
 	b := c.nodes[3].Store()
-	for idx := uint64(1); idx <= 2; idx++ {
+	for idx := uint64(1); idx <= minHeight(c.nodes); idx++ {
 		ba, errA := a.Get(idx)
 		bb, errB := b.Get(idx)
 		if errA != nil || errB != nil {
@@ -247,7 +253,9 @@ func TestClusterExportAndPrune(t *testing.T) {
 		ReadTimeout: 5 * time.Second,
 	}, dcKP, c.reg, archive, dcMux.Channel(0x40, 0x4f))
 
-	c.tickUntilBlocks(3, 30*time.Second)
+	// Blocks become exportable once a checkpoint covering them is stable:
+	// order through three checkpoints.
+	c.tickUntilSeq(30, 30*time.Second)
 
 	group := &export.Group{DCs: []*export.DataCenter{dc}}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -279,7 +287,7 @@ func TestClusterExportAndPrune(t *testing.T) {
 
 func TestClusterCompactionAgreement(t *testing.T) {
 	c := newCluster(t, nil, nil)
-	c.tickUntilBlocks(3, 30*time.Second)
+	c.tickUntilSeq(30, 30*time.Second)
 
 	c.nodes[0].ProposeCompaction(2)
 	// The marker is ordered like any request and executed on every node.
@@ -357,7 +365,7 @@ func TestMultipleBusSources(t *testing.T) {
 	// signing throughput drops by an order of magnitude and a fast tick
 	// loop would outrun consensus.
 	end := time.Now().Add(60 * time.Second)
-	for minHeight(c.nodes) < 3 {
+	for minHeight(c.nodes) < 30 {
 		c.bus.Tick()
 		bus2.Tick()
 		time.Sleep(15 * time.Millisecond)
@@ -369,7 +377,7 @@ func TestMultipleBusSources(t *testing.T) {
 	// Both sources' data is present: source-0 and source-1 signal streams
 	// have different seeds, so their odometer values differ; just verify
 	// both cycles' record counts exceed what a single bus could produce.
-	blocks, err := c.nodes[0].Store().Range(1, 3)
+	blocks, err := c.nodes[0].Store().Range(1, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +400,7 @@ func TestMultipleBusSources(t *testing.T) {
 	if two == 0 {
 		t.Error("no cycle carries records from both buses")
 	}
-	c.assertChainsAgree(3)
+	c.assertChainsAgree(30)
 }
 
 // TestClusterOverTCP runs the full node pipeline over real TCP sockets.
@@ -458,7 +466,7 @@ func TestClusterOverTCP(t *testing.T) {
 	}()
 
 	end := time.Now().Add(60 * time.Second)
-	for nodes[0].Store().HeadIndex() < 2 || nodes[3].Store().HeadIndex() < 2 {
+	for nodes[0].Store().Head().LastSeq < 20 || nodes[3].Store().Head().LastSeq < 20 {
 		bus.Tick()
 		time.Sleep(5 * time.Millisecond)
 		if time.Now().After(end) {
@@ -467,9 +475,49 @@ func TestClusterOverTCP(t *testing.T) {
 				nodes[2].Store().HeadIndex(), nodes[3].Store().HeadIndex())
 		}
 	}
-	a, _ := nodes[0].Store().Get(2)
-	b, err := nodes[3].Store().Get(2)
+	height := min(nodes[0].Store().HeadIndex(), nodes[3].Store().HeadIndex())
+	a, _ := nodes[0].Store().Get(height)
+	b, err := nodes[3].Store().Get(height)
 	if err != nil || a.Hash() != b.Hash() {
 		t.Errorf("TCP cluster diverged: %v", err)
+	}
+}
+
+// TestClusterSealsPerSlot checks the chain shape: a block per executed slot
+// that logged a record, an empty block only at a checkpoint slot that
+// logged nothing, and at every stable checkpoint a block ending at its seq
+// whose hash is the checkpoint digest. The chains are identical.
+func TestClusterSealsPerSlot(t *testing.T) {
+	c := newCluster(t, nil, nil)
+	c.tickUntilSeq(30, 30*time.Second)
+	c.assertChainsAgree(minHeight(c.nodes))
+
+	for i, n := range c.nodes {
+		store := n.Store()
+		var prev uint64
+		for idx := uint64(1); idx <= store.HeadIndex(); idx++ {
+			b, err := store.Get(idx)
+			if err != nil {
+				t.Fatalf("node %d block %d: %v", i, idx, err)
+			}
+			if b.FirstSeq != b.LastSeq || b.LastSeq <= prev {
+				t.Errorf("node %d block %d covers slots %d–%d after slot %d, want one new slot", i, idx, b.FirstSeq, b.LastSeq, prev)
+			}
+			if len(b.Entries) == 0 && b.LastSeq%pbft.DefaultCheckpointInterval != 0 {
+				t.Errorf("node %d block %d is empty at non-checkpoint slot %d", i, idx, b.LastSeq)
+			}
+			prev = b.LastSeq
+		}
+
+		var proof pbft.CheckpointProof
+		n.Runner().Inspect(func(e *pbft.Engine) { proof = e.StableCheckpoint() })
+		if proof.Seq < pbft.DefaultCheckpointInterval {
+			t.Fatalf("node %d: no stable checkpoint after seq 30", i)
+		}
+		h, err := store.HeaderAtSeq(proof.Seq)
+		if err != nil || h.LastSeq != proof.Seq || h.Hash() != proof.StateDigest {
+			t.Errorf("node %d: stable checkpoint %d certifies %s, block ending there is %+v (%v)",
+				i, proof.Seq, proof.StateDigest.Short(), h, err)
+		}
 	}
 }

@@ -41,10 +41,10 @@ func TestNodeRegistersCounterFamilies(t *testing.T) {
 // plus the per-phase commit-latency histograms carry live values.
 func TestNodeMetricsEndToEnd(t *testing.T) {
 	c := newCluster(t, func(cfg *Config) {
-		cfg.BlockSize = 5
+		cfg.CheckpointInterval = 5
 		cfg.DataDir = t.TempDir() + "/" + string(rune('a'+cfg.ID))
 	}, nil)
-	c.tickUntilBlocks(2, 30*time.Second)
+	c.tickUntilSeq(10, 30*time.Second)
 
 	srv := httptest.NewServer(obsv.Handler(c.nodes[0].Obs()))
 	defer srv.Close()
@@ -113,7 +113,7 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 // fire and every replica receives and verifies their broadcasts.
 func TestNodeCountsLayerTraffic(t *testing.T) {
 	c := newCluster(t, nil, []mvb.FaultConfig{{DropRate: 1}, {}, {}, {}})
-	c.tickUntilBlocks(1, 30*time.Second)
+	c.tickUntilSeq(10, 30*time.Second)
 
 	for i, n := range c.nodes {
 		v := n.Obs().Registry.Values()
@@ -139,7 +139,7 @@ func TestNodeDisableTrace(t *testing.T) {
 	if n.Obs().Tracer != nil {
 		t.Fatal("DisableTrace node still built a tracer")
 	}
-	c.tickUntilBlocks(1, 30*time.Second)
+	c.tickUntilSeq(10, 30*time.Second)
 	srv := httptest.NewServer(obsv.Handler(n.Obs()))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")

@@ -28,8 +28,9 @@ type RecoveryInfo struct {
 	RestoredSeq uint64
 	// WindowRestored is the number of dedup-window entries reseeded.
 	WindowRestored int
-	// PendingTransfer, when nonzero, is the block index a quorum certified
-	// beyond the local chain; Start kicks the state-transfer fetcher at it.
+	// PendingTransfer, when nonzero, is the sequence number a quorum
+	// certified beyond the local chain; Start kicks the state-transfer
+	// fetcher until the chain head reaches it.
 	PendingTransfer uint64
 }
 
@@ -141,11 +142,13 @@ func (n *Node) restoreFromWAL(engine *pbft.Engine, recs []wal.Record) []core.Win
 		}
 	}
 
-	// Blocks are fsync'd before their checkpoint messages broadcast and
-	// SealCheckpoint stamps LastSeq, so the chain head marks the last
-	// durably executed sequence; the stable proof may certify further if
-	// the final append raced the crash. Nothing at or below the max is
-	// re-executed — its LOG effects are already on disk.
+	// Every executed slot that logs is sealed and fsync'd before the next
+	// slot executes, and every checkpoint slot seals a block ending at it,
+	// so the chain head's LastSeq marks the last durably executed slot that
+	// logged anything; the stable proof may certify further if the final
+	// append raced the crash. Nothing at or below the max is re-executed —
+	// its LOG effects are already on disk. The builder already sits on the
+	// store head, so sealing resumes per slot after it.
 	st.Executed = st.Stable.Seq
 	if headLastSeq > st.Executed {
 		st.Executed = headLastSeq
@@ -155,7 +158,7 @@ func (n *Node) restoreFromWAL(engine *pbft.Engine, recs []wal.Record) []core.Win
 	n.recovery.RestoredView = st.View
 	n.recovery.RestoredSeq = st.Executed
 	if st.Stable.Seq > headLastSeq {
-		n.recovery.PendingTransfer = n.targetBlockIndex(st.Stable.Seq)
+		n.recovery.PendingTransfer = st.Stable.Seq
 	}
 	n.obs.Journal.Record(obsv.Event{
 		Kind: obsv.EventRecovery, View: st.View, Seq: st.Executed, Node: n.cfg.ID,
@@ -257,29 +260,16 @@ func (n *Node) rotateWAL(proof pbft.CheckpointProof) {
 	}
 }
 
-// targetBlockIndex maps a PBFT sequence number to the block index whose
-// checkpoint covers it, relative to the local head.
-func (n *Node) targetBlockIndex(seq uint64) uint64 {
-	head := n.store.Head()
-	var headIdx, headLastSeq uint64
-	if head != nil {
-		headIdx, headLastSeq = head.Header.Index, head.Header.LastSeq
-	}
-	if seq <= headLastSeq {
-		return headIdx
-	}
-	return headIdx + (seq-headLastSeq+n.cfg.BlockSize-1)/n.cfg.BlockSize
-}
-
-// ensureStateFetch records that the chain must reach target and starts the
-// retrying fetcher if it is not already running. Safe from any goroutine.
+// ensureStateFetch records that the chain head's LastSeq must reach target
+// and starts the retrying fetcher if it is not already running. Safe from
+// any goroutine.
 func (n *Node) ensureStateFetch(target uint64) {
 	n.fetchMu.Lock()
 	defer n.fetchMu.Unlock()
 	if target > n.fetchTarget {
 		n.fetchTarget = target
 	}
-	if n.fetchActive || n.fetchTarget <= n.store.HeadIndex() {
+	if n.fetchActive || n.fetchTarget <= n.store.Head().LastSeq {
 		return
 	}
 	n.fetchActive = true
@@ -299,7 +289,7 @@ func (n *Node) fetchLoop() {
 	for {
 		n.fetchMu.Lock()
 		target := n.fetchTarget
-		if n.store.HeadIndex() >= target {
+		if n.store.Head().LastSeq >= target {
 			n.fetchActive = false
 			n.fetchMu.Unlock()
 			return

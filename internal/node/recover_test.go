@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"zugchain/internal/clock"
 	"zugchain/internal/crypto"
 	"zugchain/internal/mvb"
+	"zugchain/internal/obsv"
 	"zugchain/internal/pbft"
 	"zugchain/internal/signal"
 	"zugchain/internal/transport"
@@ -131,10 +133,12 @@ func (c *restartCluster) tickUntil(cond func() bool, deadline time.Duration, wha
 	}
 }
 
-func (c *restartCluster) allAtHeight(height uint64) func() bool {
+// allAtSeq reports whether every running node's chain has sealed through
+// agreement slot seq.
+func (c *restartCluster) allAtSeq(seq uint64) func() bool {
 	return func() bool {
 		for _, n := range c.nodes {
-			if n != nil && n.Store().HeadIndex() < height {
+			if n != nil && n.Store().Head().LastSeq < seq {
 				return false
 			}
 		}
@@ -165,7 +169,7 @@ func assertNoDuplicateLogs(t *testing.T, n *Node) {
 
 func TestNodeCrashRestartRecoversAndRejoins(t *testing.T) {
 	c := newRestartCluster(t)
-	c.tickUntil(c.allAtHeight(2), 30*time.Second, "initial height 2")
+	c.tickUntil(c.allAtSeq(20), 30*time.Second, "initial seq 20")
 
 	var preView uint64
 	c.nodes[3].Runner().Inspect(func(e *pbft.Engine) { preView, _, _ = e.ViewState() })
@@ -173,14 +177,7 @@ func TestNodeCrashRestartRecoversAndRejoins(t *testing.T) {
 	c.crash(3)
 
 	// The remaining three keep ordering: f=1 crash tolerated.
-	c.tickUntil(func() bool {
-		for _, n := range c.nodes[:3] {
-			if n.Store().HeadIndex() < 3 {
-				return false
-			}
-		}
-		return true
-	}, 30*time.Second, "post-crash height 3")
+	c.tickUntil(func() bool { return minSeq(c.nodes[:3]) >= 30 }, 30*time.Second, "post-crash seq 30")
 
 	n := c.start(3)
 	rec := n.Recovery()
@@ -197,12 +194,12 @@ func TestNodeCrashRestartRecoversAndRejoins(t *testing.T) {
 		t.Errorf("restored view %d below pre-crash view %d", rec.RestoredView, preView)
 	}
 
-	c.tickUntil(c.allAtHeight(4), 60*time.Second, "post-restart height 4")
+	c.tickUntil(c.allAtSeq(40), 60*time.Second, "post-restart seq 40")
 
 	// Chains agree over the common range, and the restarted replica never
 	// logged a payload twice.
 	ref := c.nodes[0].Store()
-	for idx := uint64(1); idx <= 4; idx++ {
+	for idx := uint64(1); idx <= min(ref.HeadIndex(), n.Store().HeadIndex()); idx++ {
 		a, errA := ref.Get(idx)
 		b, errB := n.Store().Get(idx)
 		if errA != nil || errB != nil {
@@ -225,7 +222,7 @@ func TestNodeCrashRestartRecoversAndRejoins(t *testing.T) {
 // sequences whose effects are already durable.
 func TestNodeRestartWithWipedWALRestoresFromChain(t *testing.T) {
 	c := newRestartCluster(t)
-	c.tickUntil(c.allAtHeight(2), 30*time.Second, "initial height 2")
+	c.tickUntil(c.allAtSeq(20), 30*time.Second, "initial seq 20")
 
 	c.crash(3)
 	if err := os.RemoveAll(filepath.Join(c.dirs[3], "wal")); err != nil {
@@ -244,7 +241,7 @@ func TestNodeRestartWithWipedWALRestoresFromChain(t *testing.T) {
 		t.Error("dedup window not reseeded from chain blocks")
 	}
 
-	c.tickUntil(c.allAtHeight(3), 60*time.Second, "post-restart height 3")
+	c.tickUntil(c.allAtSeq(30), 60*time.Second, "post-restart seq 30")
 	if err := n.Store().VerifyChain(); err != nil {
 		t.Errorf("restarted chain: %v", err)
 	}
@@ -284,30 +281,88 @@ func TestGapDigestIsPerReplica(t *testing.T) {
 	}
 }
 
-func TestTargetBlockIndex(t *testing.T) {
-	net := transport.NewNetwork()
-	defer net.Close()
-	n, err := New(Config{
-		ID:       0,
-		Replicas: []crypto.NodeID{0, 1, 2, 3},
-	}, crypto.MustGenerateKeyPair(0), crypto.NewRegistry(crypto.MustGenerateKeyPair(0)), net.Endpoint(0), clock.Real{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Stop()
+// TestRestartBetweenCheckpointsKeepsSealingPerSlot: a replica crashed
+// between two checkpoints restarts with its builder on its store head, not
+// on the last checkpoint block. It keeps sealing a block per slot itself,
+// not only installing state transfers, and every chain ends identical.
+func TestRestartBetweenCheckpointsKeepsSealingPerSlot(t *testing.T) {
+	c := newRestartCluster(t)
+	// Tick one record at a time and let the cluster settle, until every
+	// replica's chain ends at the same slot between two checkpoints.
+	var crashSeq uint64
+	c.tickUntil(func() bool {
+		time.Sleep(20 * time.Millisecond)
+		crashSeq = c.nodes[3].Store().Head().LastSeq
+		return crashSeq > 20 && crashSeq%pbft.DefaultCheckpointInterval != 0 && minSeq(c.nodes) == crashSeq &&
+			c.nodes[0].Store().Head().LastSeq == crashSeq
+	}, 30*time.Second, "all replicas at one slot between checkpoints past seq 20")
+	c.crash(3)
 
-	// Fresh node: head is genesis (index 0, LastSeq 0), BlockSize 10.
-	cases := []struct{ seq, want uint64 }{
-		{0, 0},
-		{1, 1},
-		{10, 1},
-		{11, 2},
-		{25, 3},
+	n := c.start(3)
+	restartHead := n.Store().HeadIndex()
+	if rec := n.Recovery(); rec.RestoredSeq != crashSeq {
+		t.Errorf("restored executed seq %d, want the chain head's %d", rec.RestoredSeq, crashSeq)
 	}
-	for _, tc := range cases {
-		if got := n.targetBlockIndex(tc.seq); got != tc.want {
-			t.Errorf("targetBlockIndex(%d) = %d, want %d", tc.seq, got, tc.want)
+	c.tickUntil(c.allAtSeq(crashSeq+30), 60*time.Second, "thirty slots after the restart")
+
+	transferred := 0
+	for _, e := range n.Obs().Journal.Events() {
+		var k int
+		if e.Kind == obsv.EventStateTransfer {
+			if _, err := fmt.Sscanf(e.Detail, "installed-blocks=%d", &k); err == nil {
+				transferred += k
+			}
+		}
+	}
+	if gained := int(n.Store().HeadIndex() - restartHead); gained <= transferred {
+		t.Errorf("restarted replica sealed no block itself: %d blocks since restart, %d transferred", gained, transferred)
+	}
+
+	nodes := c.nodes
+	height := minHeight(nodes)
+	ref := nodes[0].Store()
+	for idx := uint64(1); idx <= height; idx++ {
+		want, err := ref.Get(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.FirstSeq != want.LastSeq {
+			t.Errorf("block %d covers slots %d–%d, want one", idx, want.FirstSeq, want.LastSeq)
+		}
+		for i, other := range nodes[1:] {
+			if got, err := other.Store().Get(idx); err != nil || got.Hash() != want.Hash() {
+				t.Errorf("node %d block %d diverges: %v", i+1, idx, err)
+			}
+		}
+	}
+	if err := n.Store().VerifyChain(); err != nil {
+		t.Errorf("restarted chain: %v", err)
+	}
+	assertNoDuplicateLogs(t, n)
+}
+
+// TestStopMidStreamLeavesQuorumPrefix: a replica stopped while slots are
+// still being decided must leave on disk only blocks the quorum's chain
+// holds too. Each round stops replica 3 right after feeding the bus, with
+// slots in flight, restarts it, and compares its recovered chain with
+// replica 0's.
+func TestStopMidStreamLeavesQuorumPrefix(t *testing.T) {
+	c := newRestartCluster(t)
+	for round := 0; round < 8; round++ {
+		c.tickUntil(func() bool { return minSeq(c.nodes) >= uint64(round+1)*15 }, 30*time.Second, "progress before the stop")
+		for i := 0; i < 3; i++ {
+			c.bus.Tick()
+		}
+		c.crash(3)
+		n := c.start(3)
+		head := n.Store().HeadIndex()
+		c.tickUntil(func() bool { return c.nodes[0].Store().HeadIndex() >= head }, 30*time.Second, "replica 0 past the restarted head")
+		for idx := uint64(1); idx <= head; idx++ {
+			a, errA := c.nodes[0].Store().Get(idx)
+			b, errB := n.Store().Get(idx)
+			if errA != nil || errB != nil || a.Hash() != b.Hash() {
+				t.Fatalf("round %d: block %d of the stopped replica is not the quorum's (%v %v)", round, idx, errA, errB)
+			}
 		}
 	}
 }

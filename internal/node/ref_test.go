@@ -92,15 +92,15 @@ func assertEachCycleOnce(t *testing.T, n *Node, height uint64) {
 }
 
 // feedRecords hands every node the same recordSize-byte bus record once
-// per 5 ms, as if all of them read one bus, until every chain reaches
-// height. The primary (node 0) reads last, so its proposal cannot overtake
-// a backup's read however the goroutines are scheduled.
-func (c *cluster) feedRecords(recordSize int, height uint64, deadline time.Duration) {
+// per 5 ms, as if all of them read one bus, until every chain has sealed
+// through seq. The primary (node 0) reads last, so its proposal cannot
+// overtake a backup's read however the goroutines are scheduled.
+func (c *cluster) feedRecords(recordSize int, seq uint64, deadline time.Duration) {
 	c.t.Helper()
 	end := time.Now().Add(deadline)
-	for cycle := 0; minHeight(c.nodes) < height; cycle++ {
+	for cycle := 0; minSeq(c.nodes) < seq; cycle++ {
 		if time.Now().After(end) {
-			c.t.Fatalf("chains did not reach height %d in %v", height, deadline)
+			c.t.Fatalf("chains did not reach seq %d in %v", seq, deadline)
 		}
 		payload := make([]byte, recordSize)
 		binary.LittleEndian.PutUint64(payload, uint64(cycle))
@@ -123,9 +123,9 @@ func TestClusterProposalsByReference(t *testing.T) {
 	if raceEnabled {
 		deadline *= 3
 	}
-	c.feedRecords(1024, 3, deadline)
+	c.feedRecords(1024, 30, deadline)
 	assertViewZero(t, c.nodes)
-	c.assertChainsAgree(3)
+	c.assertChainsAgree(minHeight(c.nodes))
 
 	if got := w.sum(&w.frames, tagPrePrepareFetch); got != 0 {
 		t.Errorf("%d fetches with every node on the bus, want 0", got)
@@ -153,10 +153,11 @@ func TestClusterDivergentReadsFetch(t *testing.T) {
 	faults := []mvb.FaultConfig{{}, {}, {}, {DropRate: 1}}
 	c := newCluster(t, func(cfg *Config) { cfg.MaxBatch = 16 }, faults)
 	w := tallyWire(c.net)
-	c.tickUntilBlocks(4, 30*time.Second)
+	c.tickUntilSeq(40, 30*time.Second)
 	assertViewZero(t, c.nodes)
-	c.assertChainsAgree(4)
-	assertEachCycleOnce(t, c.nodes[0], 4)
+	height := minHeight(c.nodes)
+	c.assertChainsAgree(height)
+	assertEachCycleOnce(t, c.nodes[0], height)
 
 	fetches := w.frames[3][tagPrePrepareFetch].Load()
 	if fetches == 0 {
@@ -170,7 +171,7 @@ func TestClusterDivergentReadsFetch(t *testing.T) {
 	records := c.nodes[0].Layer().Counters().Requests.Load()
 	t.Logf("node 3 fetched %d times for %d records in %d blocks", fetches, records, c.nodes[3].Store().HeadIndex())
 	if fetches > int64(records/2) {
-		t.Errorf("%d fetches for %d records, want about one per block", fetches, records)
+		t.Errorf("%d fetches for %d records, want about one per checkpoint interval", fetches, records)
 	}
 }
 
@@ -179,22 +180,15 @@ func TestClusterDivergentReadsFetch(t *testing.T) {
 // catches up with the cluster, and its chain matches.
 func TestRestartedBackupCatchesUpByReference(t *testing.T) {
 	c := newRestartCluster(t)
-	c.tickUntil(c.allAtHeight(2), 30*time.Second, "initial height 2")
+	c.tickUntil(c.allAtSeq(20), 30*time.Second, "initial seq 20")
 	c.crash(3)
-	c.tickUntil(func() bool {
-		for _, n := range c.nodes[:3] {
-			if n.Store().HeadIndex() < 3 {
-				return false
-			}
-		}
-		return true
-	}, 30*time.Second, "post-crash height 3")
+	c.tickUntil(func() bool { return minSeq(c.nodes[:3]) >= 30 }, 30*time.Second, "post-crash seq 30")
 
 	n := c.start(3) // R is not persisted: the replica restarts without it
-	c.tickUntil(c.allAtHeight(5), 60*time.Second, "post-restart height 5")
+	c.tickUntil(c.allAtSeq(50), 60*time.Second, "post-restart seq 50")
 
 	ref := c.nodes[0].Store()
-	for idx := uint64(1); idx <= 5; idx++ {
+	for idx := uint64(1); idx <= min(ref.HeadIndex(), n.Store().HeadIndex()); idx++ {
 		a, errA := ref.Get(idx)
 		b, errB := n.Store().Get(idx)
 		if errA != nil || errB != nil {

@@ -1,7 +1,7 @@
 // Package pbft implements Practical Byzantine Fault Tolerance (Castro &
 // Liskov, OSDI'99) as the ordering core of ZugChain: the three-phase
-// preprepare/prepare/commit protocol, per-block checkpointing, and the view
-// change subprotocol. The engine exposes the interface of Table I of the
+// preprepare/prepare/commit protocol, checkpointing, and the view change
+// subprotocol. The engine exposes the interface of Table I of the
 // paper — PROPOSE and SUSPECT down-calls, DECIDE (DeliverAction) and
 // NEWPRIMARY (NewPrimaryAction) up-calls — so the ZugChain communication
 // layer can implement primary-aware filtering and censorship detection on
@@ -19,8 +19,8 @@ import (
 	"zugchain/internal/wire"
 )
 
-// DefaultCheckpointInterval matches the paper's evaluation setup: a block —
-// and therefore a checkpoint — every 10 requests.
+// DefaultCheckpointInterval matches the paper's evaluation setup: a
+// checkpoint every 10 agreement slots.
 const DefaultCheckpointInterval = 10
 
 // Config parameterizes an Engine.
@@ -30,8 +30,9 @@ type Config struct {
 	// Replicas lists all replica IDs in ascending order; the primary of
 	// view v is Replicas[v mod n].
 	Replicas []crypto.NodeID
-	// CheckpointInterval is the number of delivered requests per
-	// checkpoint; ZugChain creates one block per checkpoint (§III-C).
+	// CheckpointInterval is the number of executed slots per checkpoint;
+	// ZugChain's checkpoint digest is the hash of the block ending at the
+	// checkpoint slot (§III-C).
 	CheckpointInterval uint64
 	// WatermarkWindow bounds how far ordering may run ahead of the last
 	// stable checkpoint. Defaults to two checkpoint intervals.

@@ -39,18 +39,18 @@ type Partition struct {
 // network partitions while the transport injects seeded drop/delay/
 // duplicate faults — the §III-D fault model plus fail-recovery.
 type ChaosScenario struct {
-	// Nodes, BusCycle, Cycles, BlockSize, PayloadSize, timeouts, TimeScale
-	// and Seed mean the same as in Scenario.
-	Nodes       int
-	BusCycle    time.Duration
-	Cycles      int
-	BlockSize   uint64
-	PayloadSize int
-	SoftTimeout time.Duration
-	HardTimeout time.Duration
-	ViewTimeout time.Duration
-	TimeScale   int
-	Seed        int64
+	// Nodes, BusCycle, Cycles, CheckpointInterval, PayloadSize, timeouts,
+	// TimeScale and Seed mean the same as in Scenario.
+	Nodes              int
+	BusCycle           time.Duration
+	Cycles             int
+	CheckpointInterval uint64
+	PayloadSize        int
+	SoftTimeout        time.Duration
+	HardTimeout        time.Duration
+	ViewTimeout        time.Duration
+	TimeScale          int
+	Seed               int64
 	// DataRoot is the directory holding one data dir per replica; crashed
 	// replicas restart from theirs. Required.
 	DataRoot string
@@ -75,8 +75,8 @@ func (s *ChaosScenario) applyDefaults() {
 	if s.Cycles == 0 {
 		s.Cycles = 100
 	}
-	if s.BlockSize == 0 {
-		s.BlockSize = 10
+	if s.CheckpointInterval == 0 {
+		s.CheckpointInterval = 10
 	}
 	if s.TimeScale <= 0 {
 		s.TimeScale = 1
@@ -165,7 +165,7 @@ func (c *chaosCluster) nodeConfig(i int) node.Config {
 	return node.Config{
 		ID:                 c.ids[i],
 		Replicas:           c.ids,
-		BlockSize:          s.BlockSize,
+		CheckpointInterval: s.CheckpointInterval,
 		DataDir:            filepath.Join(s.DataRoot, fmt.Sprintf("node-%d", i)),
 		SoftTimeout:        s.scaled(s.SoftTimeout),
 		HardTimeout:        s.scaled(s.HardTimeout),

@@ -23,7 +23,7 @@ func chaosBase(t *testing.T) ChaosScenario {
 		Nodes:              4,
 		BusCycle:           scale * 20 * time.Millisecond,
 		Cycles:             120,
-		BlockSize:          10,
+		CheckpointInterval: 10,
 		SoftTimeout:        scale * 150 * time.Millisecond,
 		HardTimeout:        scale * 150 * time.Millisecond,
 		ViewTimeout:        scale * 300 * time.Millisecond,

@@ -61,8 +61,8 @@ type Scenario struct {
 	PayloadSize int
 	// Cycles is the number of bus cycles to run.
 	Cycles int
-	// BlockSize is requests per block/checkpoint (10 in §V).
-	BlockSize uint64
+	// CheckpointInterval is agreement slots per checkpoint (10 in §V).
+	CheckpointInterval uint64
 	// TimeScale divides BusCycle and all timeouts (1 = real time).
 	TimeScale int
 	// SoftTimeout and HardTimeout for ZugChain (paper: 250 ms each);
@@ -103,8 +103,8 @@ func (s *Scenario) applyDefaults() {
 	if s.Cycles == 0 {
 		s.Cycles = 100
 	}
-	if s.BlockSize == 0 {
-		s.BlockSize = 10
+	if s.CheckpointInterval == 0 {
+		s.CheckpointInterval = 10
 	}
 	if s.TimeScale <= 0 {
 		s.TimeScale = 1
@@ -229,12 +229,12 @@ func runZugChain(s Scenario) (*Result, error) {
 	readers := make([]*mvb.Reader, 0, s.Nodes)
 	for i, id := range ids {
 		cfg := node.Config{
-			ID:          id,
-			Replicas:    ids,
-			BlockSize:   s.BlockSize,
-			SoftTimeout: s.scaled(s.SoftTimeout),
-			HardTimeout: s.scaled(s.HardTimeout),
-			ViewTimeout: s.scaled(s.ViewTimeout),
+			ID:                 id,
+			Replicas:           ids,
+			CheckpointInterval: s.CheckpointInterval,
+			SoftTimeout:        s.scaled(s.SoftTimeout),
+			HardTimeout:        s.scaled(s.HardTimeout),
+			ViewTimeout:        s.scaled(s.ViewTimeout),
 		}
 		n, err := node.New(cfg, kps[id], reg, net.Endpoint(id), clock.Real{})
 		if err != nil {
@@ -385,7 +385,7 @@ func runBaseline(s Scenario) (*Result, error) {
 		cfg := baseline.Config{
 			ID:                    id,
 			Replicas:              ids,
-			BlockSize:             s.BlockSize,
+			CheckpointInterval:    s.CheckpointInterval,
 			ClientTimeout:         s.scaled(s.ClientTimeout),
 			ViewTimeout:           s.scaled(s.ViewTimeout),
 			SuspectOnFirstTimeout: s.SuspectOnFirstTimeout,

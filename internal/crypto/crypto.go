@@ -1,7 +1,9 @@
 // Package crypto provides the node identities and Ed25519 signing primitives
 // used throughout ZugChain. Every replica and every data center owns a key
-// pair; all protocol messages (ordering, checkpoint, view change, export)
-// are signed, matching the paper's use of ring's Ed25519 (§IV).
+// pair; the protocol messages (ordering, checkpoint, view change, export)
+// are signed, matching the paper's use of ring's Ed25519 (§IV), except the
+// PBFT Commit, which carries an HMAC under a pairwise key derived from the
+// same key pairs (mac.go).
 package crypto
 
 import (

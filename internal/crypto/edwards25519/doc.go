@@ -10,11 +10,13 @@
 // the Go standard library (crypto/internal/fips140/edwards25519, go1.24),
 // which in turn descends from filippo.io/edwards25519 — the only changes are
 // the import paths (the stdlib-internal subtle/byteorder helpers are replaced
-// by crypto/subtle and encoding/binary) and two additions:
+// by crypto/subtle and encoding/binary) and three additions:
 // VarTimeMultiScalarBaseMult (multiscalar.go), the multi-scalar
-// multiplication primitive ZugChain's Ed25519 batch verifier is built on,
-// and MultByCofactor (ported from filippo.io/edwards25519), which the
-// cofactored verification equation uses to clear small-order torsion.
+// multiplication primitive ZugChain's Ed25519 batch verifier is built on;
+// MultByCofactor (ported from filippo.io/edwards25519), which the
+// cofactored verification equation uses to clear small-order torsion; and
+// BytesMontgomery (likewise ported), which maps a replica's Ed25519 public
+// key to the X25519 key its pairwise Commit MAC keys are agreed with.
 // The original license is retained in LICENSE.
 //
 // The vendoring exists because ZugChain's ordering hot path is bound by

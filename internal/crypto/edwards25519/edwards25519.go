@@ -132,6 +132,26 @@ func (v *Point) bytes(buf *[32]byte) []byte {
 	return out
 }
 
+// BytesMontgomery returns the canonical 32-byte encoding of the
+// u-coordinate of v on the birationally equivalent Montgomery curve
+// Curve25519, u = (1 + y) / (1 − y) (RFC 7748, Section 4.1). For an Ed25519
+// public key [s]B this is the X25519 public key of the same scalar s.
+// Ported from filippo.io/edwards25519.
+func (v *Point) BytesMontgomery() []byte {
+	var buf [32]byte
+	return v.bytesMontgomery(&buf)
+}
+
+func (v *Point) bytesMontgomery(buf *[32]byte) []byte {
+	checkInitialized(v)
+
+	var y, recip, u field.Element
+	y.Multiply(&v.y, y.Invert(&v.z))        // y = Y / Z
+	recip.Invert(recip.Subtract(feOne, &y)) // recip = 1 / (1 − y)
+	u.Multiply(u.Add(feOne, &y), &recip)    // u = (1 + y) / (1 − y)
+	return copyFieldElement(buf, &u)
+}
+
 var feOne = new(field.Element).One()
 
 // SetBytes sets v = x, where x is a 32-byte encoding of v. If x does not

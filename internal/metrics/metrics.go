@@ -142,11 +142,12 @@ func CPUWorkUnits(signatures, verifications, msgs, bytes uint64) float64 {
 // CryptoCounters instruments the Ed25519 acceleration layer: how many
 // signatures settled via the batched multi-scalar equation versus individual
 // scalar verifies, how often a failed batch had to bisect to find the corrupt
-// entries, and the verified-signature cache's hit/miss/eviction traffic. It
-// keeps O(1) state so it can sit on the verification hot path. All methods
-// are safe for concurrent use and the recording methods are nil-safe (a nil
-// receiver records nothing), so uninstrumented registries pay only a nil
-// check; the zero value is ready to use.
+// entries, the verified-signature cache's hit/miss/eviction traffic, and the
+// Commit authenticators that failed their pairwise MAC check. It keeps O(1)
+// state so it can sit on the verification hot path. All methods are safe
+// for concurrent use and the recording methods are nil-safe (a nil receiver
+// records nothing), so uninstrumented registries pay only a nil check; the
+// zero value is ready to use.
 type CryptoCounters struct {
 	ScalarVerifies atomic.Uint64 // single equations, including bisection leaves
 	BatchedSigs    atomic.Uint64 // signatures settled through batch equations
@@ -156,6 +157,7 @@ type CryptoCounters struct {
 	CacheHits      atomic.Uint64
 	CacheMisses    atomic.Uint64
 	CacheEvictions atomic.Uint64
+	MACRejects     atomic.Uint64 // Commits whose pairwise tag did not check
 }
 
 // AddScalarVerify records one individual (non-batched) signature
@@ -211,8 +213,17 @@ func (c *CryptoCounters) AddCacheEviction() {
 	c.CacheEvictions.Add(1)
 }
 
+// AddMACReject records one Commit dropped because its pairwise MAC did not
+// check: a forged or replayed tag, or a peer deriving a different key.
+func (c *CryptoCounters) AddMACReject() {
+	if c == nil {
+		return
+	}
+	c.MACRejects.Add(1)
+}
+
 // Metrics lists the Ed25519 acceleration series (batch verification shape,
-// verified-signature cache traffic).
+// verified-signature cache traffic) and the pairwise-MAC rejects.
 func (c *CryptoCounters) Metrics() []Metric {
 	return []Metric{
 		Counter("zugchain_crypto_scalar_verifies_total", "Individual signature verifications", c.ScalarVerifies.Load()),
@@ -223,6 +234,7 @@ func (c *CryptoCounters) Metrics() []Metric {
 		Counter("zugchain_crypto_cache_hits_total", "Verified-signature cache hits", c.CacheHits.Load()),
 		Counter("zugchain_crypto_cache_misses_total", "Verified-signature cache misses", c.CacheMisses.Load()),
 		Counter("zugchain_crypto_cache_evictions_total", "Verified-signature cache evictions", c.CacheEvictions.Load()),
+		Counter("zugchain_crypto_mac_rejects_total", "Commits dropped for a pairwise MAC that did not check", c.MACRejects.Load()),
 	}
 }
 

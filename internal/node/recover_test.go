@@ -256,7 +256,9 @@ func TestGapDigestIsPerReplica(t *testing.T) {
 	net := transport.NewNetwork()
 	defer net.Close()
 	kp0, kp1 := crypto.MustGenerateKeyPair(0), crypto.MustGenerateKeyPair(1)
-	reg := crypto.NewRegistry(kp0, kp1)
+	// NewEngine derives a Commit MAC key with every replica, so the
+	// registry must know all four, as in a deployment.
+	reg := crypto.NewRegistry(kp0, kp1, crypto.MustGenerateKeyPair(2), crypto.MustGenerateKeyPair(3))
 	ids := []crypto.NodeID{0, 1, 2, 3}
 
 	n0, err := New(Config{ID: 0, Replicas: ids}, kp0, reg, net.Endpoint(0), clock.Real{})

@@ -22,15 +22,21 @@ type SendAction struct {
 	Encoded []byte
 }
 
-// BroadcastAction transmits a signed message to all other replicas.
+// BroadcastAction transmits a message to all other replicas.
 // Encoded, when non-nil, carries the cached wire encoding produced while
 // signing (signedBroadcast): the signing bytes are the full encoding minus
 // the signature tail, so the engine gets the broadcast bytes for free and
 // the runner skips re-marshalling. Msg must not be mutated after the action
 // is emitted or the cache would go stale.
+//
+// PerPeer, when non-nil, replaces the broadcast with one send per peer,
+// each carrying its own encoding: a Commit's MAC differs per receiver
+// (Engine.commitBroadcast). Msg is then the untagged message, logged and
+// traced once.
 type BroadcastAction struct {
 	Msg     wire.Message
 	Encoded []byte
+	PerPeer []SendAction
 }
 
 // DeliverAction is the DECIDE up-call of Table I: the request was totally

@@ -73,6 +73,11 @@ type Engine struct {
 	kp  *crypto.KeyPair
 	reg *crypto.Registry
 
+	// macs holds the pairwise Commit MAC key shared with each other
+	// replica (auth.go). It is fixed at NewEngine, so delivery goroutines
+	// may read it.
+	macs map[crypto.NodeID]*crypto.MACKey
+
 	view     uint64
 	nextSeq  uint64 // next sequence number this primary assigns
 	lowWater uint64 // last stable checkpoint sequence number
@@ -91,7 +96,13 @@ type Engine struct {
 	// change could null a slot the quorum already executed.
 	certs map[uint64]*PreparedProof
 
-	pendingProposals []Request // proposals waiting for watermark space
+	// pendingProposals holds this primary's proposals waiting for watermark
+	// space. They belong to the view they were made in: installNewView
+	// drops them, since the layer above re-proposes whatever is still open
+	// on NEWPRIMARY, and a queue that outlived its view would re-propose
+	// requests decided since, possibly after they left the layer's dedup
+	// window (a double LOG).
+	pendingProposals []Request
 
 	inViewChange bool
 	vcs          map[uint64]map[crypto.NodeID]*ViewChange
@@ -116,15 +127,19 @@ type Engine struct {
 	fetched map[fetchKey]bool
 	inline  map[crypto.NodeID]*inlinePeer
 
-	// early holds verified phase messages for the view this replica is
-	// about to enter. They can overtake that view's NewView, because
-	// verify-pool completions are unordered; installNewView replays them.
-	// At most maxEarly messages are held.
+	// early holds verified phase messages this replica cannot use yet:
+	// those of the view it is about to enter, which can overtake that
+	// view's NewView because verify-pool completions are unordered, and
+	// those of the current view up to one window above the high watermark,
+	// which a replica whose stable checkpoint lags the primary's sees first.
+	// installNewView and installStable replay them (holdEarly). At most
+	// maxEarly messages are held.
 	early []earlyMsg
 }
 
 // NewEngine creates a PBFT engine. kp must belong to cfg.ID and reg must
-// know every replica's public key.
+// know every replica's public key: the pairwise Commit MAC keys are derived
+// from them here, once.
 func NewEngine(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry) (*Engine, error) {
 	cfg.applyDefaults()
 	if len(cfg.Replicas) < 4 {
@@ -143,10 +158,15 @@ func NewEngine(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry) (*Engine, e
 	if kp.ID != cfg.ID {
 		return nil, fmt.Errorf("pbft: key pair belongs to %v, not %v", kp.ID, cfg.ID)
 	}
+	macs, err := commitKeys(cfg, kp, reg)
+	if err != nil {
+		return nil, err
+	}
 	return &Engine{
 		cfg:         cfg,
 		kp:          kp,
 		reg:         reg,
+		macs:        macs,
 		nextSeq:     1,
 		log:         make(map[uint64]*instance),
 		checkpoints: make(map[uint64]map[crypto.NodeID]*Checkpoint),
@@ -243,28 +263,33 @@ func (e *Engine) Suspect(id crypto.NodeID) []Action {
 	return e.startViewChange(e.view+1, false)
 }
 
-// Receive processes one signed protocol message (or an unsigned
-// PrePrepareFetch) from the transport, verifying its signature inline.
-// Malformed or unverifiable messages are dropped (Byzantine senders gain
-// nothing by sending garbage).
+// Receive processes one signed protocol message (or a MAC'd Commit, or an
+// unsigned PrePrepareFetch) from the transport, verifying its signature or
+// tag inline. Malformed or unverifiable messages are dropped (Byzantine
+// senders gain nothing by sending garbage).
 func (e *Engine) Receive(from crypto.NodeID, msg wire.Message) []Action {
 	return e.receive(from, msg, false)
 }
 
-// ReceiveVerified processes a message whose expensive signature checks —
-// the envelope signature and, for preprepares, the embedded request
-// signature (see preVerify) — were already performed off the event loop by
-// the runner's verification pipeline. The engine still enforces the cheap
-// structural checks (sender == signer, views, watermarks) itself, so its
-// single-threaded contract and drop semantics are unchanged; only the
-// Ed25519 work moved.
+// ReceiveVerified processes a message whose authentication — the envelope
+// signature and, for preprepares, the embedded request signature (see
+// preVerify), or a Commit's MAC — was already checked off the event loop by
+// the runner. The engine still enforces the cheap structural checks (sender
+// == signer, views, watermarks) itself, so its single-threaded contract and
+// drop semantics are unchanged; only the crypto work moved.
 func (e *Engine) ReceiveVerified(from crypto.NodeID, msg wire.Message) []Action {
 	return e.receive(from, msg, true)
 }
 
 func (e *Engine) receive(from crypto.NodeID, msg wire.Message, preVerified bool) []Action {
-	if f, ok := msg.(*PrePrepareFetch); ok {
-		return e.onFetch(from, f) // unsigned by design
+	switch m := msg.(type) {
+	case *PrePrepareFetch:
+		return e.onFetch(from, m) // unsigned by design
+	case *Commit:
+		if m.Replica != from || (!preVerified && !e.authenticCommit(m)) {
+			return nil
+		}
+		return append(e.onCommit(m), e.maybeHelp(from, m.View)...)
 	}
 	s, ok := msg.(signable)
 	if !ok {
@@ -285,8 +310,6 @@ func (e *Engine) receive(from crypto.NodeID, msg wire.Message, preVerified bool)
 		return append(e.onPrePrepare(m, preVerified), e.maybeHelp(from, m.View)...)
 	case *Prepare:
 		return append(e.onPrepare(m), e.maybeHelp(from, m.View)...)
-	case *Commit:
-		return append(e.onCommit(m), e.maybeHelp(from, m.View)...)
 	case *Checkpoint:
 		return e.onCheckpoint(m)
 	case *ViewChange:
@@ -342,11 +365,8 @@ func (e *Engine) onPrePrepare(pp *PrePrepare, reqVerified bool) []Action {
 	if pp.Replica != e.primaryOf(pp.View) {
 		return nil
 	}
-	if e.inViewChange || pp.View != e.view {
+	if e.inViewChange || pp.View != e.view || !e.inWatermarks(pp.Seq) {
 		e.holdEarly(pp.View, pp.Seq, pp, reqVerified)
-		return nil
-	}
-	if !e.inWatermarks(pp.Seq) {
 		return nil
 	}
 	if !reqVerified {
@@ -409,11 +429,8 @@ func (e *Engine) acceptPrePrepare(pp *PrePrepare) []Action {
 }
 
 func (e *Engine) onPrepare(p *Prepare) []Action {
-	if e.inViewChange || p.View != e.view {
+	if e.inViewChange || p.View != e.view || !e.inWatermarks(p.Seq) {
 		e.holdEarly(p.View, p.Seq, p, true)
-		return nil
-	}
-	if !e.inWatermarks(p.Seq) {
 		return nil
 	}
 	if p.Replica == e.primaryOf(p.View) {
@@ -429,11 +446,8 @@ func (e *Engine) onPrepare(p *Prepare) []Action {
 }
 
 func (e *Engine) onCommit(c *Commit) []Action {
-	if e.inViewChange || c.View != e.view {
+	if e.inViewChange || c.View != e.view || !e.inWatermarks(c.Seq) {
 		e.holdEarly(c.View, c.Seq, c, true)
-		return nil
-	}
-	if !e.inWatermarks(c.Seq) {
 		return nil
 	}
 	inst := e.getInstance(c.Seq)
@@ -472,9 +486,8 @@ func (e *Engine) checkProgress(inst *instance) []Action {
 			Digest:  inst.digest,
 			Replica: e.cfg.ID,
 		}
-		bc := signedBroadcast(c, e.kp)
 		inst.commits[e.cfg.ID] = c
-		actions = append(actions, bc)
+		actions = append(actions, e.commitBroadcast(c))
 	}
 
 	if inst.prepared && !inst.committed {
@@ -570,11 +583,22 @@ func (e *Engine) addCheckpoint(c *Checkpoint) []Action {
 }
 
 // installStable advances the low watermark to a newly stable checkpoint,
-// garbage-collects the message log, and reports divergence or lag.
+// then replays the held messages the raised high watermark admits and
+// proposes what waited for watermark space.
 func (e *Engine) installStable(proof CheckpointProof) []Action {
 	if proof.Seq <= e.lowWater {
 		return nil
 	}
+	actions := e.advanceStable(proof)
+	actions = append(actions, e.replayEarly()...)
+	return append(actions, e.drainProposals()...)
+}
+
+// advanceStable moves the low watermark to proof, which must be above it,
+// garbage-collects the message log, and reports divergence or lag. Unlike
+// installStable it neither replays nor proposes: installNewView does both
+// itself, after the NewView's own PrePrepares are in.
+func (e *Engine) advanceStable(proof CheckpointProof) []Action {
 	var actions []Action
 	e.stable = proof
 	e.lowWater = proof.Seq
@@ -620,7 +644,5 @@ func (e *Engine) installStable(proof CheckpointProof) []Action {
 	}
 	e.gcFetches(proof.Seq)
 
-	actions = append(actions, StableCheckpointAction{Proof: proof})
-	actions = append(actions, e.drainProposals()...)
-	return actions
+	return append(actions, StableCheckpointAction{Proof: proof})
 }

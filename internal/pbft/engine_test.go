@@ -385,6 +385,128 @@ func TestOutOfWatermarkPrePrepareRejected(t *testing.T) {
 	}
 }
 
+// TestMessagesAboveHighWatermarkAreHeld replays the reordering that wedged
+// ordering at batch size 1: the primary stabilises checkpoint k = 20 and
+// fills (20, 40], while a backup whose low watermark is still 10 receives
+// the top half of that window first. The backup must hold those messages
+// rather than drop them, since nothing re-sends them, and order every slot
+// itself once checkpoint 20 becomes stable — without a state transfer.
+func TestMessagesAboveHighWatermarkAreHeld(t *testing.T) {
+	c := newCluster(t, 4, nil)
+	var want []string
+	propose := func(from, to int) {
+		for i := from; i <= to; i++ {
+			want = append(want, fmt.Sprintf("r%02d", i))
+			c.propose(0, want[len(want)-1])
+		}
+		c.run()
+	}
+	var late []packet
+	divertTo3 := func(divert func(msg any) bool) {
+		c.filter = func(p packet) bool {
+			if p.to != 3 {
+				return true
+			}
+			if msg, err := unmarshalPacket(p); err == nil && divert(msg) {
+				late = append(late, p)
+				return false
+			}
+			return true
+		}
+	}
+
+	propose(1, 10)
+	divertTo3(func(msg any) bool { _, ok := msg.(*Checkpoint); return ok })
+	propose(11, 20)
+	if lw0, lw3 := c.engines[0].lowWater, c.engines[3].lowWater; lw0 != 20 || lw3 != 10 {
+		t.Fatalf("low watermarks r0=%d r3=%d, want 20 and 10", lw0, lw3)
+	}
+	divertTo3(func(any) bool { return true })
+	propose(21, 40)
+
+	// Deliver to r3 the top half (31..40, above its high watermark 30)
+	// first, then the bottom half, then the checkpoints it missed.
+	var top, bottom, ckpts []packet
+	for _, p := range late {
+		msg, _ := unmarshalPacket(p)
+		var seq uint64
+		switch m := msg.(type) {
+		case *PrePrepare:
+			seq = m.Seq
+		case *Prepare:
+			seq = m.Seq
+		case *Commit:
+			seq = m.Seq
+		}
+		switch {
+		case seq > 30:
+			top = append(top, p)
+		case seq > 0:
+			bottom = append(bottom, p)
+		default:
+			ckpts = append(ckpts, p)
+		}
+	}
+	if len(top) == 0 || len(bottom) == 0 || len(ckpts) == 0 {
+		t.Fatalf("diverted %d/%d/%d top/bottom/checkpoint packets", len(top), len(bottom), len(ckpts))
+	}
+	c.filter = nil
+	c.queue = append(append(append(c.queue, top...), bottom...), ckpts...)
+	c.run()
+
+	c.assertAllDelivered(want...)
+	c.assertAgreement()
+	if n := len(c.transfers[3]); n != 0 {
+		t.Errorf("r3 needed %d state transfers, want 0", n)
+	}
+	if n := len(c.engines[3].early); n != 0 {
+		t.Errorf("r3 still holds %d early messages", n)
+	}
+}
+
+// TestPendingProposalsDoNotOutliveTheView: a primary whose watermark window
+// is full queues proposals, then loses the view. The next primary orders
+// those requests (the layer above re-proposes whatever is still open on
+// NEWPRIMARY). When the first primary leads again, four views later, it
+// must not propose its stale queue: each request would be ordered a second
+// time, and once the first copy has left the layer's dedup window it would
+// be logged twice.
+func TestPendingProposalsDoNotOutliveTheView(t *testing.T) {
+	c := newCluster(t, 4, nil)
+	c.filter = func(p packet) bool { return p.from != 0 } // r0's proposals reach no one
+	var payloads []string
+	for i := 0; i < 25; i++ {
+		payloads = append(payloads, fmt.Sprintf("r%02d", i))
+		c.propose(0, payloads[i])
+	}
+	c.run()
+	if n := len(c.engines[0].pendingProposals); n != 5 {
+		t.Fatalf("r0 queued %d proposals, want 5", n)
+	}
+	c.suspect(1, 2, 3)
+	c.run()
+	c.filter = nil
+	if v := c.engines[0].View(); v != 1 {
+		t.Fatalf("r0 in view %d, want 1", v)
+	}
+	for _, p := range payloads {
+		c.propose(1, p)
+	}
+	c.run()
+	for view := uint64(2); view <= 4; view++ {
+		c.suspect(c.ids...)
+		c.run()
+		if v := c.engines[0].View(); v != view {
+			t.Fatalf("r0 in view %d, want %d", v, view)
+		}
+	}
+	if !c.engines[0].IsPrimary() {
+		t.Fatal("r0 does not lead view 4")
+	}
+	c.assertAllDelivered(payloads...)
+	c.assertAgreement()
+}
+
 func TestLaggingReplicaStateTransfer(t *testing.T) {
 	c := newCluster(t, 4, nil)
 	// r3 misses all ordering traffic for a full checkpoint interval.

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -51,8 +52,9 @@ func goldenProof() *PreparedProof {
 }
 
 // TestEncodingGolden pins the request identities the three-phase protocol
-// agrees on, the prepared certificates written to the WAL, and the signing
-// and wire bytes of a recorder-sized preprepare. WAL segments written by
+// agrees on, the prepared certificates written to the WAL, the signing
+// and wire bytes of a recorder-sized preprepare, and the pairwise key, tag
+// and wire bytes of a MAC'd Commit. WAL segments written by
 // older binaries stay readable only while these are unchanged. Run with
 // -update to regenerate after an intended format change.
 func TestEncodingGolden(t *testing.T) {
@@ -68,6 +70,29 @@ func TestEncodingGolden(t *testing.T) {
 	fmt.Fprintf(&b, "preprepare.signing len=%d sha256=%x\n", len(sb), sha256.Sum256(sb))
 	wb := wire.Marshal(pp)
 	fmt.Fprintf(&b, "preprepare.wire len=%d sha256=%x\n", len(wb), sha256.Sum256(wb))
+
+	// A Commit as replica 2's engine sends it to replica 1, under keys from
+	// fixed seeds: the pairwise key, its known-answer tag, the wire bytes.
+	var pairs []*crypto.KeyPair
+	for i := 0; i < 4; i++ {
+		pairs = append(pairs, crypto.KeyPairFromPrivate(crypto.NodeID(i), ed25519.NewKeyFromSeed(fixedBytes(ed25519.SeedSize, 30+byte(i)))))
+	}
+	key, err := pairs[2].PairwiseKey(1, pairs[1].Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "commit.pairwisekey r1-r2 %x\n", key)
+	e2, err := NewEngine(Config{ID: 2, Replicas: []crypto.NodeID{0, 1, 2, 3}}, pairs[2], crypto.NewRegistry(pairs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := e2.commitBroadcast(&Commit{View: 1, Seq: 9, Digest: reqs["record"].Digest(), Replica: 2})
+	for _, s := range bc.PerPeer {
+		if s.To == 1 {
+			fmt.Fprintf(&b, "commit.mac r2->r1 %x\n", s.Encoded[len(s.Encoded)-crypto.MACSize:])
+			fmt.Fprintf(&b, "commit.wire r2->r1 %x\n", s.Encoded)
+		}
+	}
 	compareGolden(t, filepath.Join("testdata", "encoding.golden"), b.String())
 }
 

@@ -91,6 +91,12 @@ func (c *cluster) handle(id crypto.NodeID, actions []Action) {
 		case SendAction:
 			c.queue = append(c.queue, packet{from: id, to: act.To, data: wire.Marshal(act.Msg)})
 		case BroadcastAction:
+			if act.PerPeer != nil {
+				for _, s := range act.PerPeer {
+					c.queue = append(c.queue, packet{from: id, to: s.To, data: s.Encoded})
+				}
+				continue
+			}
 			data := wire.Marshal(act.Msg)
 			for _, to := range c.ids {
 				if to != id {

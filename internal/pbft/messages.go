@@ -179,13 +179,16 @@ func (m *Prepare) DecodeWire(d *wire.Decoder) {
 	m.Sig = d.BytesCopy()
 }
 
-// Commit finalizes the acceptance of the assigned order.
+// Commit finalizes the acceptance of the assigned order. It is the one
+// phase message that is not signed: MAC is a crypto.MACSize tag under the
+// pairwise key of Replica and the receiver, so each receiver gets its own
+// encoding and no third party can check it (auth.go, DESIGN.md §3.18).
 type Commit struct {
 	View    uint64
 	Seq     uint64
 	Digest  crypto.Digest
 	Replica crypto.NodeID
-	Sig     []byte
+	MAC     []byte
 }
 
 // WireType implements wire.Message.
@@ -197,7 +200,7 @@ func (m *Commit) EncodeWire(e *wire.Encoder) {
 	e.Uint64(m.Seq)
 	e.Bytes32(m.Digest)
 	e.Uint32(uint32(m.Replica))
-	e.Bytes(m.Sig)
+	e.Bytes(m.MAC)
 }
 
 // DecodeWire implements wire.Message.
@@ -206,7 +209,7 @@ func (m *Commit) DecodeWire(d *wire.Decoder) {
 	m.Seq = d.Uint64()
 	m.Digest = d.Bytes32()
 	m.Replica = crypto.NodeID(d.Uint32())
-	m.Sig = d.BytesCopy()
+	m.MAC = d.BytesCopy()
 }
 
 // Checkpoint attests that the sender's application state after executing Seq

@@ -25,8 +25,9 @@ func referenceSigningBytes(m signable) []byte {
 	return append([]byte(nil), e.Data()...)
 }
 
-// sampleSignables builds one signed instance of every PBFT message type,
-// including the nested view-change shapes.
+// sampleSignables builds one signed instance of every signed PBFT message
+// type, including the nested view-change shapes. Commit is MAC'd, not
+// signed: TestCommitAuthBytes covers its encoding.
 func sampleSignables(kp *crypto.KeyPair) []signable {
 	req := Request{Payload: []byte("payload"), Origin: kp.ID}
 	SignRequest(&req, kp)
@@ -34,8 +35,6 @@ func sampleSignables(kp *crypto.KeyPair) []signable {
 	sign(pp, kp)
 	prep := &Prepare{View: 3, Seq: 7, Digest: crypto.Hash([]byte("d")), Replica: kp.ID}
 	sign(prep, kp)
-	cmt := &Commit{View: 3, Seq: 7, Digest: crypto.Hash([]byte("d")), Replica: kp.ID}
-	sign(cmt, kp)
 	cp := &Checkpoint{Seq: 10, StateDigest: crypto.Hash([]byte("s")), Replica: kp.ID}
 	sign(cp, kp)
 	vc := &ViewChange{
@@ -48,7 +47,7 @@ func sampleSignables(kp *crypto.KeyPair) []signable {
 	sign(vc, kp)
 	nv := &NewView{View: 4, ViewChanges: []ViewChange{*vc}, PrePrepares: []PrePrepare{*pp}, Replica: kp.ID}
 	sign(nv, kp)
-	return []signable{pp, prep, cmt, cp, vc, nv}
+	return []signable{pp, prep, cp, vc, nv}
 }
 
 // TestSigningBytesMatchesReference guards the sig-is-last-field invariant
@@ -122,7 +121,7 @@ func TestSigningSafeFromPoolWorkers(t *testing.T) {
 		pool.Submit(func() {
 			defer wg.Done()
 			// Concurrent signing of distinct messages.
-			own := &Commit{View: 1, Seq: seq, Digest: crypto.Hash([]byte("y")), Replica: 0}
+			own := &Checkpoint{Seq: seq, StateDigest: crypto.Hash([]byte("y")), Replica: 0}
 			sign(own, kp)
 			if err := verify(own, reg); err != nil {
 				errs <- err
@@ -215,8 +214,9 @@ func TestRunnerClusterWithVerifyPool(t *testing.T) {
 }
 
 // TestByzantineMessagesDroppedOffLoop confirms forged and tampered messages
-// are still rejected when verification happens on the pool, and that the
-// cluster keeps ordering correctly around them.
+// are still rejected when verification happens on the pool — or, for a
+// Commit's MAC, on the delivery goroutine — and that the cluster keeps
+// ordering correctly around them.
 func TestByzantineMessagesDroppedOffLoop(t *testing.T) {
 	rc, _ := newPooledRunnerCluster(t, 4, 5*time.Second)
 	byz := rc.net.Endpoint(9) // not a replica; its sends carry from=9
@@ -247,6 +247,35 @@ func TestByzantineMessagesDroppedOffLoop(t *testing.T) {
 
 	// 4. Garbage bytes that do not even decode.
 	_ = byz.Broadcast([]byte{0x10, 0xff, 0x01})
+
+	// 5. Commits replica 1 must drop, at a slot nothing else uses. A
+	// genuine Commit from 3 follows them down the same FIFO inbox and
+	// mailbox; once the engine holds it, it has seen the bad ones too.
+	good := tagCommit(t, rc.kps, 2, 1, Commit{View: 0, Seq: 5, Digest: crypto.Hash([]byte("c")), Replica: 2})
+	for _, b := range badCommits(t, rc.kps, good) {
+		_ = rc.net.Endpoint(b.from).Send(1, wire.Marshal(b.c))
+	}
+	marker := tagCommit(t, rc.kps, 3, 1, Commit{View: 0, Seq: 5, Digest: good.Digest, Replica: 3})
+	_ = rc.net.Endpoint(3).Send(1, wire.Marshal(marker))
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var seen, leaked bool
+		rc.runners[1].Inspect(func(e *Engine) {
+			inst := e.log[5]
+			seen = inst != nil && inst.commits[3] != nil
+			leaked = (inst != nil && inst.commits[2] != nil) || e.log[6] != nil || len(e.early) != 0
+		})
+		if leaked {
+			t.Fatal("replica 1 kept a Commit whose MAC does not check")
+		}
+		if seen {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("replica 1 never recorded the genuine Commit")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	// Legitimate traffic must still order, and the forged payload must not.
 	rc.propose(0, "honest")

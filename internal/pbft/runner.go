@@ -173,7 +173,8 @@ func (r *Runner) Inspect(f func(e *Engine)) {
 // payloads this replica already read, then checked like any PrePrepare; if
 // a payload is missing, the primary is asked for the full message instead
 // (DESIGN.md §3.14). An unsigned PrePrepareFetch goes straight to the
-// engine, which bounds the answers.
+// engine, which bounds the answers. A Commit's MAC costs three SHA-256
+// compressions, less than a pool hop, so it is checked right here.
 func (r *Runner) onMessage(from crypto.NodeID, data []byte) {
 	msg, err := wire.Unmarshal(data)
 	if err != nil {
@@ -181,6 +182,12 @@ func (r *Runner) onMessage(from crypto.NodeID, data []byte) {
 	}
 	switch m := msg.(type) {
 	case *PrePrepareFetch:
+		r.enqueue(func() []Action { return r.engine.ReceiveVerified(from, m) })
+		return
+	case *Commit:
+		if m.Replica != from || !r.engine.authenticCommit(m) {
+			return
+		}
 		r.enqueue(func() []Action { return r.engine.ReceiveVerified(from, m) })
 		return
 	case *PrePrepareRef:
@@ -413,6 +420,12 @@ func (r *Runner) execute(actions []Action) {
 				continue
 			}
 			r.traceOutbound(act.Msg)
+			if act.PerPeer != nil {
+				for _, s := range act.PerPeer {
+					_ = r.tr.Send(s.To, s.Encoded)
+				}
+				continue
+			}
 			if pp, ok := act.Msg.(*PrePrepare); ok && r.payloads != nil {
 				r.broadcastProposal(pp, encodeAction(act.Msg, act.Encoded))
 				continue

@@ -7,8 +7,9 @@ import (
 	"zugchain/internal/wire"
 )
 
-// signable is implemented by every PBFT message: the signature covers the
-// wire encoding with the Sig field emptied.
+// signable is implemented by every signed PBFT message — all of them but
+// the per-receiver MAC'd Commit (auth.go) and the unsigned PrePrepareFetch:
+// the signature covers the wire encoding with the Sig field emptied.
 //
 // Encoding invariant: Sig MUST be the final field of every signable's wire
 // encoding (written with Encoder.Bytes). signingBytesInto relies on it to
@@ -30,10 +31,6 @@ func (m *PrePrepare) setSignature(sig []byte) { m.Sig = sig }
 func (m *Prepare) signer() crypto.NodeID   { return m.Replica }
 func (m *Prepare) signature() []byte       { return m.Sig }
 func (m *Prepare) setSignature(sig []byte) { m.Sig = sig }
-
-func (m *Commit) signer() crypto.NodeID   { return m.Replica }
-func (m *Commit) signature() []byte       { return m.Sig }
-func (m *Commit) setSignature(sig []byte) { m.Sig = sig }
 
 func (m *Checkpoint) signer() crypto.NodeID   { return m.Replica }
 func (m *Checkpoint) signature() []byte       { return m.Sig }

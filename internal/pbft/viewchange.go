@@ -384,6 +384,7 @@ func (e *Engine) installNewView(nv *NewView) []Action {
 	e.inViewChange = false
 	e.vcAttempts = 0
 	e.lastNewView = nv
+	e.pendingProposals = nil
 	if e.view > e.pinnedView {
 		// Pre-crash pins only constrain the view they were cast in; the
 		// NewView certificate re-certifies every surviving slot.
@@ -398,7 +399,7 @@ func (e *Engine) installNewView(nv *NewView) []Action {
 	if minS > e.lowWater {
 		for i := range nv.ViewChanges {
 			if nv.ViewChanges[i].StableSeq == minS {
-				actions = append(actions, e.installStable(nv.ViewChanges[i].StableCkpt)...)
+				actions = append(actions, e.advanceStable(nv.ViewChanges[i].StableCkpt)...)
 				break
 			}
 		}
@@ -439,38 +440,58 @@ func (e *Engine) OnViewTimer(view uint64) []Action {
 	return e.startViewChange(view+1, true)
 }
 
-// earlyMsg is a verified phase message held for a view not yet entered.
-// reqVerified records, for a PrePrepare, whether its request signatures
-// were already checked (see Engine.ReceiveVerified).
+// earlyMsg is a verified phase message held for a view not yet entered or
+// above the high watermark. reqVerified records, for a PrePrepare, whether
+// its request signatures were already checked (see Engine.ReceiveVerified).
 type earlyMsg struct {
 	msg         wire.Message
 	reqVerified bool
 }
 
-// maxEarly bounds Engine.early: one PrePrepare, Prepare and Commit per
-// replica and slot of the watermark window.
+// maxEarly bounds Engine.early at 3·n·window messages, whatever peers send:
+// room for one PrePrepare, Prepare and Commit per replica and slot of the
+// watermark window. A full window of either kind of early message — a view
+// not yet entered, or the window above the high watermark — needs at most
+// (2n+1)·window.
 func (e *Engine) maxEarly() int {
 	return 3 * len(e.cfg.Replicas) * int(e.cfg.WatermarkWindow)
 }
 
-// holdEarly keeps a verified phase message of a view above the current one
-// that this replica is changing to (or, outside a view change, of the next
-// view): its NewView may still be on a verify-pool worker. Anything else is
-// dropped, as is everything once maxEarly messages are held.
+// holdEarly keeps a verified phase message this replica will need soon but
+// cannot use yet:
+//   - one of a view above the current one that this replica is changing to
+//     (or, outside a view change, of the next view): its NewView may still
+//     be on a verify-pool worker;
+//   - one of the current view whose seq lies at most one window above the
+//     high watermark: the primary stabilised a checkpoint this replica has
+//     not yet, and nothing re-sends those messages, so dropping them would
+//     leave a hole no later checkpoint can close.
+//
+// Anything else is dropped, as is everything once maxEarly messages are
+// held.
 func (e *Engine) holdEarly(view, seq uint64, msg wire.Message, reqVerified bool) {
-	next := e.sentVCFor
-	if next <= e.view {
-		next = e.view + 1
-	}
-	if view <= e.view || view > next || seq <= e.lowWater || len(e.early) >= e.maxEarly() {
+	if seq <= e.lowWater || len(e.early) >= e.maxEarly() {
 		return
+	}
+	if view == e.view && !e.inViewChange {
+		if high := e.lowWater + e.cfg.WatermarkWindow; seq > high+e.cfg.WatermarkWindow {
+			return
+		}
+	} else {
+		next := e.sentVCFor
+		if next <= e.view {
+			next = e.view + 1
+		}
+		if view <= e.view || view > next {
+			return
+		}
 	}
 	e.early = append(e.early, earlyMsg{msg: msg, reqVerified: reqVerified})
 }
 
 // replayEarly feeds the held messages back through the normal handlers once
-// a view is installed: those of the new view are processed, those of a
-// later view are held again, the rest are dropped.
+// a view is installed or the low watermark rises: those now usable are
+// processed, those still early are held again, the rest are dropped.
 func (e *Engine) replayEarly() []Action {
 	held := e.early
 	e.early = nil

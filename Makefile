@@ -25,9 +25,10 @@ lint:
 # packages, race-test WAL durability and crash-restart recovery plus a chaos
 # crash/partition smoke (which now also asserts the consensus event journal),
 # fuzz the WAL, batch-verify, PrePrepare-reference and block-run decoders
-# briefly, and smoke-run the verification, batching, and transport
-# benchmarks once (with the allocation benchmarks of the sealing and digest
-# paths) so a broken benchmark cannot rot unnoticed. zcbench is its own Go
+# and the block store's recovery of its last segment briefly, and smoke-run
+# the verification, batching, and transport benchmarks once (with the
+# allocation benchmarks of the sealing and digest paths) so a broken
+# benchmark cannot rot unnoticed. zcbench is its own Go
 # module, so the root build never compiles it: vet and self-test it here.
 check: lint
 	$(GO) build ./...
@@ -42,6 +43,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzBatchVerify -fuzztime 5s ./internal/crypto
 	$(GO) test -run '^$$' -fuzz FuzzPrePrepareRefDecode -fuzztime 5s ./internal/pbft
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRun -fuzztime 5s ./internal/blockchain
+	$(GO) test -run '^$$' -fuzz FuzzStoreRecovery -fuzztime 5s ./internal/blockchain
 	$(GO) test -run '^$$' -bench Verify -benchtime 1x ./internal/crypto/... ./internal/pbft/...
 	$(GO) test -run '^$$' -bench Transport -benchtime 1x ./internal/transport
 	$(GO) test -run '^$$' -bench 'StoreAppend|OrderingThroughput' -benchtime 1x .

@@ -122,12 +122,10 @@ func run() error {
 		log.Printf("recovered: %d blocks, %d WAL records, view=%d seq=%d, %d dedup entries restored",
 			rec.StoreReport.Loaded, rec.WALRecords, rec.RestoredView, rec.RestoredSeq, rec.WindowRestored)
 		if rec.StoreReport.Truncated() {
-			log.Printf("store recovery dropped a damaged tail: %d blocks beyond a gap, %d undecodable files",
-				rec.StoreReport.DiscardedTail, rec.StoreReport.CorruptTail)
+			log.Printf("store recovery dropped a damaged tail: %d bytes", rec.StoreReport.TruncatedBytes)
 		}
 		if rec.WALReport.Truncated() {
-			log.Printf("WAL recovery dropped a damaged tail: %d bytes, %d whole segments",
-				rec.WALReport.TruncatedBytes, rec.WALReport.TruncatedSegments)
+			log.Printf("WAL recovery dropped a damaged tail: %d bytes", rec.WALReport.TruncatedBytes)
 		}
 		if rec.PendingTransfer > 0 {
 			log.Printf("stable checkpoint ahead of local chain: state transfer to block %d scheduled",

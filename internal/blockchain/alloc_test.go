@@ -112,15 +112,15 @@ func storeAppendBytes(t *testing.T) float64 {
 }
 
 // TestStoreAppendAllocations guards the store's write path, which a
-// replica pays once per executed slot: the block is encoded into a pooled
-// encoder and its file paths are built without formatting, so appending a
-// one-record block must not allocate a copy of its encoding.
+// replica pays once per executed slot: the block is framed into a pooled
+// encoder and appended to the open segment, so appending a one-record
+// block allocates neither a copy of its encoding nor a file.
 func TestStoreAppendAllocations(t *testing.T) {
 	skipUnderRace(t)
 	got := storeAppendBytes(t)
 	t.Logf("durable Append of a one-record block: %.0f B", got)
-	if got > 1792 {
-		t.Errorf("a durable Append of a one-record block allocates %.0f B, want at most 1792", got)
+	if got > 512 {
+		t.Errorf("a durable Append of a one-record block allocates %.0f B, want at most 512", got)
 	}
 }
 

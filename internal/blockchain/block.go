@@ -62,6 +62,16 @@ func (h *Header) encodeTo(e *wire.Encoder) {
 	e.Bytes32(h.BodyHash)
 }
 
+func decodeHeader(d *wire.Decoder) Header {
+	return Header{
+		Index:    d.Uint64(),
+		PrevHash: d.Bytes32(),
+		FirstSeq: d.Uint64(),
+		LastSeq:  d.Uint64(),
+		BodyHash: d.Bytes32(),
+	}
+}
+
 // Hash computes the block hash: the chain link and the PBFT checkpoint
 // state digest.
 func (h *Header) Hash() crypto.Digest {
@@ -141,13 +151,7 @@ func (b *Block) Marshal() []byte {
 // Unmarshal decodes a block encoded by Marshal.
 func Unmarshal(data []byte) (*Block, error) {
 	d := wire.NewDecoder(data)
-	b := &Block{Header: Header{
-		Index:    d.Uint64(),
-		PrevHash: d.Bytes32(),
-		FirstSeq: d.Uint64(),
-		LastSeq:  d.Uint64(),
-		BodyHash: d.Bytes32(),
-	}}
+	b := &Block{Header: decodeHeader(d)}
 	n := d.Uvarint()
 	if n > uint64(d.Remaining()) {
 		return nil, errors.New("blockchain: entry count exceeds input")

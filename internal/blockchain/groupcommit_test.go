@@ -1,8 +1,8 @@
 package blockchain
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -33,9 +33,11 @@ func TestStoreAppendBatchOneGroup(t *testing.T) {
 	if gc.Groups.Load() != 1 || gc.Blocks.Load() != 5 {
 		t.Errorf("group counters = %d groups / %d blocks, want one 5-block group", gc.Groups.Load(), gc.Blocks.Load())
 	}
-	for i := 1; i <= 5; i++ {
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("block-%08d.zc", i))); err != nil {
-			t.Errorf("block %d not persisted: %v", i, err)
+	// One segment holds the group: one frame per block, whose payload is
+	// the block's Marshal encoding.
+	for i, p := range segmentPayloads(t, filepath.Join(dir, "chain-00000001.log")) {
+		if !bytes.Equal(p, blocks[i].Marshal()) {
+			t.Errorf("frame %d is not block %d's encoding", i, blocks[i].Index)
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -177,18 +179,23 @@ func TestStoreLoadDropsBlocksBeyondGap(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash that lost block 3's rename but kept block 4's: the
-	// durable chain prefix ends at 2.
-	if err := os.Remove(filepath.Join(dir, "block-00000003.zc")); err != nil {
+	// Simulate a crash that tore block 3's frame: the durable chain prefix
+	// ends at 2, and block 4 behind the tear is gone with it.
+	seg := filepath.Join(dir, "chain-00000001.log")
+	cut := 2*frameOverhead + len(blocks[0].Marshal()) + len(blocks[1].Marshal()) + 5
+	if err := os.Truncate(seg, int64(cut)); err != nil {
 		t.Fatal(err)
 	}
 
 	re := newDiskStore(t, dir)
 	if re.HeadIndex() != 2 {
-		t.Errorf("reloaded head = %d, want 2 (prefix before the gap)", re.HeadIndex())
+		t.Errorf("reloaded head = %d, want 2 (prefix before the tear)", re.HeadIndex())
+	}
+	if rep := re.Recovery(); rep.Loaded != 2 || !rep.Truncated() {
+		t.Errorf("recovery report = %+v, want 2 loaded and a cut tail", rep)
 	}
 	if _, err := re.Get(4); errors.Is(err, nil) {
-		t.Error("block beyond the gap still served")
+		t.Error("block beyond the tear still served")
 	}
 	if err := re.VerifyChain(); err != nil {
 		t.Errorf("prefix chain: %v", err)

@@ -1,16 +1,14 @@
 package blockchain
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"zugchain/internal/metrics"
+	"zugchain/internal/wal"
 	"zugchain/internal/wire"
 )
 
@@ -25,20 +23,23 @@ var (
 // Store keeps the chain in memory and, when configured with a directory,
 // persists every block to disk — fsync'd — before acknowledging it, so an
 // acknowledged append survives power loss (§V-B "Comparison to JRU
-// Requirements"). Durable writes go through a group-commit writer: appends
-// that arrive while a disk write is in flight are coalesced into the next
-// write group, which pays a single directory fsync for all of its blocks.
-// A group of one block degrades to exactly the previous per-block write
-// path. Blocks below the pruning base are deleted after a confirmed export
+// Requirements"). On disk the chain is a wal.Segments log, the segment log
+// the write-ahead log also uses: each block is one frame whose payload is
+// its Marshal encoding, and appends waiting together share one write and
+// one fsync. Prune and CompactToHeaders append a state record (base,
+// compaction mark, export authorization) before they delete or rewrite
+// anything, so a reopened store comes back with the same base and headers.
+// Blocks below the pruning base are deleted after a confirmed export
 // (§III-D); compacted blocks survive as headers only.
 type Store struct {
-	mu      sync.RWMutex
-	dir     string // empty = memory only
-	blocks  map[uint64]*Block
-	headers map[uint64]Header // bodies compacted away, headers retained
-	base    uint64            // lowest retained full block (pruning base)
-	head    uint64            // highest durable (or memory-only) block index
-	auth    []byte            // export authorization justifying the base
+	mu        sync.RWMutex
+	log       *wal.Segments // nil = memory only
+	blocks    map[uint64]*Block
+	headers   map[uint64]Header // bodies compacted away, headers retained
+	base      uint64            // lowest retained full block (pruning base)
+	head      uint64            // highest durable (or memory-only) block index
+	auth      []byte            // export authorization justifying the base
+	compacted uint64            // highest index ever compacted to its header
 
 	// Reservation tail for in-flight durable writes: linkage is checked
 	// against (pendHead, pendHash) so a second appender can queue the next
@@ -46,152 +47,221 @@ type Store struct {
 	// waiting on the disk. head trails pendHead until the group commits.
 	pendHead uint64
 	pendHash [32]byte
-	// failed latches the first durable-write error: memory state may be
-	// ahead of disk at that point, so the store refuses further appends
-	// rather than silently diverge from its own persistence.
-	failed error
+
+	// spans records which block indices each segment holds: what Prune
+	// may delete and CompactToHeaders may rewrite.
+	spans map[uint64]span
+	// maint serializes Prune and CompactToHeaders, whose state record,
+	// memory update and segment work must not interleave.
+	maint sync.Mutex
 
 	gc       metrics.GroupCommitCounters
 	recovery RecoveryReport
-
-	// Group-commit writer (dir != ""). writeCh is deliberately unbuffered:
-	// a send succeeds only when the writer (or the Close drain) receives
-	// it, which is what makes shutdown race-free.
-	writeCh   chan *writeReq
-	quit      chan struct{}
-	writerEnd chan struct{}
-	closeOnce sync.Once
 }
 
-// writeReq is one appender's durable-write request to the commit loop.
-type writeReq struct {
-	blocks []*Block   // nil for a pure Sync barrier
-	err    chan error // buffered(1): the writer always answers
+// span is the run of block indices [first, last] one segment holds;
+// bodies says whether they are stored as full blocks.
+type span struct {
+	first, last uint64
+	bodies      bool
 }
+
+const (
+	segmentPrefix = "chain"
+	// segmentBytes is the size past which the store starts a new segment,
+	// at the next block boundary: small enough that Prune reclaims disk
+	// soon after an export, large enough that rotations are rare.
+	segmentBytes = 16 << 20
+	// headerSize is a Header's encoded size, and so the payload size of a
+	// header frame; every block encoding is longer.
+	headerSize = 88
+	// stateIndex leads a state record where a block's index would be.
+	stateIndex = ^uint64(0)
+)
 
 // NewStore creates a store rooted at the genesis block. If dir is nonempty
-// it is created if needed, any previously persisted blocks are loaded, and
-// the group-commit writer is started; such a store must be Closed.
+// it is created if needed, its segment log is replayed, and the
+// group-commit writer is started; such a store must be Closed.
 func NewStore(dir string) (*Store, error) {
+	return newStore(dir, segmentBytes)
+}
+
+func newStore(dir string, segBytes int64) (*Store, error) {
 	s := &Store{
-		dir:     dir,
 		blocks:  map[uint64]*Block{0: Genesis()},
 		headers: make(map[uint64]Header),
 	}
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("blockchain: create store dir: %w", err)
-		}
-		if err := s.load(); err != nil {
+		if err := refuseOldLayout(dir); err != nil {
 			return nil, err
+		}
+		var st chainState // the last state record; none is genesis' state
+		s.spans = make(map[uint64]span)
+		log, report, err := wal.OpenSegments(dir, segmentPrefix, segBytes,
+			func(n, _ int) { s.gc.RecordGroup(n) },
+			func(seg uint64, p []byte) error {
+				if len(p) >= 8 && binary.LittleEndian.Uint64(p) == stateIndex {
+					next, err := decodeState(p[8:])
+					if err == nil {
+						st = next
+					}
+					return err
+				}
+				return s.replay(seg, p)
+			})
+		if err != nil {
+			return nil, fmt.Errorf("blockchain: open store: %w", err)
+		}
+		if err := s.restore(st); err != nil {
+			_ = log.Close()
+			return nil, err
+		}
+		s.log = log
+		s.recovery = RecoveryReport{Loaded: int(s.head - s.base), RecoveryReport: report}
+		if s.base > 0 {
+			s.recovery.Loaded++
 		}
 	}
 	s.pendHead = s.head
 	s.pendHash = s.blocks[s.head].Hash()
-	if dir != "" {
-		s.writeCh = make(chan *writeReq)
-		s.quit = make(chan struct{})
-		s.writerEnd = make(chan struct{})
-		go s.commitLoop()
-	}
 	return s, nil
 }
 
-// RecoveryReport describes what load found on disk: how many blocks made
-// the durable prefix and how many tail files a crash left unusable. The
-// node surfaces it at startup — data loss after a crash must be visible,
-// not silent.
+// RecoveryReport describes what opening a disk store found: how many
+// blocks made the durable chain, and the torn tail the segment log cut off
+// its last segment. The node surfaces it at startup — data loss after a
+// crash must be visible, not silent.
 type RecoveryReport struct {
-	// Loaded counts blocks restored into the durable chain prefix.
+	// Loaded counts blocks restored from the base to the head.
 	Loaded int
-	// DiscardedTail counts decodable blocks dropped because they sat
-	// beyond a gap in the index sequence (a crash between a write group's
-	// renames and its directory fsync).
-	DiscardedTail int
-	// CorruptTail counts undecodable tail files ignored.
-	CorruptTail int
+	wal.RecoveryReport
 }
 
-// Truncated reports whether recovery discarded anything.
-func (r RecoveryReport) Truncated() bool {
-	return r.DiscardedTail > 0 || r.CorruptTail > 0
-}
-
-// Recovery returns what load found when the store was opened.
+// Recovery returns what opening the store found on disk.
 func (s *Store) Recovery() RecoveryReport { return s.recovery }
 
-// load reads persisted blocks back into memory.
-func (s *Store) load() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("blockchain: read store dir: %w", err)
+// refuseOldLayout rejects a directory in the retired one-file-per-block
+// layout: opening it would start an empty chain beside the old blocks.
+func refuseOldLayout(dir string) error {
+	old, err := filepath.Glob(filepath.Join(dir, "block-[0-9]*.zc"))
+	if err == nil && len(old) > 0 {
+		err = fmt.Errorf("blockchain: %s holds %s of the retired one-file-per-block layout; refusing to open it", dir, filepath.Base(old[0]))
 	}
-	var indices, corrupt []uint64
-	for _, ent := range entries {
-		name := ent.Name()
-		if !strings.HasPrefix(name, "block-") || !strings.HasSuffix(name, ".zc") {
-			continue
+	return err
+}
+
+// replay installs one block or header frame read back from segment seg.
+// Frames must extend the chain read so far; the first one may start past
+// genesis, when Prune deleted the segments before it.
+func (s *Store) replay(seg uint64, p []byte) error {
+	var b *Block
+	var h Header
+	if len(p) == headerSize {
+		h = decodeHeader(wire.NewDecoder(p))
+	} else {
+		var err error
+		if b, err = Unmarshal(p); err != nil {
+			return err
 		}
-		idxStr := strings.TrimSuffix(strings.TrimPrefix(name, "block-"), ".zc")
-		idx, err := strconv.ParseUint(idxStr, 10, 64)
-		if err != nil {
-			continue
+		if err := b.Validate(); err != nil {
+			return err
 		}
-		data, err := os.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			return fmt.Errorf("blockchain: read %s: %w", name, err)
-		}
-		b, err := Unmarshal(data)
-		if err != nil || b.Index != idx {
-			// An undecodable file at the chain tail is the expected residue
-			// of a crash mid-write and is recoverable (the quorum re-serves
-			// the block); the same damage below a valid block means the
-			// durable prefix itself is broken, which only state transfer
-			// from scratch could fix — refuse to open.
-			corrupt = append(corrupt, idx)
-			continue
-		}
-		s.blocks[idx] = b
-		indices = append(indices, idx)
+		h = b.Header
 	}
-	if len(indices) == 0 {
-		s.recovery.CorruptTail = len(corrupt)
+	switch {
+	case s.head > 0 || h.Index == 1:
+		if prev := s.headerLocked(s.head); h.Index != s.head+1 || h.PrevHash != prev.Hash() {
+			return fmt.Errorf("%w: block %d read after %d", ErrBadLinkage, h.Index, s.head)
+		}
+	case h.Index == 0:
+		return fmt.Errorf("%w: block 0 on disk", ErrBadLinkage)
+	default:
+		delete(s.blocks, 0)
+		s.base = h.Index
+	}
+	if b != nil {
+		s.blocks[h.Index] = b
+	} else {
+		s.headers[h.Index] = h
+	}
+	s.head = h.Index
+	s.noteSpan(seg, h.Index, h.Index, b != nil)
+	return nil
+}
+
+// restore applies the last state record replay found to the chain read
+// from disk: the base it prunes to, with its authorization, and the
+// compaction mark. A chain that starts past genesis needs a prune record
+// whose base it reaches.
+func (s *Store) restore(st chainState) error {
+	if st.base < s.base || st.base > s.head {
+		return fmt.Errorf("blockchain: prune base %d outside the chain on disk [%d, %d]", st.base, s.base, s.head)
+	}
+	for i := s.base; i < st.base; i++ {
+		delete(s.blocks, i)
+		delete(s.headers, i)
+	}
+	s.base, s.auth = st.base, st.auth
+	if s.blocks[s.base] == nil || s.blocks[s.head] == nil {
+		return fmt.Errorf("blockchain: base %d or head %d on disk lacks its body", s.base, s.head)
+	}
+	s.compactLocked(st.compacted)
+	return nil
+}
+
+// chainState is the state record Prune and CompactToHeaders append: it
+// restates the pruning base with its authorization and the compaction
+// mark, so the latest one read back restores both.
+type chainState struct {
+	base, compacted uint64
+	auth            []byte
+}
+
+// decodeState decodes a state record's fields, after its stateIndex.
+func decodeState(p []byte) (chainState, error) {
+	d := wire.NewDecoder(p)
+	st := chainState{base: d.Uvarint(), compacted: d.Uvarint(), auth: d.BytesCopy()}
+	if d.Remaining() != 0 {
+		d.Fail(errors.New("blockchain: trailing bytes after state record"))
+	}
+	return st, d.Err()
+}
+
+// writeState durably appends a state record; a no-op for a memory store.
+func (s *Store) writeState(st chainState) error {
+	if s.log == nil {
 		return nil
 	}
-	sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
-	maxValid := indices[len(indices)-1]
-	for _, idx := range corrupt {
-		if idx < maxValid {
-			return fmt.Errorf("blockchain: corrupt block file for index %d amid valid blocks", idx)
-		}
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	at := wal.StartFrame(e)
+	e.Uint64(stateIndex)
+	e.Uvarint(st.base)
+	e.Uvarint(st.compacted)
+	e.Bytes(st.auth)
+	wal.EndFrame(e, at)
+	_, err := s.write(e.Data(), 0)
+	return err
+}
+
+// write durably appends frames carrying n blocks to the segment log and
+// returns the segment they landed in.
+func (s *Store) write(frames []byte, n int) (uint64, error) {
+	seg, err := s.log.Append(frames, n)
+	if errors.Is(err, wal.ErrClosed) {
+		return 0, ErrClosed
 	}
-	s.recovery.CorruptTail = len(corrupt)
-	// Keep only the contiguous run from the lowest index: a crash between a
-	// write group's renames and its directory fsync can, in principle,
-	// leave a gap, and blocks beyond a gap are not part of the durable
-	// chain prefix.
-	head := indices[0]
-	for _, idx := range indices[1:] {
-		if idx != head+1 {
-			break
-		}
-		head = idx
+	return seg, err
+}
+
+// noteSpan records that segment seg holds blocks [first, last], as full
+// blocks or, once rewritten, as headers. Callers hold s.mu.
+func (s *Store) noteSpan(seg, first, last uint64, bodies bool) {
+	sp, ok := s.spans[seg]
+	if !ok {
+		sp.first = first
 	}
-	for _, idx := range indices {
-		if idx > head {
-			delete(s.blocks, idx)
-			s.recovery.DiscardedTail++
-		}
-	}
-	s.recovery.Loaded = len(indices) - s.recovery.DiscardedTail
-	s.head = head
-	if min := indices[0]; min > 1 {
-		s.base = min
-		if auth, err := os.ReadFile(filepath.Join(s.dir, "prune-auth.zc")); err == nil {
-			s.auth = auth
-		}
-	}
-	return nil
+	s.spans[seg] = span{first: min(sp.first, first), last: max(sp.last, last), bodies: bodies}
 }
 
 // Append adds a sealed block extending the current head. For a persistent
@@ -202,11 +272,11 @@ func (s *Store) Append(b *Block) error {
 }
 
 // AppendBatch adds a contiguous run of sealed blocks extending the current
-// head, persisting them as a single fsync'd write group. Either all blocks
-// are appended or none: validation and linkage are checked up front. Used
-// by state transfer (a replica installing many fetched blocks at once) and
-// by anything else that knows several blocks ahead of time; the group pays
-// one directory fsync regardless of length.
+// head, persisting them with one write and one fsync, shared with any
+// appends already waiting. Either all blocks are appended or none:
+// validation and linkage are checked up front. Used by state transfer (a
+// replica installing many fetched blocks at once) and by anything else
+// that knows several blocks ahead of time.
 func (s *Store) AppendBatch(blocks []*Block) error {
 	if len(blocks) == 0 {
 		return nil
@@ -218,11 +288,6 @@ func (s *Store) AppendBatch(blocks []*Block) error {
 	}
 
 	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
-		return err
-	}
 	prevHash := s.pendHash
 	next := s.pendHead + 1
 	for _, b := range blocks {
@@ -237,38 +302,33 @@ func (s *Store) AppendBatch(blocks []*Block) error {
 		prevHash = b.Hash()
 		next++
 	}
-	if s.dir == "" {
-		for _, b := range blocks {
-			s.blocks[b.Index] = b
-		}
-		s.head = next - 1
-		s.pendHead = s.head
-		s.pendHash = prevHash
-		s.mu.Unlock()
-		return nil
-	}
 	// Reserve the slots so a concurrent appender can stack the following
-	// blocks — and share our write group — while we wait on the disk.
+	// blocks — and share our write group — while we wait on the disk. A
+	// failed write poisons the segment log, so no later append can
+	// succeed past the reservation it leaves behind.
 	s.pendHead = next - 1
 	s.pendHash = prevHash
-	s.mu.Unlock()
-
-	if err := s.submitWrite(&writeReq{blocks: blocks, err: make(chan error, 1)}); err != nil {
-		s.mu.Lock()
-		if s.failed == nil && !errors.Is(err, ErrClosed) {
-			s.failed = err
-		}
+	if s.log != nil {
 		s.mu.Unlock()
-		return err
+		e := wire.GetEncoder()
+		for _, b := range blocks {
+			at := wal.StartFrame(e)
+			b.Header.encodeTo(e)
+			encodeEntries(e, b.Entries)
+			wal.EndFrame(e, at)
+		}
+		seg, err := s.write(e.Data(), len(blocks))
+		wire.PutEncoder(e)
+		if err != nil {
+			return err
+		}
+		s.mu.Lock()
+		s.noteSpan(seg, blocks[0].Index, next-1, true)
 	}
-
-	s.mu.Lock()
 	for _, b := range blocks {
 		s.blocks[b.Index] = b
 	}
-	if last := blocks[len(blocks)-1].Index; last > s.head {
-		s.head = last
-	}
+	s.head = max(s.head, next-1)
 	s.mu.Unlock()
 	return nil
 }
@@ -277,177 +337,27 @@ func (s *Store) AppendBatch(blocks []*Block) error {
 // before the call is fsync'd to disk. Export and prune paths call it before
 // acting on store contents. No-op for a memory-only store.
 func (s *Store) Sync() error {
-	if s.dir == "" {
+	if s.log == nil {
 		return nil
 	}
 	s.gc.AddSync()
-	// An empty request round-trips through the commit loop, which
-	// serializes it after any in-flight group.
-	return s.submitWrite(&writeReq{err: make(chan error, 1)})
+	_, err := s.write(nil, 0)
+	return err
 }
 
-// Close stops the group-commit writer and releases any appenders still
-// queued (they get ErrClosed). The store must not be appended to after
-// Close; reads remain valid. Safe to call more than once.
+// Close stops the group-commit writer; appenders still queued get
+// ErrClosed. The store must not be appended to after Close; reads remain
+// valid. Safe to call more than once.
 func (s *Store) Close() error {
-	if s.dir == "" {
+	if s.log == nil {
 		return nil
 	}
-	s.closeOnce.Do(func() {
-		close(s.quit)
-		<-s.writerEnd
-		// Release appenders that were parked in submitWrite's send. With
-		// an unbuffered writeCh a send only ever pairs with a receive, so
-		// after this drain finds the channel idle every remaining sender
-		// is guaranteed to take its quit branch.
-		for {
-			select {
-			case r := <-s.writeCh:
-				r.err <- ErrClosed
-			default:
-				return
-			}
-		}
-	})
-	return nil
+	return s.log.Close()
 }
 
-// GroupCommits exposes the group-commit writer's counters (groups, blocks
-// per group, explicit sync barriers).
+// GroupCommits exposes the group-commit writer's counters: write groups,
+// each one fsync, the blocks they carried, and explicit sync barriers.
 func (s *Store) GroupCommits() *metrics.GroupCommitCounters { return &s.gc }
-
-// submitWrite hands a request to the commit loop and waits for its group
-// to become durable.
-func (s *Store) submitWrite(r *writeReq) error {
-	select {
-	case s.writeCh <- r:
-		return <-r.err
-	case <-s.quit:
-		return ErrClosed
-	}
-}
-
-// commitLoop is the group-commit writer: it takes one queued request, then
-// drains every other request already waiting, writes all of their blocks
-// (each an fsync'd temp file renamed into place), and makes the whole group
-// durable with a single directory fsync before acknowledging everyone.
-func (s *Store) commitLoop() {
-	defer close(s.writerEnd)
-	for {
-		select {
-		case r := <-s.writeCh:
-			group := []*writeReq{r}
-		drain:
-			for {
-				select {
-				case r2 := <-s.writeCh:
-					group = append(group, r2)
-				default:
-					break drain
-				}
-			}
-			err := s.commitGroup(group)
-			for _, g := range group {
-				g.err <- err
-			}
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// commitGroup persists every block of the group and fsyncs the directory
-// once. A failure fails the whole group: none of its renames were made
-// durable by a directory fsync, so no member may be acknowledged.
-func (s *Store) commitGroup(group []*writeReq) error {
-	n := 0
-	for _, r := range group {
-		for _, b := range r.blocks {
-			if err := s.writeBlockFile(b); err != nil {
-				return err
-			}
-			n++
-		}
-	}
-	if n == 0 {
-		return nil // pure Sync barriers: prior groups already fsync'd
-	}
-	if err := s.syncDir(); err != nil {
-		return err
-	}
-	s.gc.RecordGroup(n)
-	return nil
-}
-
-// writeBlockFile persists one block atomically and durably: the temp file
-// is fsync'd before the rename, so the rename can never install a file
-// whose contents might still be lost to power failure. The directory fsync
-// that makes the rename itself durable is the group's, in commitGroup. The
-// block is encoded into a pooled encoder, so a write allocates little
-// beyond its file path.
-func (s *Store) writeBlockFile(b *Block) error {
-	tmp := s.blockPath(b.Index, ".tmp")
-	final := tmp[:len(tmp)-len(".tmp")]
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("blockchain: write block %d: %w", b.Index, err)
-	}
-	e := wire.GetEncoder()
-	b.Header.encodeTo(e)
-	encodeEntries(e, b.Entries)
-	_, err = f.Write(e.Data())
-	wire.PutEncoder(e)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("blockchain: write block %d: %w", b.Index, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("blockchain: sync block %d: %w", b.Index, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("blockchain: close block %d: %w", b.Index, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("blockchain: commit block %d: %w", b.Index, err)
-	}
-	return nil
-}
-
-// blockPath returns the path of block index's file, block-%08d.zc, with
-// suffix appended, built in one allocation.
-func (s *Store) blockPath(index uint64, suffix string) string {
-	var digits [20]byte
-	d := strconv.AppendUint(digits[:0], index, 10)
-	var p strings.Builder
-	p.Grow(len(s.dir) + len("/block-.zc") + max(len(d), 8) + len(suffix))
-	p.WriteString(s.dir)
-	p.WriteByte(filepath.Separator)
-	p.WriteString("block-")
-	for i := len(d); i < 8; i++ {
-		p.WriteByte('0')
-	}
-	p.Write(d)
-	p.WriteString(".zc")
-	p.WriteString(suffix)
-	return p.String()
-}
-
-// syncDir fsyncs the store directory, making completed renames durable.
-func (s *Store) syncDir() error {
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return fmt.Errorf("blockchain: open store dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("blockchain: sync store dir: %w", err)
-	}
-	return nil
-}
 
 // Get returns the block at index. Pruned indices yield ErrPruned; compacted
 // ones only have headers (see Header method).
@@ -553,72 +463,54 @@ func (s *Store) Range(from, to uint64) ([]*Block, error) {
 // The block at keepFrom is retained as the base of the pruned chain ("the
 // last exported block ... serves as the first block for the pruned
 // blockchain", §III-D step 6). auth is the export layer's signed delete
-// certificate, persisted so a transferred or audited chain can justify its
-// non-genesis base.
+// certificate, kept so a transferred or audited chain can justify its
+// non-genesis base. On disk the prune record is durable before any
+// segment is deleted, so a store recovered after power loss can always
+// justify its base; segments whose blocks all lie below it are deleted.
 func (s *Store) Prune(keepFrom uint64, auth []byte) error {
+	s.maint.Lock()
+	defer s.maint.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if keepFrom > s.head {
-		return fmt.Errorf("blockchain: prune base %d above head %d", keepFrom, s.head)
-	}
-	if keepFrom <= s.base {
+	st := chainState{base: keepFrom, compacted: s.compacted, auth: auth}
+	var err error
+	switch _, ok := s.blocks[keepFrom]; {
+	case keepFrom > s.head:
+		err = fmt.Errorf("blockchain: prune base %d above head %d", keepFrom, s.head)
+	case keepFrom <= s.base:
+		s.mu.Unlock()
 		return nil // nothing to do
+	case !ok:
+		err = fmt.Errorf("%w: prune base %d", ErrNotFound, keepFrom)
 	}
-	if _, ok := s.blocks[keepFrom]; !ok {
-		return fmt.Errorf("%w: prune base %d", ErrNotFound, keepFrom)
+	s.mu.Unlock()
+	if err != nil {
+		return err
 	}
+	if err := s.writeState(st); err != nil {
+		return err
+	}
+	s.mu.Lock()
 	for i := s.base; i < keepFrom; i++ {
 		delete(s.blocks, i)
 		delete(s.headers, i)
-		if s.dir != "" && i > 0 {
-			_ = os.Remove(s.blockPath(i, ""))
+	}
+	s.base, s.auth = keepFrom, auth
+	keep := uint64(0) // the oldest segment holding a block at or above the base
+	for seg, sp := range s.spans {
+		if sp.last < keepFrom {
+			delete(s.spans, seg)
+		} else if keep == 0 || seg < keep {
+			keep = seg
 		}
 	}
-	s.base = keepFrom
-	s.auth = auth
-	if s.dir != "" {
-		// The authorization must be durable before the deletions are: a
-		// pruned chain recovered after power loss has to be able to
-		// justify its non-genesis base (§III-D step 6).
-		if auth != nil {
-			_ = writeFileSync(filepath.Join(s.dir, "prune-auth.zc"), auth)
-		}
-		_ = s.syncDir()
+	s.mu.Unlock()
+	if keep == 0 {
+		return nil // a memory store
+	}
+	if err := s.log.Drop(keep); err != nil {
+		return fmt.Errorf("blockchain: delete pruned segments: %w", err)
 	}
 	return nil
-}
-
-// writeFileSync durably replaces path with data: fsync'd temp file, rename,
-// directory fsync.
-func writeFileSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // PruneAuth returns the stored export authorization for the current base.
@@ -631,25 +523,63 @@ func (s *Store) PruneAuth() []byte {
 // CompactToHeaders drops the bodies of blocks in [base, through], keeping
 // their headers — the §III-D error (v) escape hatch when deletes are missed
 // and memory runs out. The base block body is kept so the chain still has a
-// verifiable anchor.
+// verifiable anchor. On disk a state record carrying the compaction mark
+// is durable first, then every segment holding only compacted blocks is
+// rewritten as header frames, which is what reclaims the disk.
 func (s *Store) CompactToHeaders(through uint64) error {
+	s.maint.Lock()
+	defer s.maint.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if through >= s.head {
+	st := chainState{base: s.base, compacted: max(s.compacted, through), auth: s.auth}
+	head := s.head
+	s.mu.Unlock()
+	if through >= head {
 		return fmt.Errorf("blockchain: refusing to compact the head")
 	}
-	for i := s.base + 1; i <= through; i++ {
-		b, ok := s.blocks[i]
-		if !ok {
-			continue
-		}
-		s.headers[i] = b.Header
-		delete(s.blocks, i)
-		if s.dir != "" {
-			_ = os.Remove(s.blockPath(i, ""))
+	if err := s.writeState(st); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.compactLocked(st.compacted)
+	var rewrite []uint64
+	for seg, sp := range s.spans {
+		if sp.bodies && sp.first > s.base && sp.last <= st.compacted {
+			rewrite = append(rewrite, seg)
 		}
 	}
+	s.mu.Unlock()
+	for _, seg := range rewrite {
+		e := wire.GetEncoder()
+		s.mu.RLock()
+		sp := s.spans[seg]
+		for i := sp.first; i <= sp.last; i++ {
+			at := wal.StartFrame(e)
+			h := s.headers[i]
+			h.encodeTo(e)
+			wal.EndFrame(e, at)
+		}
+		s.mu.RUnlock()
+		err := s.log.Rewrite(seg, e.Data())
+		wire.PutEncoder(e)
+		if err != nil {
+			return fmt.Errorf("blockchain: rewrite compacted segment %d: %w", seg, err)
+		}
+		s.mu.Lock()
+		s.noteSpan(seg, sp.first, sp.last, false)
+		s.mu.Unlock()
+	}
 	return nil
+}
+
+// compactLocked moves the bodies of blocks in (base, through] to headers.
+func (s *Store) compactLocked(through uint64) {
+	for i := s.base + 1; i <= through; i++ {
+		if b, ok := s.blocks[i]; ok {
+			s.headers[i] = b.Header
+			delete(s.blocks, i)
+		}
+	}
+	s.compacted = max(s.compacted, through)
 }
 
 // VerifyChain checks hash linkage and block integrity from the base to the

@@ -212,16 +212,18 @@ func TestStoreDetectsOnDiskCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillStore(t, s1, 2)
+	s1.Close()
 
 	// Flip one byte of a persisted block: an attacker with disk access
-	// after a crash. Reload either fails outright or chain verification
-	// catches it.
-	path := filepath.Join(dir, "block-00000001.zc")
+	// after a crash. Reload either fails outright, or it cuts the damaged
+	// frame and everything after it, says so, and serves no block built
+	// from the damaged bytes.
+	path := filepath.Join(dir, "chain-00000001.log")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x40
+	data[len(data)/4] ^= 0x40
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +232,12 @@ func TestStoreDetectsOnDiskCorruption(t *testing.T) {
 	if err != nil {
 		return // detected at load: good
 	}
-	if err := s2.VerifyChain(); err == nil {
-		t.Error("on-disk corruption went undetected")
+	defer s2.Close()
+	if !s2.Recovery().Truncated() || s2.HeadIndex() != 0 {
+		t.Errorf("on-disk corruption went undetected: head %d, report %+v", s2.HeadIndex(), s2.Recovery())
+	}
+	if err := s2.VerifyChain(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -281,3 +281,124 @@ func TestBatchingPreservesWindowInvariant(t *testing.T) {
 		lastAt[e.payload] = e.seq
 	}
 }
+
+// pacedFixture is a primary batching up to maxBatch records with a 2ms
+// MaxBatchDelay, on a fake clock that starts at its creation.
+func pacedFixture(t *testing.T, maxBatch int) *layerFixture {
+	return newFixture(t, 0, func(c *Config) {
+		c.MaxBatch = maxBatch
+		c.MaxBatchDelay = 2 * time.Millisecond
+	})
+}
+
+func TestIdlePrimaryProposesAtOnce(t *testing.T) {
+	fx := pacedFixture(t, 8)
+	fx.clk.Advance(3 * time.Millisecond) // idle longer than MaxBatchDelay
+	fx.layer.OnBusRecord(0, []byte("alone"))
+
+	props := fx.bft.proposals()
+	if len(props) != 1 {
+		t.Fatalf("proposals = %d, want the record proposed at once", len(props))
+	}
+	if props[0].Batch || string(props[0].Payload) != "alone" {
+		t.Errorf("idle flush = %+v, want a plain proposal", props[0])
+	}
+	fx.layer.mu.Lock()
+	armed := fx.layer.batchTimer != nil
+	fx.layer.mu.Unlock()
+	if armed {
+		t.Error("idle flush armed the batch timer")
+	}
+	b := fx.layer.Batches()
+	if b.IdleFlushes.Load() != 1 || b.DelayFlushes.Load() != 0 || b.SizeFlushes.Load() != 0 {
+		t.Errorf("batch counters = %v, want one idle flush", b.Metrics())
+	}
+	if b.WaitMaxNs.Load() != 0 {
+		t.Errorf("idle-flushed record waited %v", time.Duration(b.WaitMaxNs.Load()))
+	}
+}
+
+func TestPacedRecordsFlushTogetherAtIntervalEnd(t *testing.T) {
+	fx := pacedFixture(t, 8)
+	fx.clk.Advance(3 * time.Millisecond)
+	fx.layer.OnBusRecord(0, []byte("first")) // idle: flushed at t=3ms
+
+	fx.clk.Advance(500 * time.Microsecond)
+	fx.layer.OnBusRecord(0, []byte("b"))
+	fx.clk.Advance(time.Millisecond)
+	fx.layer.OnBusRecord(0, []byte("c"))
+	// t=4.5ms: the pacing interval of the flush at 3ms runs to 5ms.
+	fx.clk.Advance(499 * time.Microsecond)
+	time.Sleep(20 * time.Millisecond)
+	if got := len(fx.bft.proposals()); got != 1 {
+		t.Fatalf("proposals before the interval ended = %d, want 1", got)
+	}
+	fx.clk.Advance(time.Microsecond)
+	waitFor(t, func() bool { return len(fx.bft.proposals()) == 2 })
+
+	items, err := pbft.DecodeBatch(fx.bft.proposals()[1].Payload)
+	if err != nil || len(items) != 2 || string(items[0].Payload) != "b" || string(items[1].Payload) != "c" {
+		t.Fatalf("paced batch = %d items, err %v", len(items), err)
+	}
+	b := fx.layer.Batches()
+	if b.IdleFlushes.Load() != 1 || b.DelayFlushes.Load() != 1 {
+		t.Errorf("batch counters = %v, want one idle and one delay flush", b.Metrics())
+	}
+	if wait := time.Duration(b.WaitMaxNs.Load()); wait != 1500*time.Microsecond {
+		t.Errorf("oldest paced record waited %v, want 1.5ms", wait)
+	}
+}
+
+func TestPacedRecordNeverWaitsLongerThanMaxBatchDelay(t *testing.T) {
+	fx := pacedFixture(t, 8)
+	// settle waits until a flush that is due has landed: timer callbacks
+	// run on their own goroutines.
+	settle := func() {
+		waitFor(t, func() bool {
+			l := fx.layer
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			return len(l.batch) == 0 || fx.clk.Now().Before(l.lastFlush.Add(l.cfg.MaxBatchDelay))
+		})
+	}
+	// Arrival gaps in µs around the 2ms interval: after an idle stretch,
+	// right after a flush, inside the interval and at its very end. No
+	// step jumps past a pending flush, so each wait is measured exactly.
+	gaps := []time.Duration{2500, 0, 300, 1700, 100, 1900, 1999, 1, 2000, 2000, 2000, 2000}
+	for i, gap := range gaps {
+		fx.clk.Advance(gap * time.Microsecond)
+		settle()
+		fx.layer.OnBusRecord(0, []byte(fmt.Sprintf("r%d", i)))
+	}
+	fx.clk.Advance(2 * time.Millisecond)
+	settle()
+	fx.clk.Advance(4 * time.Millisecond)
+	fx.layer.OnBusRecord(0, []byte("after-idle"))
+
+	b := fx.layer.Batches()
+	if got, want := b.Records.Load(), uint64(len(gaps)+1); got != want {
+		t.Fatalf("flushed %d records, want %d", got, want)
+	}
+	if wait := time.Duration(b.WaitMaxNs.Load()); wait != 2*time.Millisecond {
+		t.Errorf("longest wait %v, want exactly MaxBatchDelay", wait)
+	}
+	if b.IdleFlushes.Load() != 2 || b.SizeFlushes.Load() != 0 {
+		t.Errorf("batch counters = %v, want two idle flushes", b.Metrics())
+	}
+}
+
+func TestPacedFullBatchStillFlushesAtOnce(t *testing.T) {
+	fx := pacedFixture(t, 3)
+	fx.clk.Advance(3 * time.Millisecond)
+	fx.layer.OnBusRecord(0, []byte("first")) // idle flush opens an interval
+	for _, p := range []string{"a", "b", "c"} {
+		fx.layer.OnBusRecord(0, []byte(p))
+	}
+	props := fx.bft.proposals()
+	if len(props) != 2 || !props[1].Batch {
+		t.Fatalf("proposals = %d, want the idle flush and a full batch", len(props))
+	}
+	if b := fx.layer.Batches(); b.SizeFlushes.Load() != 1 || b.IdleFlushes.Load() != 1 {
+		t.Errorf("batch counters = %v", b.Metrics())
+	}
+}

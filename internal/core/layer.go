@@ -84,8 +84,10 @@ type Config struct {
 	// per record.
 	MaxBatch int
 	// MaxBatchDelay bounds how long a record may sit in the primary's
-	// open batch waiting for companions before a flush is forced. Only
-	// meaningful with MaxBatch > 1. Defaults to 2ms.
+	// open batch waiting for companions before a flush is forced, and is
+	// the least spacing between two flushes of partial batches: a record
+	// that finds the batch empty and the primary idle for this long is
+	// proposed at once. Only meaningful with MaxBatch > 1. Defaults to 2ms.
 	MaxBatchDelay time.Duration
 	// Tracer, when non-nil, stamps per-record lifecycle phases (ingest,
 	// batch, decide) for the observability layer. All stamps are O(1)
@@ -171,6 +173,7 @@ type Layer struct {
 	batchTimer *timerHandle
 	batchT0    time.Time // when the oldest record entered the batch
 	batchGen   uint64
+	lastFlush  time.Time // paces partial flushes MaxBatchDelay apart
 
 	counters *metrics.Counters
 	latency  *metrics.Latency
@@ -201,6 +204,7 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, bft BFT, tr trans
 		tracer:   cfg.Tracer,
 		received: make(map[crypto.Digest]time.Time),
 	}
+	l.lastFlush = clk.Now()
 	tr.SetHandler(l.onTransport)
 	return l
 }
@@ -454,6 +458,9 @@ func (l *Layer) OnNewPrimary(view uint64, primary crypto.NodeID) {
 	}
 	l.view = view
 	l.primary = primary
+	// A fresh pacing interval, so the re-proposals below open a batch
+	// rather than the first of them going out alone.
+	l.lastFlush = l.clk.Now()
 	// Drop any half-assembled batch: its records are still in R with
 	// proposed reset below, so the loop re-proposes (or re-arms timers
 	// for) every one of them under the new primary.
@@ -475,7 +482,7 @@ func (l *Layer) OnNewPrimary(view uint64, primary crypto.NodeID) {
 	}
 	// Re-proposed records already waited through a view change; flush
 	// them immediately rather than letting the delay timer add latency.
-	l.flushBatchLocked(false)
+	l.flushBatchLocked(metrics.FlushSize)
 }
 
 // onTransport handles ZCRequest messages from peers: broadcasts after soft
@@ -599,17 +606,26 @@ func (l *Layer) proposeLocked(st *reqState, origin crypto.NodeID) {
 }
 
 // enqueueBatchLocked adds a signed record to the open batch, flushing when
-// it fills and arming the delay timer when it opens.
+// it fills. A record that opens the batch is proposed at once when the
+// last flush lies MaxBatchDelay or more behind; otherwise the delay timer
+// fires MaxBatchDelay after that flush. No record waits longer than
+// MaxBatchDelay, partial batches go out at most once per MaxBatchDelay,
+// and under load, when the timer is always pending, batches fill as before.
 func (l *Layer) enqueueBatchLocked(req pbft.Request) {
 	l.batch = append(l.batch, req)
 	if len(l.batch) >= l.cfg.MaxBatch {
-		l.flushBatchLocked(false)
+		l.flushBatchLocked(metrics.FlushSize)
 		return
 	}
 	if len(l.batch) == 1 {
 		l.batchT0 = l.clk.Now()
+		wait := l.lastFlush.Add(l.cfg.MaxBatchDelay).Sub(l.batchT0)
+		if wait <= 0 {
+			l.flushBatchLocked(metrics.FlushIdle)
+			return
+		}
 		gen := l.batchGen
-		l.batchTimer = l.armTimer(l.cfg.MaxBatchDelay, func() { l.onBatchDelay(gen) })
+		l.batchTimer = l.armTimer(wait, func() { l.onBatchDelay(gen) })
 	}
 }
 
@@ -623,18 +639,19 @@ func (l *Layer) onBatchDelay(gen uint64) {
 	if l.closed || gen != l.batchGen {
 		return
 	}
-	l.flushBatchLocked(true)
+	l.flushBatchLocked(metrics.FlushDelay)
 }
 
 // flushBatchLocked proposes the open batch as one request. A single-record
 // batch degrades to a plain proposal — byte-identical to unbatched
-// operation. byDelay records which trigger fired, for the metrics.
-func (l *Layer) flushBatchLocked(byDelay bool) {
+// operation. trigger records what fired, for the metrics.
+func (l *Layer) flushBatchLocked(trigger metrics.FlushTrigger) {
 	items := l.resetBatchLocked()
 	if len(items) == 0 {
 		return
 	}
-	l.batches.RecordFlush(len(items), l.clk.Now().Sub(l.batchT0), byDelay)
+	l.lastFlush = l.clk.Now()
+	l.batches.RecordFlush(len(items), l.lastFlush.Sub(l.batchT0), trigger)
 	if len(items) == 1 {
 		l.bft.Propose(items[0])
 		return

@@ -100,9 +100,14 @@ func TestTableIISmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bandwidth-shaped export is slow")
 	}
+	// At the paper's LTE rate the 50 extra blocks' ~69 KB take ~65 ms to
+	// cross, over three times the read round's fixed cost (≤ 20 ms), so
+	// the read is bandwidth-bound. At 100 Mbit/s they took ~6 ms, and
+	// noise in the fixed cost could reorder the two rows.
+	link := netsim.LinkProfile{BandwidthBps: netsim.LTE.BandwidthBps, Latency: time.Millisecond}
 	rows, err := TableII(TableIIOptions{
 		BlockCounts: []int{50, 100},
-		Link:        netsim.LinkProfile{BandwidthBps: 100e6, Latency: time.Millisecond},
+		Link:        link,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +121,11 @@ func TestTableIISmall(t *testing.T) {
 		}
 		if r.Read <= 0 || r.Delete <= 0 {
 			t.Errorf("%d blocks: zero durations %+v", r.Blocks, r)
+		}
+		t.Logf("%d blocks: read %v for %d B", r.Blocks, r.Read, r.ReplyBytes)
+		// The link serializes every reply the read collected.
+		if min := time.Duration(float64(r.ReplyBytes*8) / link.BandwidthBps * float64(time.Second)); r.Read < min {
+			t.Errorf("%d blocks: read %v, faster than %d B over the link (%v)", r.Blocks, r.Read, r.ReplyBytes, min)
 		}
 	}
 	// Export time and the bytes received grow with block count

@@ -288,28 +288,46 @@ func (p *PoolCounters) Metrics() []Metric {
 
 // BatchCounters instruments the primary's request coalescing (the ordering
 // hot path's batching stage): how many flushes happened and why (the batch
-// filled up, or the max-batch-delay expired), how many records they carried,
-// and the longest wait of a flush's oldest record. Like PoolCounters it
-// keeps O(1) state so it can sit on the hot path. All methods are safe for
-// concurrent use; the zero value is ready to use.
+// filled up, the max-batch-delay expired, or a record found the primary
+// idle), how many records they carried, and the longest wait of a flush's
+// oldest record. Like PoolCounters it keeps O(1) state so it can sit on the
+// hot path. All methods are safe for concurrent use; the zero value is
+// ready to use.
 type BatchCounters struct {
 	Flushes      atomic.Uint64
 	Records      atomic.Uint64
 	SizeFlushes  atomic.Uint64
 	DelayFlushes atomic.Uint64
+	IdleFlushes  atomic.Uint64
 	MaxSize      atomic.Int64
 	WaitMaxNs    atomic.Int64
 }
 
+// FlushTrigger says what made the primary flush its open batch.
+type FlushTrigger uint8
+
+const (
+	// FlushSize: the batch filled up, or a view change flushed the
+	// re-proposed records at once.
+	FlushSize FlushTrigger = iota
+	// FlushDelay: the max-batch-delay timer expired.
+	FlushDelay
+	// FlushIdle: a record opened an empty batch after the primary had
+	// been idle for the max-batch delay, so it was proposed at once.
+	FlushIdle
+)
+
 // RecordFlush records one batch flush of size records whose oldest record
-// waited wait; byDelay reports whether the max-batch-delay timer (rather
-// than the size limit) triggered it.
-func (b *BatchCounters) RecordFlush(size int, wait time.Duration, byDelay bool) {
+// waited wait, triggered by trigger.
+func (b *BatchCounters) RecordFlush(size int, wait time.Duration, trigger FlushTrigger) {
 	b.Flushes.Add(1)
 	b.Records.Add(uint64(size))
-	if byDelay {
+	switch trigger {
+	case FlushDelay:
 		b.DelayFlushes.Add(1)
-	} else {
+	case FlushIdle:
+		b.IdleFlushes.Add(1)
+	default:
 		b.SizeFlushes.Add(1)
 	}
 	storeMax(&b.MaxSize, int64(size))
@@ -323,6 +341,7 @@ func (b *BatchCounters) Metrics() []Metric {
 		Counter("zugchain_batch_records_total", "Records carried by flushed batches", b.Records.Load()),
 		Counter("zugchain_batch_size_flushes_total", "Flushes triggered by the size limit", b.SizeFlushes.Load()),
 		Counter("zugchain_batch_delay_flushes_total", "Flushes triggered by the delay timer", b.DelayFlushes.Load()),
+		Counter("zugchain_batch_idle_flushes_total", "Records proposed at once by an idle primary", b.IdleFlushes.Load()),
 		Gauge("zugchain_batch_max_size", "Largest single flush", float64(b.MaxSize.Load())),
 		Gauge("zugchain_batch_wait_max_seconds", "Longest batching wait", time.Duration(b.WaitMaxNs.Load()).Seconds()),
 	}
@@ -330,7 +349,7 @@ func (b *BatchCounters) Metrics() []Metric {
 
 // GroupCommitCounters instruments the blockchain store's group-commit
 // writer: how many durable write groups ran, how many blocks they covered
-// (one directory fsync per group makes every block in it durable at once),
+// (one fsync per group makes every block in it durable at once),
 // and how many explicit Sync barriers were requested. Safe for concurrent
 // use; the zero value is ready to use.
 type GroupCommitCounters struct {

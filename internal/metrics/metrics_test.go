@@ -215,9 +215,9 @@ func TestBatchCountersSnapshot(t *testing.T) {
 	if b.Flushes.Load() != 0 || b.Records.Load() != 0 || b.WaitMaxNs.Load() != 0 {
 		t.Error("zero-value batch counters are not zero")
 	}
-	b.RecordFlush(4, 2*time.Millisecond, false)
-	b.RecordFlush(8, 6*time.Millisecond, true)
-	b.RecordFlush(3, time.Millisecond, true)
+	b.RecordFlush(4, 2*time.Millisecond, FlushSize)
+	b.RecordFlush(8, 6*time.Millisecond, FlushDelay)
+	b.RecordFlush(3, time.Millisecond, FlushDelay)
 
 	if b.Flushes.Load() != 3 || b.Records.Load() != 15 {
 		t.Errorf("flushes/records = %d/%d", b.Flushes.Load(), b.Records.Load())
@@ -230,6 +230,10 @@ func TestBatchCountersSnapshot(t *testing.T) {
 	}
 	if v := values(b.Metrics()); v["zugchain_batch_wait_max_seconds"] != 0.006 {
 		t.Errorf("wait max = %vs, want 0.006s", v["zugchain_batch_wait_max_seconds"])
+	}
+	b.RecordFlush(1, 0, FlushIdle)
+	if b.IdleFlushes.Load() != 1 || b.SizeFlushes.Load() != 1 || b.DelayFlushes.Load() != 2 {
+		t.Errorf("idle flush counted as %d idle, %d size, %d delay", b.IdleFlushes.Load(), b.SizeFlushes.Load(), b.DelayFlushes.Load())
 	}
 }
 
@@ -261,7 +265,7 @@ func TestBatchCountersConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				b.RecordFlush(w+1, time.Duration(i)*time.Microsecond, i%2 == 0)
+				b.RecordFlush(w+1, time.Duration(i)*time.Microsecond, FlushTrigger(i%3))
 				g.RecordGroup(w + 1)
 			}
 		}(w)

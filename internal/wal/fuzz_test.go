@@ -32,12 +32,16 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, n, err := readFrame(data)
+		payload, n, err := ReadFrame(data)
 		if err != nil {
 			return
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("frame consumed %d of %d bytes", n, len(data))
+		}
+		r, err := DecodeRecord(payload)
+		if err != nil {
+			return
 		}
 		if _, err := DecodeRecord(EncodeRecord(r)); err != nil {
 			t.Fatalf("accepted frame re-encodes invalid: %v", err)

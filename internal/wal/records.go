@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"zugchain/internal/crypto"
 	"zugchain/internal/wire"
@@ -48,22 +46,6 @@ type Record struct {
 	Data   []byte
 }
 
-// MaxRecordSize bounds one encoded record. Checkpoint proofs (the largest
-// kind) carry ~100 bytes per replica signature; 1 MiB leaves three orders
-// of magnitude of headroom while letting recovery reject garbage lengths
-// without huge allocations.
-const MaxRecordSize = 1 << 20
-
-// castagnoli is the CRC-32C polynomial, the standard choice for storage
-// framing (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-var (
-	errShortFrame = errors.New("wal: short frame")
-	errBadCRC     = errors.New("wal: frame checksum mismatch")
-	errFrameSize  = errors.New("wal: frame exceeds max record size")
-)
-
 // appendRecord encodes r as one payload (no frame) onto enc.
 func appendRecord(enc *wire.Encoder, r Record) {
 	enc.Byte(byte(r.Kind))
@@ -105,64 +87,5 @@ func DecodeRecord(payload []byte) (Record, error) {
 func EncodeRecord(r Record) []byte {
 	enc := wire.NewEncoder(64 + len(r.Data))
 	appendRecord(enc, r)
-	out := make([]byte, enc.Len())
-	copy(out, enc.Data())
-	return out
-}
-
-// frameRecord appends the full on-disk frame for r onto enc:
-//
-//	[uint32 payload len][uint32 CRC-32C of payload][payload]
-func frameRecord(enc *wire.Encoder, r Record) {
-	headerAt := enc.Len()
-	enc.Uint32(0) // length placeholder
-	enc.Uint32(0) // crc placeholder
-	payloadAt := enc.Len()
-	appendRecord(enc, r)
-	payload := enc.Data()[payloadAt:]
-	patchFrameHeader(enc.Data()[headerAt:payloadAt], payload)
-}
-
-func patchFrameHeader(header, payload []byte) {
-	n := uint32(len(payload))
-	header[0] = byte(n)
-	header[1] = byte(n >> 8)
-	header[2] = byte(n >> 16)
-	header[3] = byte(n >> 24)
-	c := crc32.Checksum(payload, castagnoli)
-	header[4] = byte(c)
-	header[5] = byte(c >> 8)
-	header[6] = byte(c >> 16)
-	header[7] = byte(c >> 24)
-}
-
-// frameHeaderSize is the per-record framing overhead.
-const frameHeaderSize = 8
-
-// readFrame decodes the frame at the front of buf, returning the record and
-// the number of bytes consumed. Any malformed prefix — short header, bogus
-// length, CRC mismatch, undecodable payload — returns an error; recovery
-// treats that position as the torn tail of a crashed write.
-func readFrame(buf []byte) (Record, int, error) {
-	if len(buf) < frameHeaderSize {
-		return Record{}, 0, errShortFrame
-	}
-	n := uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24
-	if n > MaxRecordSize {
-		return Record{}, 0, errFrameSize
-	}
-	want := uint32(buf[4]) | uint32(buf[5])<<8 | uint32(buf[6])<<16 | uint32(buf[7])<<24
-	end := frameHeaderSize + int(n)
-	if len(buf) < end {
-		return Record{}, 0, errShortFrame
-	}
-	payload := buf[frameHeaderSize:end]
-	if crc32.Checksum(payload, castagnoli) != want {
-		return Record{}, 0, errBadCRC
-	}
-	r, err := DecodeRecord(payload)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	return r, end, nil
+	return enc.Clone()
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"zugchain/internal/blockchain"
-	"zugchain/internal/clock"
 	"zugchain/internal/crypto"
 	"zugchain/internal/experiments"
 	"zugchain/internal/metrics"
@@ -338,18 +337,18 @@ func reportBlocksPerSec(b *testing.B, n int) {
 // BenchmarkOrderingThroughput measures end-to-end ordering throughput of a
 // real four-node cluster (full PBFT, Ed25519, in-process transport) as the
 // primary's request batching is swept over 1/8/64 records per proposal.
-// batch=1 is the pre-batching hot path; the acceptance target for the
-// batching work is ≥3x records/s at batch=64.
+// batch=1 is the pre-batching hot path. Regenerate with
+//
+//	go test -run '^$' -bench 'OrderingThroughput$' -benchtime 3x .
 func BenchmarkOrderingThroughput(b *testing.B) {
 	for _, batch := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			net := transport.NewNetwork()
+			net, trs := inprocTransports()
 			defer net.Close()
-			trs := make(map[crypto.NodeID]transport.Transport)
-			for _, id := range []crypto.NodeID{0, 1, 2, 3} {
-				trs[id] = net.Endpoint(id)
-			}
-			benchOrderingThroughput(b, batch, trs)
+			// A window with enough concurrency to fill batches and the PBFT
+			// watermark, little enough that tail latency stays far below
+			// the timeouts.
+			benchOrdering(b, batch, trs, 64)
 		})
 	}
 }
@@ -357,9 +356,9 @@ func BenchmarkOrderingThroughput(b *testing.B) {
 // BenchmarkOrderingThroughputTCP is the same four-node ordering benchmark
 // over real TCP loopback connections, exercising the transport's outbound
 // write path (framing, syscalls, per-peer fan-out) instead of the in-process
-// network. The acceptance target for the asynchronous transport pipeline is
-// ≥1.5x records/s at batch=64 over the synchronous-send baseline
-// (BENCH_transport.json).
+// network. Regenerate with
+//
+//	go test -run '^$' -bench 'OrderingThroughputTCP' -benchtime 3x .
 func BenchmarkOrderingThroughputTCP(b *testing.B) {
 	for _, batch := range []int{1, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
@@ -385,72 +384,15 @@ func BenchmarkOrderingThroughputTCP(b *testing.B) {
 	}
 }
 
-func benchOrderingThroughput(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.Transport) {
-	// The historical in-process window (BENCH_ordering.json): enough
-	// concurrency to fill batches and the PBFT watermark, little enough
-	// that tail latency stays far below the timeouts.
-	benchOrdering(b, maxBatch, trs, 64)
-}
-
-func benchOrdering(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.Transport, maxOutstanding uint64) {
+// benchOrdering orders 512 records per iteration through an orderingLoad
+// and reports records/s, the primary's batch flushes, and the bytes every
+// node put on the wire per record where the transport counts them (the
+// in-process network does; TCP does not).
+func benchOrdering(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.Transport, window uint64) {
 	const recordsPerIter = 512
-	ids := []crypto.NodeID{0, 1, 2, 3}
-	kps := make(map[crypto.NodeID]*crypto.KeyPair)
-	var pairs []*crypto.KeyPair
-	for _, id := range ids {
-		kp := crypto.MustGenerateKeyPair(id)
-		kps[id] = kp
-		pairs = append(pairs, kp)
-	}
-	reg := crypto.NewRegistry(pairs...)
+	l := newOrderingLoad(b, trs, window, func(c *node.Config) { c.MaxBatch = maxBatch })
+	defer l.stop()
 
-	var nodes []*node.Node
-	for _, id := range ids {
-		n, err := node.New(node.Config{
-			ID:       id,
-			Replicas: ids,
-			// Timeouts far above the windowed per-record latency (so the
-			// steady state has no timeout churn) but finite, so Algorithm
-			// 1's recovery machinery still clears any hiccup on the
-			// flooded in-proc links instead of wedging the run.
-			SoftTimeout:   2 * time.Second,
-			HardTimeout:   2 * time.Second,
-			ViewTimeout:   2 * time.Second,
-			MaxBatch:      maxBatch,
-			MaxBatchDelay: time.Millisecond,
-		}, kps[id], reg, trs[id], clock.Real{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes = append(nodes, n)
-		n.Start()
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-
-	// maxOutstanding windows the feed: it bounds how many records are in
-	// flight at once, i.e. how many agreement slots the pipeline overlaps.
-	ordered := func() uint64 {
-		// Decides are totally ordered and the duplicate filter is
-		// deterministic, so one correct node reaching a count proves a
-		// 2f+1 quorum committed every record up to it. Replicas that lost
-		// messages to the flooded in-proc links catch up via checkpoint
-		// state transfer, which bypasses the layer's request counter —
-		// gating on every node would stall on that path.
-		best := uint64(0)
-		for _, n := range nodes {
-			if got := n.Layer().Counters().Requests.Load(); got > best {
-				best = got
-			}
-		}
-		return best
-	}
-
-	// Bytes every node put on the wire, where the transport counts them
-	// (the in-process network does; TCP does not).
 	sentBytes := func() uint64 {
 		var sum uint64
 		for _, tr := range trs {
@@ -461,41 +403,20 @@ func benchOrdering(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.T
 		return sum
 	}
 
-	total, fed := uint64(0), uint64(0)
+	total := uint64(0)
 	sent0 := sentBytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total += recordsPerIter
-		deadline := time.Now().Add(2 * time.Minute)
-		for {
-			best := ordered()
-			if best >= total {
-				break
-			}
-			for fed < total && fed-best < maxOutstanding {
-				payload := make([]byte, 200)
-				copy(payload, fmt.Sprintf("bench-%d-%d", maxBatch, fed))
-				nodes[0].Layer().OnBusRecord(0, payload)
-				fed++
-			}
-			if time.Now().After(deadline) {
-				counts := make([]uint64, len(nodes))
-				dups := make([]uint64, len(nodes))
-				for j, n := range nodes {
-					c := n.Layer().Counters()
-					counts[j], dups[j] = c.Requests.Load(), c.Duplicates.Load()
-				}
-				b.Fatalf("cluster ordered %v/%d records (duplicates %v) before deadline",
-					counts, total, dups)
-			}
-			time.Sleep(200 * time.Microsecond)
+		if err := l.orderUpTo(total); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(total)/secs, "records/s")
 	}
-	b.ReportMetric(float64(nodes[0].Layer().Batches().Flushes.Load()), "flushes")
+	b.ReportMetric(float64(l.nodes[0].FrontEnd().Batches().Flushes.Load()), "flushes")
 	if sent := sentBytes() - sent0; sent > 0 {
 		b.ReportMetric(float64(sent)/float64(total), "net-B/record")
 	}

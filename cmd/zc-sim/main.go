@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"zugchain/internal/blockchain"
+	"zugchain/internal/cli"
 	"zugchain/internal/clock"
 	"zugchain/internal/crypto"
 	"zugchain/internal/export"
@@ -46,8 +47,6 @@ func run() error {
 		busDrop    = flag.Float64("bus-drop", 0.05, "per-node bus frame drop probability")
 		busFlip    = flag.Float64("bus-bitflip", 0.01, "per-node bus bit-flip probability")
 		seed       = flag.Int64("seed", 1, "workload seed")
-		batchSize  = flag.Int("batch-size", 16, "max records coalesced per proposal (1 = no batching)")
-		batchDelay = flag.Duration("batch-delay", 2*time.Millisecond, "max wait before a partial batch is flushed")
 		sendQueue  = flag.Int("send-queue", 4096, "per-endpoint inbox capacity (messages dropped when full)")
 
 		dataRoot     = flag.String("datadir", "", "per-replica data root (empty = memory, no WAL)")
@@ -58,13 +57,11 @@ func run() error {
 		killNode     = flag.Int("kill", -1, "replica to crash mid-run (-1 = none)")
 		killAfter    = flag.Duration("kill-after", 10*time.Second, "when to crash the -kill replica")
 		restartAfter = flag.Duration("restart-after", 20*time.Second, "when to restart it from its data dir (0 = never)")
-		verifyCache  = flag.Int("verify-cache", 0, "verified-signature cache entries (0 = default 4096, negative = off)")
-		batchVerify  = flag.Bool("batch-verify", true, "verify batched proposals' record signatures in one multi-scalar pass")
 		statsEvery   = flag.Duration("stats", 5*time.Second, "stats print interval (0 = off)")
 		metricsAddr  = flag.String("metrics-addr", "", "observability HTTP address serving replica 0 (empty = off)")
-		traceSlow    = flag.Duration("trace-slow", 0, "log records whose ingest-to-execute latency meets this threshold (0 = off)")
-		traceRing    = flag.Int("trace-ring", 0, "completed lifecycle traces retained for /tracez (0 = default 256)")
 	)
+	var nodeCfg node.Config
+	cli.BindNodeFlags(flag.CommandLine, &nodeCfg)
 	flag.Parse()
 
 	ids := []crypto.NodeID{0, 1, 2, 3}
@@ -120,20 +117,11 @@ func run() error {
 		if chaosNet {
 			tr = transport.NewFaulty(tr, ids, faults, *seed+int64(id)+incarnation[i]*100)
 		}
-		n, err := node.New(node.Config{
-			ID:            id,
-			Replicas:      ids,
-			DataCenters:   []crypto.NodeID{dcID},
-			DeleteQuorum:  1,
-			DataDir:       dir,
-			MaxBatch:      *batchSize,
-			MaxBatchDelay: *batchDelay,
-
-			VerifyCacheSize:    *verifyCache,
-			DisableBatchVerify: !*batchVerify,
-			TraceSlow:          *traceSlow,
-			TraceRing:          *traceRing,
-		}, kps[id], reg, tr, clock.Real{})
+		cfg := nodeCfg
+		cfg.ID, cfg.Replicas = id, ids
+		cfg.DataCenters, cfg.DeleteQuorum = []crypto.NodeID{dcID}, 1
+		cfg.DataDir = dir
+		n, err := node.New(cfg, kps[id], reg, tr, clock.Real{})
 		if err != nil {
 			return err
 		}
@@ -297,7 +285,7 @@ func printSummary(nodes []*node.Node, dc *export.DataCenter) {
 		}
 		fmt.Printf("replica %d: height=%d base=%d ordered=%d %s\n",
 			i, store.HeadIndex(), store.Base(),
-			n.Layer().Counters().Requests.Load(), status)
+			n.FrontEnd().Counters().Requests.Load(), status)
 	}
 	for i, n := range nodes {
 		if n == nil {

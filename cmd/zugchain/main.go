@@ -61,16 +61,12 @@ func run() error {
 		dropRate    = flag.Float64("bus-drop", 0, "simulated bus frame drop probability")
 		bitFlipRate = flag.Float64("bus-bitflip", 0, "simulated bus bit-flip probability")
 		statsEvery  = flag.Duration("stats", 10*time.Second, "stats print interval (0 = off)")
-		batchSize   = flag.Int("batch-size", 16, "max records coalesced per proposal (1 = no batching)")
-		batchDelay  = flag.Duration("batch-delay", 2*time.Millisecond, "max wait before a partial batch is flushed")
 		sendQueue   = flag.Int("send-queue", transport.DefaultSendQueue, "per-peer outbound queue capacity (oldest dropped when full)")
 		flushEvery  = flag.Duration("flush-interval", 0, "linger before flushing partial outbound write batches (0 = flush when idle)")
-		verifyCache = flag.Int("verify-cache", 0, "verified-signature cache entries (0 = default 4096, negative = off)")
-		batchVerify = flag.Bool("batch-verify", true, "verify batched proposals' record signatures in one multi-scalar pass")
 		metricsAddr = flag.String("metrics-addr", "", "observability HTTP address (/metrics /statusz /tracez /eventz /debug/pprof; empty = off)")
-		traceSlow   = flag.Duration("trace-slow", 0, "log records whose ingest-to-execute latency meets this threshold (0 = off)")
-		traceRing   = flag.Int("trace-ring", 0, "completed lifecycle traces retained for /tracez (0 = default 256)")
 	)
+	var cfg node.Config
+	cli.BindNodeFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
 	kr, err := keyring.Load(*keyringPath)
@@ -99,22 +95,12 @@ func run() error {
 	tr.FlushInterval = *flushEvery
 	defer tr.Close()
 
-	n, err := node.New(node.Config{
-		ID:                 id,
-		Replicas:           kr.ReplicaIDs(),
-		CheckpointInterval: *ckptEvery,
-		DataDir:            *dataDir,
-		WALDir:             *walDir,
-		DisableWAL:         *noWAL,
-		DataCenters:        kr.DataCenterIDs(),
-		MaxBatch:           *batchSize,
-		MaxBatchDelay:      *batchDelay,
-
-		VerifyCacheSize:    *verifyCache,
-		DisableBatchVerify: !*batchVerify,
-		TraceSlow:          *traceSlow,
-		TraceRing:          *traceRing,
-	}, kp, reg, tr, clock.Real{})
+	cfg.ID = id
+	cfg.Replicas = kr.ReplicaIDs()
+	cfg.CheckpointInterval = *ckptEvery
+	cfg.DataDir, cfg.WALDir, cfg.DisableWAL = *dataDir, *walDir, *noWAL
+	cfg.DataCenters = kr.DataCenterIDs()
+	n, err := node.New(cfg, kp, reg, tr, clock.Real{})
 	if err != nil {
 		return err
 	}

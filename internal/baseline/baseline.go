@@ -5,27 +5,33 @@
 // input read by n nodes is ordered up to n times. Requests not ordered
 // within the client timeout are broadcast to all replicas and escalate to a
 // view change, mirroring classic PBFT client behaviour.
+//
+// The client protocol is a front end of node.Node: the replica below it —
+// engine, runner, verify pool, WAL, chain, export server and state transfer
+// — is the one ZugChain runs, so Figs 6–7 compare the protocols and nothing
+// else.
 package baseline
 
 import (
-	"context"
-	"fmt"
 	"sync"
 	"time"
 
-	"zugchain/internal/blockchain"
 	"zugchain/internal/clock"
+	"zugchain/internal/core"
 	"zugchain/internal/crypto"
 	"zugchain/internal/metrics"
-	"zugchain/internal/mvb"
+	"zugchain/internal/node"
 	"zugchain/internal/pbft"
 	"zugchain/internal/signal"
 	"zugchain/internal/transport"
 	"zugchain/internal/wire"
 )
 
-// Wire tag for the baseline client request channel (range 0x50–0x5f).
-const typeClientRequest wire.Type = 0x50
+// Wire tags of the baseline client request channel (range 0x50–0x5f).
+const (
+	typeClientRequest        wire.Type = 0x50
+	clientTagLo, clientTagHi           = 0x50, 0x5f
+)
 
 func init() {
 	wire.Register(typeClientRequest, func() wire.Message { return new(ClientRequest) })
@@ -54,13 +60,8 @@ func (m *ClientRequest) DecodeWire(d *wire.Decoder) {
 	m.Req.Sig = d.BytesCopy()
 }
 
-// Config parameterizes a baseline node.
+// Config holds the client's own settings; the replica's are node.Config.
 type Config struct {
-	ID       crypto.NodeID
-	Replicas []crypto.NodeID
-	// CheckpointInterval is the number of agreement slots per checkpoint
-	// (10 in §V). Blocks are sealed per slot, as in ZugChain.
-	CheckpointInterval uint64
 	// ClientTimeout is the client's wait before re-broadcasting and
 	// suspecting (500 ms in Fig 8).
 	ClientTimeout time.Duration
@@ -68,40 +69,48 @@ type Config struct {
 	// primary directly instead of re-broadcasting first — the paper's
 	// Fig 8 baseline uses a single 500 ms view-change timeout.
 	SuspectOnFirstTimeout bool
-	// ViewTimeout is the PBFT view-change progress timeout.
-	ViewTimeout time.Duration
-	DataDir     string
 }
 
-func (c *Config) applyDefaults() {
-	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = pbft.DefaultCheckpointInterval
+// logEverySignal is an empty policy set: every signal of every parsed frame
+// is logged, with no change-detection filter.
+var logEverySignal = map[signal.Kind]signal.FilterPolicy{}
+
+// New assembles a baseline replica: a node.Node whose front end is this
+// package's client protocol. Its FrontEnd's OnBusRecord submits one payload
+// as the client's own request.
+func New(cfg node.Config, client Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Transport, clk clock.Clock) (*node.Node, error) {
+	if client.ClientTimeout <= 0 {
+		client.ClientTimeout = 500 * time.Millisecond
 	}
-	if c.ClientTimeout <= 0 {
-		c.ClientTimeout = 500 * time.Millisecond
+	newClient := func(env node.FrontEndEnv) node.FrontEnd {
+		c := &clientFront{
+			cfg:      client,
+			env:      env,
+			reqChan:  env.Mux.Channel(clientTagLo, clientTagHi),
+			open:     make(map[crypto.Digest]*pendingReq),
+			seen:     newBoundedMap[uint64](seenWindow),
+			payloads: newBoundedMap[[]byte](payloadWindow),
+			latency:  &metrics.Latency{},
+			counters: &metrics.Counters{},
+			batches:  &metrics.BatchCounters{},
+		}
+		c.reqChan.SetHandler(c.onClientRequest)
+		return c
 	}
-	if c.ViewTimeout <= 0 {
-		c.ViewTimeout = 500 * time.Millisecond
-	}
+	return node.NewWithFrontEnd(cfg, kp, reg, tr, clk, newClient, logEverySignal)
 }
 
-// Node is one baseline replica+client pair.
-type Node struct {
-	cfg Config
-	kp  *crypto.KeyPair
-	reg *crypto.Registry
-	clk clock.Clock
-
-	mux     *transport.Mux
-	runner  *pbft.Runner
+// clientFront is one replica's client process plus the replica side of the
+// client protocol.
+type clientFront struct {
+	cfg     Config
+	env     node.FrontEndEnv
 	reqChan transport.Transport
-	store   *blockchain.Store
-	pool    *crypto.VerifyPool
 
 	mu      sync.Mutex
-	builder *blockchain.Builder
 	primary crypto.NodeID
 	view    uint64
+	closed  bool
 	// open tracks this client's in-flight requests by full digest.
 	open map[crypto.Digest]*pendingReq
 	// seen dedups retransmitted client requests by full digest, as PBFT
@@ -110,26 +119,20 @@ type Node struct {
 	// Runner.Propose cannot report whether the engine took the request (it
 	// is a no-op mid view change), so a proposal only blocks re-proposals
 	// within its own view; an ordered request is never proposed again.
-	seen     map[crypto.Digest]uint64
-	seenFIFO []crypto.Digest
+	seen *boundedMap[uint64]
 	// payloads holds this client's recent bus payloads by payload digest,
-	// the PayloadSource proposals by reference are rebuilt from; the FIFO
-	// bounds it to payloadWindow entries.
-	payloads    map[crypto.Digest][]byte
-	payloadFIFO []crypto.Digest
+	// the PayloadSource proposals by reference are rebuilt from.
+	payloads *boundedMap[[]byte]
 
 	latency  *metrics.Latency
 	counters *metrics.Counters
-
-	busWG   sync.WaitGroup
-	stopped sync.Once
-	closed  bool
+	batches  *metrics.BatchCounters // the baseline never batches: stays zero
 }
 
-// seenOrdered marks an ordered request in Node.seen.
+// seenOrdered marks an ordered request in clientFront.seen.
 const seenOrdered = ^uint64(0)
 
-// Window sizes of the dedup and payload FIFOs, in requests.
+// Window sizes of the dedup and payload maps, in requests.
 const (
 	seenWindow    = 4096
 	payloadWindow = 1024
@@ -138,153 +141,66 @@ const (
 type pendingReq struct {
 	req       pbft.Request
 	submitted time.Time
-	timer     clock.Timer
-	cancel    chan struct{}
-	stopOnce  sync.Once
+	timer     *clock.Func
 	broadcast bool // already escalated once
 }
 
-func (p *pendingReq) stop() {
-	p.stopOnce.Do(func() { close(p.cancel) })
-}
-
-// New assembles a baseline node.
-func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Transport, clk clock.Clock) (*Node, error) {
-	cfg.applyDefaults()
-
-	// Same crypto acceleration as a ZugChain node (verified-signature
-	// cache, sign-time seeding): the baseline's client retransmissions are
-	// exactly the traffic the cache absorbs, and keeping the stacks
-	// symmetric keeps the experiment comparison about the protocols, not
-	// about one side paying for repeat verifications.
-	cc := &metrics.CryptoCounters{}
-	vcache := crypto.NewVerifyCache(0, cc)
-	reg = reg.Accelerated(vcache, true, cc)
-	kp = kp.WithCache(vcache)
-
-	store, err := blockchain.NewStore(cfg.DataDir)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: open store: %w", err)
-	}
-	n := &Node{
-		cfg:      cfg,
-		kp:       kp,
-		reg:      reg,
-		clk:      clk,
-		store:    store,
-		open:     make(map[crypto.Digest]*pendingReq),
-		seen:     make(map[crypto.Digest]uint64),
-		payloads: make(map[crypto.Digest][]byte),
-		latency:  &metrics.Latency{},
-		counters: &metrics.Counters{},
-	}
-	n.builder = blockchain.NewSlotBuilder(store.Head(), cfg.CheckpointInterval)
-
-	n.mux = transport.NewMux(tr)
-	pbftChan := n.mux.Channel(0x10, 0x2f)
-	n.reqChan = n.mux.Channel(0x50, 0x5f)
-	n.reqChan.SetHandler(n.onClientRequest)
-
-	engine, err := pbft.NewEngine(pbft.Config{
-		ID:                 cfg.ID,
-		Replicas:           cfg.Replicas,
-		CheckpointInterval: cfg.CheckpointInterval,
-	}, kp, reg)
-	if err != nil {
-		return nil, err
-	}
-	// One verification pipeline shared by the PBFT runner and the client
-	// request path, mirroring the ZugChain node: inbound Ed25519 checks run
-	// on pool workers, not on the transport delivery goroutine.
-	n.pool = crypto.NewVerifyPool(0)
-	n.runner = pbft.NewRunner(engine, pbftChan, clk, (*baselineApp)(n), pbft.RunnerConfig{
-		BaseViewTimeout: cfg.ViewTimeout,
-		VerifyPool:      n.pool,
-	})
-	return n, nil
-}
-
-// Start launches the consensus runner.
-func (n *Node) Start() { n.runner.Start() }
-
-// Stop shuts down the node.
-func (n *Node) Stop() {
-	n.stopped.Do(func() {
-		n.mu.Lock()
-		n.closed = true
-		for _, p := range n.open {
-			p.stop()
-		}
-		n.open = make(map[crypto.Digest]*pendingReq)
-		n.mu.Unlock()
-		n.runner.Stop()
-		n.pool.Close()
-		n.busWG.Wait()
-	})
-}
-
-// Store exposes the node's blockchain.
-func (n *Node) Store() *blockchain.Store { return n.store }
-
-// Runner exposes the PBFT runner.
-func (n *Node) Runner() *pbft.Runner { return n.runner }
-
-// Latency exposes request receive-to-decide latency of this node's client.
-func (n *Node) Latency() *metrics.Latency { return n.latency }
+// Latency exposes request receive-to-decide latency of this client.
+func (c *clientFront) Latency() *metrics.Latency { return c.latency }
 
 // Counters exposes client event counters.
-func (n *Node) Counters() *metrics.Counters { return n.counters }
+func (c *clientFront) Counters() *metrics.Counters { return c.counters }
 
-// HandleFrame is the baseline client path: every frame becomes this
+// Batches exposes batching counters, which the baseline never moves.
+func (c *clientFront) Batches() *metrics.BatchCounters { return c.batches }
+
+// OpenRequests reports this client's in-flight requests.
+func (c *clientFront) OpenRequests() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.open)
+}
+
+// Close stops every client timer.
+func (c *clientFront) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	for _, p := range c.open {
+		p.timer.Stop()
+	}
+	c.open = make(map[crypto.Digest]*pendingReq)
+}
+
+// OnBusRecord is the baseline client path: every record becomes this
 // client's own signed request, forwarded to the primary without any
 // payload-level deduplication.
-func (n *Node) HandleFrame(frame mvb.Frame) {
-	rec, _ := mvb.ParseFrame(frame)
-	if len(rec.Signals) == 0 {
-		return
-	}
-	out := signal.Record{Cycle: rec.Cycle, Signals: rec.Signals}
-	n.Submit(out.Marshal())
-}
-
-// Submit sends one payload as a client request.
-func (n *Node) Submit(payload []byte) {
+func (c *clientFront) OnBusRecord(_ int, payload []byte) {
 	req := pbft.Request{Payload: payload}
-	pbft.SignRequest(&req, n.kp)
-	n.counters.AddSignature()
+	pbft.SignRequest(&req, c.env.Key)
+	c.counters.AddSignature()
 	payloadDigest := req.PayloadDigest()
 
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
 		return
 	}
-	n.rememberPayloadLocked(payloadDigest, payload)
+	if _, ok := c.payloads.m[payloadDigest]; !ok {
+		c.payloads.put(payloadDigest, payload)
+	}
 	digest := req.Digest()
-	p := &pendingReq{req: req, cancel: make(chan struct{}), submitted: n.clk.Now()}
-	n.open[digest] = p
-	primary := n.primary
-	n.mu.Unlock()
+	p := &pendingReq{req: req, submitted: c.env.Clock.Now()}
+	c.armTimerLocked(digest, p)
+	c.open[digest] = p
+	primary := c.primary
+	c.mu.Unlock()
 
-	n.sendRequest(primary, req, false)
-	n.armTimer(digest, p)
+	c.sendRequest(primary, req)
 }
 
-func (n *Node) armTimer(digest crypto.Digest, p *pendingReq) {
-	p.timer = n.clk.NewTimer(n.cfg.ClientTimeout)
-	go func() {
-		select {
-		case <-p.timer.C():
-			select {
-			case <-p.cancel:
-				return
-			default:
-			}
-			n.onClientTimeout(digest)
-		case <-p.cancel:
-			p.timer.Stop()
-		}
-	}()
+func (c *clientFront) armTimerLocked(digest crypto.Digest, p *pendingReq) {
+	p.timer = clock.AfterFunc(c.env.Clock, c.cfg.ClientTimeout, func() { c.onClientTimeout(digest) })
 }
 
 // onClientTimeout escalates per classic PBFT: first re-broadcast the request
@@ -292,100 +208,100 @@ func (n *Node) armTimer(digest crypto.Digest, p *pendingReq) {
 // request is ordered: a suspicion that does not lead to a view in which the
 // request is ordered is repeated, instead of leaving the client waiting for
 // good.
-func (n *Node) onClientTimeout(digest crypto.Digest) {
-	n.mu.Lock()
-	p, ok := n.open[digest]
-	if !ok || n.closed {
-		n.mu.Unlock()
+func (c *clientFront) onClientTimeout(digest crypto.Digest) {
+	c.mu.Lock()
+	p, ok := c.open[digest]
+	if !ok || c.closed {
+		c.mu.Unlock()
 		return
 	}
-	suspect := p.broadcast || n.cfg.SuspectOnFirstTimeout
+	suspect := p.broadcast || c.cfg.SuspectOnFirstTimeout
 	p.broadcast = true
-	primary := n.primary
-	n.mu.Unlock()
+	primary := c.primary
+	c.mu.Unlock()
 	if suspect {
-		n.runner.Suspect(primary)
+		c.env.BFT.Suspect(primary)
 	} else {
-		n.broadcastRequest(p.req)
+		c.broadcastRequest(p.req)
 	}
-	n.mu.Lock()
-	if _, still := n.open[digest]; still && !n.closed {
-		n.armTimer(digest, p)
+	c.mu.Lock()
+	if _, still := c.open[digest]; still && !c.closed {
+		c.armTimerLocked(digest, p)
 	}
-	n.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // markSeenLocked records in the dedup window that the full request with
 // digest d was proposed in view (or ordered, with seenOrdered).
-func (n *Node) markSeenLocked(d crypto.Digest, view uint64) {
-	if _, ok := n.seen[d]; !ok {
-		n.seenFIFO = append(n.seenFIFO, d)
-	}
-	if n.seen[d] != seenOrdered {
-		n.seen[d] = view
-	}
-	for len(n.seenFIFO) > seenWindow {
-		delete(n.seen, n.seenFIFO[0])
-		n.seenFIFO = n.seenFIFO[1:]
+func (c *clientFront) markSeenLocked(d crypto.Digest, view uint64) {
+	if c.seen.m[d] != seenOrdered {
+		c.seen.put(d, view)
 	}
 }
 
-// rememberPayloadLocked adds one of this client's bus payloads to the
-// PayloadSource window.
-func (n *Node) rememberPayloadLocked(d crypto.Digest, payload []byte) {
-	if _, ok := n.payloads[d]; ok {
-		return
+// boundedMap is a map that keeps only its newest max keys.
+type boundedMap[V any] struct {
+	m     map[crypto.Digest]V
+	order []crypto.Digest
+	max   int
+}
+
+func newBoundedMap[V any](max int) *boundedMap[V] {
+	return &boundedMap[V]{m: make(map[crypto.Digest]V), max: max}
+}
+
+func (b *boundedMap[V]) put(d crypto.Digest, v V) {
+	if _, ok := b.m[d]; !ok {
+		b.order = append(b.order, d)
 	}
-	n.payloads[d] = payload
-	n.payloadFIFO = append(n.payloadFIFO, d)
-	for len(n.payloadFIFO) > payloadWindow {
-		delete(n.payloads, n.payloadFIFO[0])
-		n.payloadFIFO = n.payloadFIFO[1:]
+	b.m[d] = v
+	for len(b.order) > b.max {
+		delete(b.m, b.order[0])
+		b.order = b.order[1:]
 	}
 }
 
 // propose submits to the local engine unless the full request was already
 // ordered here, or proposed here in the current view.
-func (n *Node) propose(req pbft.Request) {
+func (c *clientFront) propose(req pbft.Request) {
 	d := req.Digest()
-	n.mu.Lock()
-	if v, ok := n.seen[d]; ok && (v == seenOrdered || v == n.view) {
-		n.mu.Unlock()
+	c.mu.Lock()
+	if v, ok := c.seen.m[d]; ok && (v == seenOrdered || v == c.view) {
+		c.mu.Unlock()
 		return
 	}
-	n.markSeenLocked(d, n.view)
-	n.mu.Unlock()
-	n.runner.Propose(req)
+	c.markSeenLocked(d, c.view)
+	c.mu.Unlock()
+	c.env.BFT.Propose(req)
 }
 
-func (n *Node) sendRequest(to crypto.NodeID, req pbft.Request, rebroadcast bool) {
+func (c *clientFront) sendRequest(to crypto.NodeID, req pbft.Request) {
 	data := wire.Marshal(&ClientRequest{Req: req})
-	n.counters.AddSent(len(data))
-	if to == n.cfg.ID {
+	c.counters.AddSent(len(data))
+	if to == c.env.Config.ID {
 		// Client co-located with the primary: hand over directly.
-		n.propose(req)
+		c.propose(req)
 		return
 	}
-	_ = n.reqChan.Send(to, data)
-	_ = rebroadcast
+	_ = c.reqChan.Send(to, data)
 }
 
-func (n *Node) broadcastRequest(req pbft.Request) {
+func (c *clientFront) broadcastRequest(req pbft.Request) {
 	data := wire.Marshal(&ClientRequest{Req: req})
-	n.counters.AddSent(len(data))
-	_ = n.reqChan.Broadcast(data)
+	c.counters.AddSent(len(data))
+	_ = c.reqChan.Broadcast(data)
 	// The local replica also counts as a broadcast recipient.
-	n.mu.Lock()
-	isPrimary := n.primary == n.cfg.ID
-	n.mu.Unlock()
+	c.mu.Lock()
+	isPrimary := c.primary == c.env.Config.ID
+	c.mu.Unlock()
 	if isPrimary {
-		n.propose(req)
+		c.propose(req)
 	}
 }
 
 // onClientRequest is the replica side: requests from clients are proposed
 // if we are the primary, otherwise relayed to it.
-func (n *Node) onClientRequest(from crypto.NodeID, data []byte) {
+func (c *clientFront) onClientRequest(from crypto.NodeID, data []byte) {
 	msg, err := wire.Unmarshal(data)
 	if err != nil {
 		return
@@ -396,138 +312,102 @@ func (n *Node) onClientRequest(from crypto.NodeID, data []byte) {
 	}
 	// The signature check runs on the verify pool (cache-aware via the
 	// accelerated registry: a retransmitted request costs a map lookup, not
-	// a scalar multiplication); the continuation re-reads node state because
-	// the primary may have changed while the check was queued.
-	n.pool.Submit(func() {
-		if pbft.VerifyRequest(&cr.Req, n.reg) != nil {
+	// a scalar multiplication); the continuation re-reads the primary
+	// because it may have changed while the check was queued.
+	c.env.Pool.Submit(func() {
+		if pbft.VerifyRequest(&cr.Req, c.env.Registry) != nil {
 			return
 		}
-		n.mu.Lock()
-		primary := n.primary
-		n.mu.Unlock()
-		if primary == n.cfg.ID {
-			n.propose(cr.Req)
+		c.mu.Lock()
+		primary := c.primary
+		c.mu.Unlock()
+		if primary == c.env.Config.ID {
+			c.propose(cr.Req)
 			return
 		}
 		if from == cr.Req.Origin {
 			// Broadcast from the client itself: relay toward the primary so
 			// a censored client cannot be starved.
-			_ = n.reqChan.Send(primary, data)
+			_ = c.reqChan.Send(primary, data)
 		}
 	})
 }
 
-// RunBus consumes frames from reader until ctx is cancelled.
-func (n *Node) RunBus(ctx context.Context, reader *mvb.Reader) {
-	n.busWG.Add(1)
-	go func() {
-		defer n.busWG.Done()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case frame := <-reader.C():
-				n.HandleFrame(frame)
-			}
-		}
-	}()
-}
-
-// baselineApp adapts the node to pbft.Application.
-type baselineApp Node
-
-// Deliver implements pbft.Application: every decided request is logged —
-// duplicates included, which is precisely the baseline's overhead.
-func (a *baselineApp) Deliver(seq uint64, req pbft.Request) {
-	n := (*Node)(a)
-	n.counters.AddRequest()
-
+// OnDecide logs every decided request — duplicates included, which is
+// precisely the baseline's overhead.
+func (c *clientFront) OnDecide(seq uint64, req pbft.Request) {
+	c.counters.AddRequest()
 	digest := req.Digest()
-	n.mu.Lock()
-	n.markSeenLocked(digest, seenOrdered)
-	if p, ok := n.open[digest]; ok {
-		p.stop()
-		delete(n.open, digest)
-		n.latency.Record(n.clk.Now().Sub(p.submitted))
+	c.mu.Lock()
+	c.markSeenLocked(digest, seenOrdered)
+	if p, ok := c.open[digest]; ok {
+		p.timer.Stop()
+		delete(c.open, digest)
+		c.latency.Record(c.env.Clock.Now().Sub(p.submitted))
 	}
-	n.builder.Add(blockchain.Entry{
-		Seq:     seq,
-		Origin:  req.Origin,
-		Payload: req.Payload,
-		Sig:     req.Sig,
-	})
-	n.mu.Unlock()
-	// A slot that cannot be sealed (a gap, or a store failure) surfaces at
-	// the next checkpoint, whose digest then differs from the quorum's.
-	_ = n.sealSlot(seq)
+	c.mu.Unlock()
+	c.env.Recorder.Log(seq, req.Origin, req.Payload, req.Sig)
 }
 
-// CheckpointDigest implements pbft.Application: the hash of the block
-// ending at seq, sealed by the same rule as ZugChain's.
-func (a *baselineApp) CheckpointDigest(seq uint64) crypto.Digest {
-	n := (*Node)(a)
-	if err := n.sealSlot(seq); err != nil {
-		// A replica that jumped to a stable checkpoint has no state
-		// transfer to fill the gap: report a per-replica digest rather
-		// than mint blocks at the wrong index.
-		return crypto.Hash([]byte(fmt.Sprintf("gap-%d-%d", seq, n.cfg.ID)))
+// RestoreWindow takes records the chain already holds — recovered from
+// disk, or installed by a state transfer after this replica jumped to a
+// stable checkpoint. This client's open requests for the same payloads are
+// marked ordered and closed: a client whose request was ordered while its
+// replica lagged must not retransmit it and then suspect the primary over
+// it. Entries name payloads, not origins, so a copy read by another client
+// settles this client's too; the payload is on the chain either way.
+func (c *clientFront) RestoreWindow(entries []core.WindowEntry) {
+	settled := make(map[crypto.Digest]bool, len(entries))
+	for _, e := range entries {
+		settled[e.Digest] = true
 	}
-	if h := n.store.Head(); h.LastSeq == seq {
-		return h.Hash()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for d, p := range c.open {
+		if settled[p.req.PayloadDigest()] {
+			p.timer.Stop()
+			delete(c.open, d)
+			c.markSeenLocked(d, seenOrdered)
+		}
 	}
-	return crypto.Hash([]byte(fmt.Sprintf("corrupt-%d-%d", seq, n.cfg.ID)))
 }
 
-// sealSlot seals and stores the blocks executing slot seq completes.
-func (n *Node) sealSlot(seq uint64) error {
-	n.mu.Lock()
-	blocks, err := n.builder.SealSlot(seq)
-	n.mu.Unlock()
-	if err != nil || len(blocks) == 0 {
-		return err
-	}
-	return n.store.AppendBatch(blocks)
-}
+// WindowSnapshot has nothing to persist: the baseline filters no payloads,
+// and its retransmission window starts empty after a restart.
+func (c *clientFront) WindowSnapshot(uint64) []core.WindowEntry { return nil }
 
-// StableCheckpoint implements pbft.Application.
-func (a *baselineApp) StableCheckpoint(proof pbft.CheckpointProof) {}
+// OnPrePrepared is a no-op: the client's timer runs until the decide.
+func (c *clientFront) OnPrePrepared(crypto.Digest) {}
 
-// NewPrimary implements pbft.Application. Each open request gets the new
-// primary a full client timeout before it is broadcast again.
-func (a *baselineApp) NewPrimary(view uint64, primary crypto.NodeID) {
-	n := (*Node)(a)
-	n.mu.Lock()
-	n.primary = primary
-	n.view = view
-	open := make([]pbft.Request, 0, len(n.open))
-	for _, p := range n.open {
+// OnNewPrimary gives each open request the new primary a full client
+// timeout before it is broadcast again.
+func (c *clientFront) OnNewPrimary(view uint64, primary crypto.NodeID) {
+	c.mu.Lock()
+	c.primary = primary
+	c.view = view
+	open := make([]pbft.Request, 0, len(c.open))
+	for _, p := range c.open {
 		p.broadcast = false
 		open = append(open, p.req)
 	}
-	isPrimary := primary == n.cfg.ID
-	n.mu.Unlock()
+	isPrimary := primary == c.env.Config.ID
+	c.mu.Unlock()
 	// Clients retransmit their open requests to the new primary.
 	for _, req := range open {
 		if isPrimary {
-			n.propose(req)
+			c.propose(req)
 		} else {
-			_ = n.reqChan.Send(primary, wire.Marshal(&ClientRequest{Req: req}))
+			_ = c.reqChan.Send(primary, wire.Marshal(&ClientRequest{Req: req}))
 		}
 	}
 }
 
-// Payload implements pbft.PayloadSource over this client's recent bus
+// Payload serves proposals by reference from this client's recent bus
 // payloads: every baseline client reads the same bus, so backups rebuild the
-// primary's proposals by reference exactly as ZugChain replicas do.
-func (a *baselineApp) Payload(d crypto.Digest) ([]byte, bool) {
-	n := (*Node)(a)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	payload, ok := n.payloads[d]
+// primary's proposals exactly as ZugChain replicas do.
+func (c *clientFront) Payload(d crypto.Digest) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	payload, ok := c.payloads.m[d]
 	return payload, ok
 }
-
-// StateTransferNeeded implements pbft.Application. The baseline has no
-// export subsystem; a lagging replica stays lagged (the paper's baseline
-// offers no state transfer either).
-func (a *baselineApp) StateTransferNeeded(seq uint64, digest crypto.Digest) {}

@@ -8,6 +8,8 @@ import (
 	"zugchain/internal/clock"
 	"zugchain/internal/crypto"
 	"zugchain/internal/mvb"
+	"zugchain/internal/node"
+	"zugchain/internal/obsv"
 	"zugchain/internal/pbft"
 	"zugchain/internal/signal"
 	"zugchain/internal/transport"
@@ -16,7 +18,7 @@ import (
 type cluster struct {
 	t     *testing.T
 	net   *transport.Network
-	nodes []*Node
+	nodes []*node.Node
 	kps   map[crypto.NodeID]*crypto.KeyPair
 }
 
@@ -36,11 +38,8 @@ func newCluster(t *testing.T) *cluster {
 	}
 	reg := crypto.NewRegistry(pairs...)
 	for _, id := range ids {
-		n, err := New(Config{
-			ID:            id,
-			Replicas:      ids,
-			ClientTimeout: 2 * time.Second,
-		}, c.kps[id], reg, c.net.Endpoint(id), clock.Real{})
+		n, err := New(node.Config{ID: id, Replicas: ids}, Config{ClientTimeout: 2 * time.Second},
+			c.kps[id], reg, c.net.Endpoint(id), clock.Real{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,10 +57,16 @@ func newCluster(t *testing.T) *cluster {
 
 func (c *cluster) waitHeight(height uint64, deadline time.Duration) {
 	c.t.Helper()
+	c.waitNodes(c.nodes, height, deadline)
+}
+
+// waitNodes waits until every one of nodes holds height blocks.
+func (c *cluster) waitNodes(nodes []*node.Node, height uint64, deadline time.Duration) {
+	c.t.Helper()
 	end := time.Now().Add(deadline)
 	for {
 		done := true
-		for _, n := range c.nodes {
+		for _, n := range nodes {
 			if n.Store().HeadIndex() < height {
 				done = false
 				break
@@ -80,21 +85,24 @@ func (c *cluster) waitHeight(height uint64, deadline time.Duration) {
 	}
 }
 
+// submit hands one payload to n's client as a bus record.
+func submit(n *node.Node, payload []byte) { n.FrontEnd().OnBusRecord(0, payload) }
+
 func TestBaselineOrdersEveryClientCopy(t *testing.T) {
 	c := newCluster(t)
 	// All four clients submit the same payload — as they do when reading
 	// the same bus cycle. The baseline orders all four copies.
 	payload := []byte("identical-bus-cycle")
 	for _, n := range c.nodes {
-		n.Submit(payload)
+		submit(n, payload)
 	}
 
 	// 4 copies ordered, each sealed into its slot's block.
 	deadline := time.Now().Add(15 * time.Second)
 	for _, n := range c.nodes {
-		for n.Counters().Requests.Load() < 4 {
+		for n.FrontEnd().Counters().Requests.Load() < 4 {
 			if time.Now().After(deadline) {
-				t.Fatalf("node ordered %d of 4 copies", n.Counters().Requests.Load())
+				t.Fatalf("node ordered %d of 4 copies", n.FrontEnd().Counters().Requests.Load())
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -108,7 +116,7 @@ func TestBaselineDuplicationFactorIsN(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		payload := []byte(fmt.Sprintf("cycle-%02d", i))
 		for _, n := range c.nodes {
-			n.Submit(payload)
+			submit(n, payload)
 		}
 	}
 	c.waitHeight(40, 30*time.Second)
@@ -140,7 +148,7 @@ func TestBaselineChainsAgree(t *testing.T) {
 	c := newCluster(t)
 	for i := 0; i < 5; i++ {
 		for _, n := range c.nodes {
-			n.Submit([]byte(fmt.Sprintf("cycle-%02d", i)))
+			submit(n, []byte(fmt.Sprintf("cycle-%02d", i)))
 		}
 	}
 	c.waitHeight(2, 30*time.Second)
@@ -188,15 +196,15 @@ func TestBaselineHandleFrame(t *testing.T) {
 
 func TestBaselineClientLatencyRecorded(t *testing.T) {
 	c := newCluster(t)
-	c.nodes[1].Submit([]byte("measure-me"))
+	submit(c.nodes[1], []byte("measure-me"))
 	deadline := time.Now().Add(10 * time.Second)
-	for c.nodes[1].Latency().Count() == 0 {
+	for c.nodes[1].FrontEnd().Latency().Count() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("latency never recorded")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	stats := c.nodes[1].Latency().Stats()
+	stats := c.nodes[1].FrontEnd().Latency().Stats()
 	if stats.Mean <= 0 || stats.Mean > 5*time.Second {
 		t.Errorf("implausible latency %v", stats.Mean)
 	}
@@ -208,7 +216,7 @@ func TestBaselineViewChangeOnCensoringPrimary(t *testing.T) {
 	// client timeouts they suspect, triggering a view change.
 	c.net.Isolate(0)
 	for _, n := range c.nodes[1:] {
-		n.Submit([]byte("censored"))
+		submit(n, []byte("censored"))
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	// Wait until the surviving replicas advance past view 0.
@@ -227,11 +235,58 @@ func TestBaselineViewChangeOnCensoringPrimary(t *testing.T) {
 	}
 	// The censored request is eventually ordered under the new primary.
 	for _, n := range c.nodes[1:] {
-		for n.Counters().Requests.Load() == 0 {
+		for n.FrontEnd().Counters().Requests.Load() == 0 {
 			if time.Now().After(deadline) {
 				t.Fatal("censored request never ordered after view change")
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
+	}
+}
+
+// TestBaselineLaggardCatchesUpByStateTransfer cuts one replica off for three
+// checkpoint intervals of traffic. By the time the link heals, the others
+// have garbage-collected the slots it missed, so only state transfer can
+// fill its chain.
+func TestBaselineLaggardCatchesUpByStateTransfer(t *testing.T) {
+	c := newCluster(t)
+	const laggard = 3
+	c.net.Isolate(laggard)
+	// Three clients, ten cycles: 30 slots, three checkpoint intervals.
+	for i := 0; i < 10; i++ {
+		for _, n := range c.nodes[:laggard] {
+			submit(n, []byte(fmt.Sprintf("cut-%02d", i)))
+		}
+	}
+	c.waitNodes(c.nodes[:laggard], 30, 30*time.Second)
+	c.net.Rejoin(laggard)
+	// Traffic after the heal brings the checkpoints that tell the laggard
+	// how far behind it is.
+	for i := 0; i < 10; i++ {
+		for _, n := range c.nodes {
+			submit(n, []byte(fmt.Sprintf("healed-%02d", i)))
+		}
+	}
+	c.waitHeight(70, 30*time.Second)
+
+	ref, lag := c.nodes[0].Store(), c.nodes[laggard].Store()
+	for idx := uint64(1); idx <= 70; idx++ {
+		a, errA := ref.Get(idx)
+		b, errB := lag.Get(idx)
+		if errA != nil || errB != nil {
+			t.Fatalf("block %d: %v %v", idx, errA, errB)
+		}
+		if a.Hash() != b.Hash() {
+			t.Fatalf("block %d differs on the laggard", idx)
+		}
+	}
+	transfers := 0
+	for _, e := range c.nodes[laggard].Obs().Journal.Events() {
+		if e.Kind == obsv.EventStateTransfer {
+			transfers++
+		}
+	}
+	if transfers == 0 {
+		t.Error("laggard caught up without a state transfer")
 	}
 }

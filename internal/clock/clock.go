@@ -29,6 +29,41 @@ type Timer interface {
 	Stop() bool
 }
 
+// Func is a callback scheduled by AfterFunc.
+type Func struct {
+	timer  Timer
+	cancel chan struct{}
+	once   sync.Once
+}
+
+// AfterFunc runs fn on its own goroutine once d has passed on c, unless
+// Stop is called first.
+func AfterFunc(c Clock, d time.Duration, fn func()) *Func {
+	f := &Func{timer: c.NewTimer(d), cancel: make(chan struct{})}
+	go func() {
+		select {
+		case <-f.timer.C():
+			// The select picks randomly when both channels are ready:
+			// a timer that fired concurrently with its cancellation
+			// must not run the callback.
+			select {
+			case <-f.cancel:
+				return
+			default:
+			}
+			fn()
+		case <-f.cancel:
+			f.timer.Stop()
+		}
+	}()
+	return f
+}
+
+// Stop cancels the callback if it has not started. It is idempotent.
+func (f *Func) Stop() {
+	f.once.Do(func() { close(f.cancel) })
+}
+
 // Real is the wall-clock implementation. The zero value is ready to use.
 type Real struct{}
 

@@ -139,7 +139,7 @@ type reqState struct {
 	source   int          // input source index (multi-bus support)
 	origin   crypto.NodeID
 	proposed bool // submitted to BFT by this node as primary
-	timer    *timerHandle
+	timer    *clock.Func
 	phase    timerPhase
 	viaPeer  bool // entered R via a peer broadcast (counts toward limits)
 }
@@ -170,7 +170,7 @@ type Layer struct {
 	// or MaxBatchDelay expires. batchGen invalidates stale delay-timer
 	// callbacks after a flush or view change.
 	batch      []pbft.Request
-	batchTimer *timerHandle
+	batchTimer *clock.Func
 	batchT0    time.Time // when the oldest record entered the batch
 	batchGen   uint64
 	lastFlush  time.Time // paces partial flushes MaxBatchDelay apart
@@ -323,12 +323,12 @@ func (l *Layer) Close() {
 	l.closed = true
 	for _, st := range l.open {
 		if st.timer != nil {
-			st.timer.stop()
+			st.timer.Stop()
 		}
 	}
 	l.open = make(map[crypto.Digest]*reqState)
 	if l.batchTimer != nil {
-		l.batchTimer.stop()
+		l.batchTimer.Stop()
 		l.batchTimer = nil
 	}
 	l.batch = nil
@@ -467,7 +467,7 @@ func (l *Layer) OnNewPrimary(view uint64, primary crypto.NodeID) {
 	l.resetBatchLocked()
 	for digest, st := range l.open {
 		if st.timer != nil {
-			st.timer.stop()
+			st.timer.Stop()
 			st.timer = nil
 		}
 		st.phase = phaseNone
@@ -625,7 +625,7 @@ func (l *Layer) enqueueBatchLocked(req pbft.Request) {
 			return
 		}
 		gen := l.batchGen
-		l.batchTimer = l.armTimer(wait, func() { l.onBatchDelay(gen) })
+		l.batchTimer = clock.AfterFunc(l.clk, wait, func() { l.onBatchDelay(gen) })
 	}
 }
 
@@ -668,7 +668,7 @@ func (l *Layer) flushBatchLocked(trigger metrics.FlushTrigger) {
 // timer and invalidating pending timer callbacks.
 func (l *Layer) resetBatchLocked() []pbft.Request {
 	if l.batchTimer != nil {
-		l.batchTimer.stop()
+		l.batchTimer.Stop()
 		l.batchTimer = nil
 	}
 	l.batchGen++
@@ -680,13 +680,13 @@ func (l *Layer) resetBatchLocked() []pbft.Request {
 // armSoftTimeout starts the backup's wait for the primary (ln. 11).
 func (l *Layer) armSoftTimeout(digest crypto.Digest, st *reqState) {
 	st.phase = phaseSoft
-	st.timer = l.armTimer(l.cfg.SoftTimeout, func() { l.onSoftTimeout(digest) })
+	st.timer = clock.AfterFunc(l.clk, l.cfg.SoftTimeout, func() { l.onSoftTimeout(digest) })
 }
 
 // armHardTimeout starts the censorship-detection wait (ln. 23, 31).
 func (l *Layer) armHardTimeout(digest crypto.Digest, st *reqState) {
 	st.phase = phaseHard
-	st.timer = l.armTimer(l.cfg.HardTimeout, func() { l.onHardTimeout(digest) })
+	st.timer = clock.AfterFunc(l.clk, l.cfg.HardTimeout, func() { l.onHardTimeout(digest) })
 }
 
 // OnPrePrepared implements the §III-C optimization: the primary's accepted
@@ -702,7 +702,7 @@ func (l *Layer) OnPrePrepared(payloadDigest crypto.Digest) {
 		return
 	}
 	if st.timer != nil {
-		st.timer.stop()
+		st.timer.Stop()
 	}
 	l.armHardTimeout(payloadDigest, st)
 }
@@ -754,7 +754,7 @@ func (l *Layer) forwardLocked(req pbft.Request) {
 // removeLocked deletes a request from R and cancels its timer.
 func (l *Layer) removeLocked(digest crypto.Digest, st *reqState) {
 	if st.timer != nil {
-		st.timer.stop()
+		st.timer.Stop()
 		st.timer = nil
 	}
 	st.phase = phaseNone
@@ -764,39 +764,4 @@ func (l *Layer) removeLocked(digest crypto.Digest, st *reqState) {
 		}
 	}
 	delete(l.open, digest)
-}
-
-// timerHandle wraps a clock timer with cancellation of its waiter goroutine.
-type timerHandle struct {
-	timer  clock.Timer
-	cancel chan struct{}
-	once   sync.Once
-}
-
-func (l *Layer) armTimer(d time.Duration, fn func()) *timerHandle {
-	h := &timerHandle{
-		timer:  l.clk.NewTimer(d),
-		cancel: make(chan struct{}),
-	}
-	go func() {
-		select {
-		case <-h.timer.C():
-			// The select picks randomly when both channels are ready:
-			// a timer that fired concurrently with its cancellation
-			// must not run the callback.
-			select {
-			case <-h.cancel:
-				return
-			default:
-			}
-			fn()
-		case <-h.cancel:
-			h.timer.Stop()
-		}
-	}()
-	return h
-}
-
-func (h *timerHandle) stop() {
-	h.once.Do(func() { close(h.cancel) })
 }

@@ -30,7 +30,7 @@ func TestClusterBatchingIdenticalChains(t *testing.T) {
 	// The batching stage actually engaged on whichever node was primary.
 	flushes := uint64(0)
 	for _, n := range c.nodes {
-		flushes += n.Layer().Batches().Flushes.Load()
+		flushes += n.FrontEnd().Batches().Flushes.Load()
 	}
 	if flushes == 0 {
 		t.Error("no batch flushes recorded on any node")
@@ -89,7 +89,7 @@ func TestClusterByzantinePrimaryBatchDuplicate(t *testing.T) {
 	for {
 		dups := 0
 		for _, n := range c.nodes {
-			if n.Layer().Counters().Duplicates.Load() > 0 {
+			if n.FrontEnd().Counters().Duplicates.Load() > 0 {
 				dups++
 			}
 		}

@@ -3,7 +3,9 @@
 // 1), which orders them through PBFT; every executed slot that logs a
 // request is sealed into its own block, a checkpoint every K slots certifies
 // the chain, and the export server serves data centers and state transfers
-// — the full pipeline of Fig 3.
+// — the full pipeline of Fig 3. The communication layer is one front end;
+// the baseline's client protocol is the other (NewWithFrontEnd), so both
+// systems run the same replica below it.
 package node
 
 import (
@@ -36,6 +38,60 @@ const (
 	coreTagLo, coreTagHi     = 0x30, 0x3f
 	exportTagLo, exportTagHi = 0x40, 0x4f
 )
+
+// FrontEnd is the part of a replica that turns bus records into requests
+// and decides into LOGs: Algorithm 1's core.Layer for ZugChain, the client
+// protocol for the baseline. Everything below it — engine, runner, verify
+// pool, WAL, chain, export server and state transfer — is shared.
+type FrontEnd interface {
+	OnBusRecord(src int, payload []byte)
+	OnDecide(seq uint64, req pbft.Request)
+	OnPrePrepared(payloadDigest crypto.Digest)
+	OnNewPrimary(view uint64, primary crypto.NodeID)
+	// Payload is the pbft.PayloadSource proposals by reference rebuild from.
+	Payload(d crypto.Digest) ([]byte, bool)
+	// RestoreWindow marks records the chain already holds (recovered or
+	// transferred) as ordered and closes the open requests they settle.
+	RestoreWindow(entries []core.WindowEntry)
+	WindowSnapshot(maxSeq uint64) []core.WindowEntry
+	OpenRequests() int
+	Counters() *metrics.Counters
+	Batches() *metrics.BatchCounters
+	Latency() *metrics.Latency
+	Close()
+}
+
+// FrontEndEnv is what a front end is built from: the node's configuration
+// (defaults applied), its accelerated keys, the runner to propose to and
+// suspect through, the mux to carve its wire channel from, and the recorder
+// its LOG up-calls append to.
+type FrontEndEnv struct {
+	Config   Config
+	Key      *crypto.KeyPair
+	Registry *crypto.Registry
+	BFT      core.BFT
+	Mux      *transport.Mux
+	Clock    clock.Clock
+	Recorder core.Recorder
+	Pool     *crypto.VerifyPool
+	Tracer   *obsv.Tracer
+}
+
+// newLayer is ZugChain's front end: the communication layer of Algorithm 1.
+func newLayer(env FrontEndEnv) FrontEnd {
+	cfg := env.Config
+	return core.New(core.Config{
+		ID:               cfg.ID,
+		SoftTimeout:      cfg.SoftTimeout,
+		HardTimeout:      cfg.HardTimeout,
+		MaxOpenPerOrigin: cfg.MaxOpenPerOrigin,
+		WindowSeqs:       cfg.WindowSeqs,
+		VerifyPool:       env.Pool,
+		MaxBatch:         cfg.MaxBatch,
+		MaxBatchDelay:    cfg.MaxBatchDelay,
+		Tracer:           env.Tracer,
+	}, env.Key, env.Registry, env.BFT, env.Mux.Channel(coreTagLo, coreTagHi), env.Clock, env.Recorder)
+}
 
 // compactionPrefix marks the on-chain joint agreement to compact blocks to
 // headers (§III-D error (v)).
@@ -143,10 +199,9 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Node is one ZugChain replica.
+// Node is one replica, ZugChain's or the baseline's.
 type Node struct {
 	cfg Config
-	kp  *crypto.KeyPair
 	reg *crypto.Registry
 	clk clock.Clock
 
@@ -154,7 +209,7 @@ type Node struct {
 	pool   *crypto.VerifyPool
 	engine *pbft.Engine
 	runner *pbft.Runner
-	layer  *core.Layer
+	front  FrontEnd
 	store  *blockchain.Store
 	srv    *export.Server
 	wlog   *wal.Log
@@ -162,9 +217,10 @@ type Node struct {
 
 	recovery RecoveryInfo
 
-	mu      sync.Mutex
-	filters map[int]*signal.Filter // per input source (§III-C)
-	builder *blockchain.Builder
+	mu       sync.Mutex
+	policies map[signal.Kind]signal.FilterPolicy
+	filters  map[int]*signal.Filter // per input source (§III-C)
+	builder  *blockchain.Builder
 
 	// State-transfer retry machinery (see fetchLoop): fetchTarget is the
 	// sequence number the chain head's LastSeq must reach; fetchActive
@@ -178,9 +234,18 @@ type Node struct {
 	stopped sync.Once
 }
 
-// New assembles a node on top of the given transport (the node muxes it into
-// protocol channels internally).
+// New assembles a ZugChain node on top of the given transport (the node
+// muxes it into protocol channels internally).
 func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Transport, clk clock.Clock) (*Node, error) {
+	return NewWithFrontEnd(cfg, kp, reg, tr, clk, newLayer, nil)
+}
+
+// NewWithFrontEnd assembles a node whose front end newFront builds. Every
+// bus frame passes a per-source change-detection filter with the given
+// policies before it reaches the front end: nil selects
+// signal.DefaultPolicies, an empty map logs every signal.
+func NewWithFrontEnd(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Transport, clk clock.Clock,
+	newFront func(FrontEndEnv) FrontEnd, policies map[signal.Kind]signal.FilterPolicy) (*Node, error) {
 	cfg.applyDefaults()
 
 	// Crypto acceleration (DESIGN.md §3.11): every verification this node
@@ -204,13 +269,13 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 	}
 
 	n := &Node{
-		cfg:     cfg,
-		kp:      kp,
-		reg:     reg,
-		clk:     clk,
-		store:   store,
-		filters: make(map[int]*signal.Filter),
-		quit:    make(chan struct{}),
+		cfg:      cfg,
+		reg:      reg,
+		clk:      clk,
+		store:    store,
+		policies: policies,
+		filters:  make(map[int]*signal.Filter),
+		quit:     make(chan struct{}),
 		obs: obsv.NewObserver(obsv.Options{
 			TraceRing:    cfg.TraceRing,
 			TraceSlow:    cfg.TraceSlow,
@@ -231,7 +296,6 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 
 	n.mux = transport.NewMux(tr)
 	pbftChan := n.mux.Channel(pbftTagLo, pbftTagHi)
-	coreChan := n.mux.Channel(coreTagLo, coreTagHi)
 	exportChan := n.mux.Channel(exportTagLo, exportTagHi)
 
 	engine, err := pbft.NewEngine(pbft.Config{
@@ -250,9 +314,9 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 	windowEntries := n.restoreFromWAL(engine, walRecs)
 
 	// One verification pipeline per node, shared by the PBFT runner and
-	// the communication layer: all inbound Ed25519 checks run on its
-	// workers, keeping both the consensus event loop and the transport
-	// delivery goroutines free of crypto (Fig 7's dominant CPU cost).
+	// the front end: all inbound Ed25519 checks run on its workers,
+	// keeping both the consensus event loop and the transport delivery
+	// goroutines free of crypto (Fig 7's dominant CPU cost).
 	n.pool = crypto.NewVerifyPool(0)
 	runnerCfg := pbft.RunnerConfig{
 		BaseViewTimeout: cfg.ViewTimeout,
@@ -265,21 +329,21 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 	}
 	n.runner = pbft.NewRunner(engine, pbftChan, clk, (*pbftApp)(n), runnerCfg)
 
-	n.layer = core.New(core.Config{
-		ID:               cfg.ID,
-		SoftTimeout:      cfg.SoftTimeout,
-		HardTimeout:      cfg.HardTimeout,
-		MaxOpenPerOrigin: cfg.MaxOpenPerOrigin,
-		WindowSeqs:       cfg.WindowSeqs,
-		VerifyPool:       n.pool,
-		MaxBatch:         cfg.MaxBatch,
-		MaxBatchDelay:    cfg.MaxBatchDelay,
-		Tracer:           n.obs.Tracer,
-	}, kp, reg, n.runner, coreChan, clk, (*chainRecorder)(n))
+	n.front = newFront(FrontEndEnv{
+		Config:   cfg,
+		Key:      kp,
+		Registry: reg,
+		BFT:      n.runner,
+		Mux:      n.mux,
+		Clock:    clk,
+		Recorder: (*chainRecorder)(n),
+		Pool:     n.pool,
+		Tracer:   n.obs.Tracer,
+	})
 
 	if len(windowEntries) > 0 {
-		n.layer.RestoreWindow(windowEntries)
-		n.recovery.WindowRestored = n.layer.WindowLen()
+		n.front.RestoreWindow(windowEntries)
+		n.recovery.WindowRestored = len(windowEntries)
 	}
 
 	n.srv = export.NewServer(export.ServerConfig{
@@ -292,8 +356,8 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 	// Every counter family the node owns registers its Metrics method into
 	// the observer's registry: one /metrics scrape sees the whole pipeline.
 	r := n.obs.Registry
-	r.Register("core", n.layer.Counters().Metrics)
-	r.Register("batch", n.layer.Batches().Metrics)
+	r.Register("core", n.front.Counters().Metrics)
+	r.Register("batch", n.front.Batches().Metrics)
 	r.Register("pool", n.pool.Counters().Metrics)
 	r.Register("crypto", cc.Metrics)
 	if n.wlog != nil {
@@ -309,7 +373,7 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 		return []metrics.Metric{
 			metrics.Gauge("zugchain_chain_height", "Blockchain head index", float64(n.store.HeadIndex())),
 			metrics.Gauge("zugchain_chain_base", "Oldest retained full block", float64(n.store.Base())),
-			metrics.Gauge("zugchain_chain_open", "Open requests in the queue R", float64(n.layer.OpenRequests())),
+			metrics.Gauge("zugchain_chain_open", "Open requests in the queue R", float64(n.front.OpenRequests())),
 		}
 	})
 
@@ -326,18 +390,18 @@ func (n *Node) Start() {
 	}
 }
 
-// Stop shuts down the node. The runner stops before the layer closes: a
-// slot executed after the layer closed would log none of its records yet
+// Stop shuts down the node. The runner stops before the front end closes: a
+// slot executed after the front end closed would log none of its records yet
 // still seal its block, and that durable block would diverge from the
 // quorum's chain after a restart. The verify pool closes last: in-flight
-// verification tasks may still try to enqueue into the runner or layer,
+// verification tasks may still try to enqueue into the runner or front end,
 // whose closed-checks make that a safe no-op. The store and WAL close after
 // the bus drains, once nothing can append anymore.
 func (n *Node) Stop() {
 	n.stopped.Do(func() {
 		close(n.quit)
 		n.runner.Stop()
-		n.layer.Close()
+		n.front.Close()
 		n.pool.Close()
 		n.busWG.Wait()
 		if n.wlog != nil {
@@ -350,18 +414,12 @@ func (n *Node) Stop() {
 // Store exposes the node's blockchain.
 func (n *Node) Store() *blockchain.Store { return n.store }
 
-// Layer exposes the communication layer (metrics, inspection).
-func (n *Node) Layer() *core.Layer { return n.layer }
+// FrontEnd exposes the front end (metrics, inspection, direct record
+// injection).
+func (n *Node) FrontEnd() FrontEnd { return n.front }
 
 // Runner exposes the PBFT runner.
 func (n *Node) Runner() *pbft.Runner { return n.runner }
-
-// VerifyPool exposes the node's signature-verification pipeline (stats,
-// inspection).
-func (n *Node) VerifyPool() *crypto.VerifyPool { return n.pool }
-
-// ExportServer exposes the export server.
-func (n *Node) ExportServer() *export.Server { return n.srv }
 
 // Obs exposes the node's observability state: the metrics registry every
 // counter family registered into, the record lifecycle tracer (nil when
@@ -385,7 +443,7 @@ func (n *Node) HandleFrameSource(src int, frame mvb.Frame) {
 	n.mu.Lock()
 	filter, ok := n.filters[src]
 	if !ok {
-		filter = signal.NewFilter(nil)
+		filter = signal.NewFilter(n.policies)
 		n.filters[src] = filter
 	}
 	filtered := filter.Apply(rec.Signals)
@@ -394,7 +452,7 @@ func (n *Node) HandleFrameSource(src int, frame mvb.Frame) {
 		return
 	}
 	out := signal.Record{Cycle: rec.Cycle, Signals: filtered}
-	n.layer.OnBusRecord(src, out.Marshal())
+	n.front.OnBusRecord(src, out.Marshal())
 }
 
 // RunBus consumes frames from reader (input source 0) until ctx is
@@ -424,7 +482,7 @@ func (n *Node) RunBusSource(ctx context.Context, src int, reader *mvb.Reader) {
 // executes the compaction deterministically when the marker is logged.
 func (n *Node) ProposeCompaction(through uint64) {
 	payload := fmt.Sprintf("%s%d", compactionPrefix, through)
-	n.layer.OnBusRecord(0, []byte(payload))
+	n.front.OnBusRecord(0, []byte(payload))
 }
 
 // chainRecorder adapts the node to core.Recorder: the LOG up-call of
@@ -466,12 +524,12 @@ func parseCompaction(payload []byte) (uint64, bool) {
 // pbftApp adapts the node to pbft.Application.
 type pbftApp Node
 
-// Deliver implements pbft.Application: hand the DECIDE to the layer, which
-// filters duplicates before logging, then seal the slot's block. The block
+// Deliver implements pbft.Application: hand the DECIDE to the front end,
+// which decides what to log, then seal the slot's block. The block
 // is final once durable on a quorum: it holds only committed slots.
 func (a *pbftApp) Deliver(seq uint64, req pbft.Request) {
 	n := (*Node)(a)
-	n.layer.OnDecide(seq, req)
+	n.front.OnDecide(seq, req)
 	if err := n.sealSlot(seq); errors.Is(err, blockchain.ErrChainGap) {
 		n.ensureStateFetch(seq)
 	}
@@ -528,15 +586,15 @@ func (n *Node) sealSlot(seq uint64) error {
 }
 
 // OnPrePrepared implements pbft.PrePrepareObserver: relay the primary's
-// accepted proposal to the layer so it can downgrade the soft timeout.
+// accepted proposal to the front end (core downgrades the soft timeout).
 func (a *pbftApp) OnPrePrepared(seq uint64, payloadDigest crypto.Digest) {
-	(*Node)(a).layer.OnPrePrepared(payloadDigest)
+	(*Node)(a).front.OnPrePrepared(payloadDigest)
 }
 
 // Payload implements pbft.PayloadSource: the payloads a backup already read
-// from the bus sit in the layer's request queue R.
+// from the bus sit in its front end.
 func (a *pbftApp) Payload(d crypto.Digest) ([]byte, bool) {
-	return (*Node)(a).layer.Payload(d)
+	return (*Node)(a).front.Payload(d)
 }
 
 // StableCheckpoint implements pbft.Application. Besides notifying the
@@ -552,7 +610,7 @@ func (a *pbftApp) StableCheckpoint(proof pbft.CheckpointProof) {
 
 // NewPrimary implements pbft.Application.
 func (a *pbftApp) NewPrimary(view uint64, primary crypto.NodeID) {
-	(*Node)(a).layer.OnNewPrimary(view, primary)
+	(*Node)(a).front.OnNewPrimary(view, primary)
 }
 
 // StateTransferNeeded implements pbft.Application: fetch the authoritative
@@ -613,5 +671,5 @@ func (n *Node) onStateReply(reply *export.StateReply) {
 			entries = append(entries, core.WindowEntry{Digest: crypto.Hash(e.Payload), Seq: e.Seq})
 		}
 	}
-	n.layer.RestoreWindow(entries)
+	n.front.RestoreWindow(entries)
 }

@@ -111,7 +111,7 @@ func (c *cluster) tickUntilSeq(seq uint64, deadline time.Duration) {
 		}
 		if time.Now().After(end) {
 			for i, n := range c.nodes {
-				c.t.Logf("node %d: head=%d seq=%d open=%d", i, n.Store().HeadIndex(), n.Store().Head().LastSeq, n.Layer().OpenRequests())
+				c.t.Logf("node %d: head=%d seq=%d open=%d", i, n.Store().HeadIndex(), n.Store().Head().LastSeq, n.FrontEnd().OpenRequests())
 			}
 			c.t.Fatalf("chains did not reach seq %d in %v", seq, deadline)
 		}

@@ -78,7 +78,7 @@ var walToPersistKind = map[wal.Kind]pbft.PersistKind{
 // restoreFromWAL interprets the replayed WAL records and rebuilds the
 // replica's pre-crash state: view and view-change progress, the newest
 // quorum-certified checkpoint, the digests pinned by pre-crash votes,
-// prepared certificates, and the dedup window (returned for the layer,
+// prepared certificates, and the dedup window (returned for the front end,
 // which does not exist yet when this runs). Called from New, before the
 // runner starts. A non-empty chain with an empty WAL — the WAL wiped,
 // disabled, or newly enabled over an existing DataDir — still restores the
@@ -220,7 +220,7 @@ func (n *Node) rotateWAL(proof pbft.CheckpointProof) {
 	}
 	view, sentVC, inVC := n.engine.ViewState()
 	votes, certs := n.engine.VoteRecords(), n.engine.PreparedProofs()
-	window := n.layer.WindowSnapshot(proof.Seq)
+	window := n.front.WindowSnapshot(proof.Seq)
 	snapshot := make([]wal.Record, 0, 2+len(votes)+len(certs)+len(window))
 	snapshot = append(snapshot,
 		wal.Record{Kind: wal.KindView, View: view, Seq: sentVC, Flag: inVC},

@@ -105,7 +105,7 @@ func (c *cluster) feedRecords(recordSize int, seq uint64, deadline time.Duration
 		payload := make([]byte, recordSize)
 		binary.LittleEndian.PutUint64(payload, uint64(cycle))
 		for i := len(c.nodes) - 1; i >= 0; i-- {
-			c.nodes[i].Layer().OnBusRecord(0, payload)
+			c.nodes[i].FrontEnd().OnBusRecord(0, payload)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -131,11 +131,11 @@ func TestClusterProposalsByReference(t *testing.T) {
 		t.Errorf("%d fetches with every node on the bus, want 0", got)
 	}
 	for i, n := range c.nodes {
-		if got := n.Layer().Counters().PayloadMisses.Load(); got != 0 {
+		if got := n.FrontEnd().Counters().PayloadMisses.Load(); got != 0 {
 			t.Errorf("node %d missed %d payloads", i, got)
 		}
 	}
-	records := c.nodes[0].Layer().Counters().Requests.Load()
+	records := c.nodes[0].FrontEnd().Counters().Requests.Load()
 	ppBytes := w.sum(&w.bytes, tagPrePrepare, tagPrePrepareRef, tagPrePrepareFetch)
 	perRecord := float64(ppBytes) / float64(records*3)
 	t.Logf("%d records, %d PrePrepare-family bytes: %.0f B per record and backup", records, ppBytes, perRecord)
@@ -163,12 +163,12 @@ func TestClusterDivergentReadsFetch(t *testing.T) {
 	if fetches == 0 {
 		t.Fatal("the backup that reads nothing never fetched")
 	}
-	if got := c.nodes[3].Layer().Counters().PayloadMisses.Load(); int64(got) != fetches {
+	if got := c.nodes[3].FrontEnd().Counters().PayloadMisses.Load(); int64(got) != fetches {
 		t.Errorf("node 3 counted %d payload misses for %d fetches", got, fetches)
 	}
 	// About one fetch per checkpoint interval, not one per record: the
 	// primary answers with a full PrePrepare and keeps sending full ones.
-	records := c.nodes[0].Layer().Counters().Requests.Load()
+	records := c.nodes[0].FrontEnd().Counters().Requests.Load()
 	t.Logf("node 3 fetched %d times for %d records in %d blocks", fetches, records, c.nodes[3].Store().HeadIndex())
 	if fetches > int64(records/2) {
 		t.Errorf("%d fetches for %d records, want about one per checkpoint interval", fetches, records)
@@ -198,7 +198,7 @@ func TestRestartedBackupCatchesUpByReference(t *testing.T) {
 			t.Errorf("block %d diverges after restart", idx)
 		}
 	}
-	counters := n.Layer().Counters()
+	counters := n.FrontEnd().Counters()
 	t.Logf("restarted backup: %d payload hits, %d misses", counters.PayloadHits.Load(), counters.PayloadMisses.Load())
 	assertNoDuplicateLogs(t, n)
 }

@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -39,18 +38,9 @@ type Partition struct {
 // network partitions while the transport injects seeded drop/delay/
 // duplicate faults — the §III-D fault model plus fail-recovery.
 type ChaosScenario struct {
-	// Nodes, BusCycle, Cycles, CheckpointInterval, PayloadSize, timeouts,
-	// TimeScale and Seed mean the same as in Scenario.
-	Nodes              int
-	BusCycle           time.Duration
-	Cycles             int
-	CheckpointInterval uint64
-	PayloadSize        int
-	SoftTimeout        time.Duration
-	HardTimeout        time.Duration
-	ViewTimeout        time.Duration
-	TimeScale          int
-	Seed               int64
+	// Scenario sets the bus, the replica set and their timeouts, TimeScale
+	// and Seed; its System, bus faults and Fig 8–9 fields are not used.
+	Scenario
 	// DataRoot is the directory holding one data dir per replica; crashed
 	// replicas restart from theirs. Required.
 	DataRoot string
@@ -63,40 +53,6 @@ type ChaosScenario struct {
 	// StateRetryInterval overrides the node's state-transfer retry base
 	// (scaled); zero keeps the node default.
 	StateRetryInterval time.Duration
-}
-
-func (s *ChaosScenario) applyDefaults() {
-	if s.Nodes == 0 {
-		s.Nodes = 4
-	}
-	if s.BusCycle == 0 {
-		s.BusCycle = 64 * time.Millisecond
-	}
-	if s.Cycles == 0 {
-		s.Cycles = 100
-	}
-	if s.CheckpointInterval == 0 {
-		s.CheckpointInterval = 10
-	}
-	if s.TimeScale <= 0 {
-		s.TimeScale = 1
-	}
-	if s.SoftTimeout == 0 {
-		s.SoftTimeout = 250 * time.Millisecond
-	}
-	if s.HardTimeout == 0 {
-		s.HardTimeout = 250 * time.Millisecond
-	}
-	if s.ViewTimeout == 0 {
-		s.ViewTimeout = 500 * time.Millisecond
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-}
-
-func (s *ChaosScenario) scaled(d time.Duration) time.Duration {
-	return d / time.Duration(s.TimeScale)
 }
 
 // RestartReport captures what one crash-restarted replica recovered.
@@ -145,33 +101,21 @@ func (r *ChaosResult) CountEvents(kind obsv.EventKind) int {
 
 // chaosCluster is the mutable run state of RunChaos.
 type chaosCluster struct {
-	s       ChaosScenario
-	net     *transport.Network
-	bus     *mvb.Bus
-	ids     []crypto.NodeID
-	kps     map[crypto.NodeID]*crypto.KeyPair
-	reg     *crypto.Registry
-	nodes   []*node.Node
-	faulty  []*transport.Faulty
-	cancels []context.CancelFunc
-	incarn  []int64
+	*cluster
+	s      ChaosScenario
+	net    *transport.Network
+	faulty []*transport.Faulty
+	incarn []int64
 	// cut tracks active partitions so a restarted replica's fresh wrapper
 	// re-blocks its partitioned peers.
 	cut map[[2]int]bool
 }
 
 func (c *chaosCluster) nodeConfig(i int) node.Config {
-	s := c.s
-	return node.Config{
-		ID:                 c.ids[i],
-		Replicas:           c.ids,
-		CheckpointInterval: s.CheckpointInterval,
-		DataDir:            filepath.Join(s.DataRoot, fmt.Sprintf("node-%d", i)),
-		SoftTimeout:        s.scaled(s.SoftTimeout),
-		HardTimeout:        s.scaled(s.HardTimeout),
-		ViewTimeout:        s.scaled(s.ViewTimeout),
-		StateRetryInterval: s.scaled(s.StateRetryInterval),
-	}
+	cfg := c.s.replicaConfig(c.ids, i)
+	cfg.DataDir = filepath.Join(c.s.DataRoot, fmt.Sprintf("node-%d", i))
+	cfg.StateRetryInterval = c.s.scaled(c.s.StateRetryInterval)
+	return cfg
 }
 
 // startNode builds (or rebuilds) replica i on a fresh transport attachment,
@@ -191,45 +135,31 @@ func (c *chaosCluster) startNode(i int) (*node.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c.nodes[i] = n
 	c.faulty[i] = f
-	c.cancels[i] = cancel
 	c.incarn[i]++
-	n.Start()
-	n.RunBus(ctx, c.bus.NewReader(mvb.FaultConfig{}, c.s.Seed+int64(i)+c.incarn[i]*1000))
+	c.run(i, n, c.bus.NewReader(mvb.FaultConfig{}, c.s.Seed+int64(i)+c.incarn[i]*1000))
 	return n, nil
 }
 
 // killNode stops replica i and releases its network attachment; only its
 // data dir survives.
 func (c *chaosCluster) killNode(i int) {
-	c.cancels[i]()
-	c.nodes[i].Stop()
-	c.nodes[i] = nil
+	c.stop(i)
 	c.faulty[i] = nil
 	c.net.Remove(c.ids[i])
 }
 
 func (c *chaosCluster) setPartition(p Partition, on bool) {
 	key := [2]int{p.A, p.B}
+	delete(c.cut, key)
 	if on {
 		c.cut[key] = true
-	} else {
-		delete(c.cut, key)
 	}
-	if fa := c.faulty[p.A]; fa != nil {
-		if on {
-			fa.Partition(c.ids[p.B])
-		} else {
-			fa.Heal(c.ids[p.B])
-		}
-	}
-	if fb := c.faulty[p.B]; fb != nil {
-		if on {
-			fb.Partition(c.ids[p.A])
-		} else {
-			fb.Heal(c.ids[p.A])
+	for _, end := range [][2]int{{p.A, p.B}, {p.B, p.A}} {
+		if f := c.faulty[end[0]]; f != nil && on {
+			f.Partition(c.ids[end[1]])
+		} else if f != nil {
+			f.Heal(c.ids[end[1]])
 		}
 	}
 }
@@ -238,35 +168,21 @@ func (c *chaosCluster) setPartition(p Partition, on bool) {
 // the schedule kills, restarts, partitions, and heals replicas, then waits
 // for the survivors to converge and reports what they agree on.
 func RunChaos(s ChaosScenario) (*ChaosResult, error) {
-	return runChaosInto(s, &chaosCluster{})
-}
-
-func runChaosInto(s ChaosScenario, c *chaosCluster) (*ChaosResult, error) {
 	s.applyDefaults()
 	if s.DataRoot == "" {
 		return nil, fmt.Errorf("testbed: chaos scenario needs a DataRoot")
 	}
 
-	*c = chaosCluster{
+	c := &chaosCluster{
+		cluster: newCluster(s.Nodes, buildBus(s.Scenario)),
 		s:       s,
 		net:     transport.NewNetwork(transport.WithSeed(s.Seed)),
-		bus:     buildBus(Scenario{Seed: s.Seed, PayloadSize: s.PayloadSize, BusCycle: s.BusCycle, TimeScale: s.TimeScale}),
-		nodes:   make([]*node.Node, s.Nodes),
 		faulty:  make([]*transport.Faulty, s.Nodes),
-		cancels: make([]context.CancelFunc, s.Nodes),
 		incarn:  make([]int64, s.Nodes),
 		cut:     make(map[[2]int]bool),
 	}
-	c.ids, c.kps, c.reg = buildKeys(s.Nodes)
 	defer c.net.Close()
-	defer func() {
-		for i := range c.nodes {
-			if c.nodes[i] != nil {
-				c.cancels[i]()
-				c.nodes[i].Stop()
-			}
-		}
-	}()
+	defer c.stopAll()
 	for i := range c.ids {
 		if _, err := c.startNode(i); err != nil {
 			return nil, err
@@ -315,15 +231,10 @@ func runChaosInto(s ChaosScenario, c *chaosCluster) (*ChaosResult, error) {
 	// Convergence: wait for every alive replica to reach the tallest chain
 	// (restarted ones catch up via state transfer).
 	deadline := time.Now().Add(10*s.scaled(s.ViewTimeout) + 5*time.Second)
-	for {
-		min, max := c.heights()
-		if min == max && max > 0 {
+	for ; time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if min, max := c.heights(); min == max && max > 0 {
 			break
 		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
 	res.MinHeight, res.MaxHeight = c.heights()

@@ -20,15 +20,17 @@ func chaosBase(t *testing.T) ChaosScenario {
 		scale = 3
 	}
 	return ChaosScenario{
-		Nodes:              4,
-		BusCycle:           scale * 20 * time.Millisecond,
-		Cycles:             120,
-		CheckpointInterval: 10,
-		SoftTimeout:        scale * 150 * time.Millisecond,
-		HardTimeout:        scale * 150 * time.Millisecond,
-		ViewTimeout:        scale * 300 * time.Millisecond,
+		Scenario: Scenario{
+			Nodes:              4,
+			BusCycle:           scale * 20 * time.Millisecond,
+			Cycles:             120,
+			CheckpointInterval: 10,
+			SoftTimeout:        scale * 150 * time.Millisecond,
+			HardTimeout:        scale * 150 * time.Millisecond,
+			ViewTimeout:        scale * 300 * time.Millisecond,
+			Seed:               7,
+		},
 		StateRetryInterval: scale * 40 * time.Millisecond,
-		Seed:               7,
 		DataRoot:           t.TempDir(),
 	}
 }

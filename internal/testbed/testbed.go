@@ -133,6 +133,23 @@ func (s *Scenario) scaled(d time.Duration) time.Duration {
 	return d / time.Duration(s.TimeScale)
 }
 
+// buildBus assembles the MVB with the ATP generator for the scenario.
+func buildBus(s Scenario) *mvb.Bus {
+	genCfg := signal.DefaultGeneratorConfig()
+	genCfg.Seed = s.Seed
+	genCfg.PayloadSize = s.PayloadSize
+	bus := mvb.NewBus(mvb.Config{CycleTime: s.scaled(s.BusCycle)})
+	bus.Attach(mvb.NewSignalDevice(signal.NewGenerator(genCfg)))
+	return bus
+}
+
+func (s *Scenario) faultsFor(i int) mvb.FaultConfig {
+	if i < len(s.BusFaults) {
+		return s.BusFaults[i]
+	}
+	return mvb.FaultConfig{}
+}
+
 // Result aggregates a scenario's measurements.
 type Result struct {
 	Scenario Scenario
@@ -171,89 +188,27 @@ type TimelinePoint struct {
 	Latency time.Duration // scaled back to paper-equivalent time
 }
 
-// Run executes one scenario to completion.
+// Run executes one scenario to completion. Both systems run the same
+// replica, schedule and measurements; the system picks the front end, the
+// drain rule, and the node whose counters report Ordered and Blocks.
 func Run(s Scenario) (*Result, error) {
 	s.applyDefaults()
-	if s.System == Baseline {
-		return runBaseline(s)
-	}
-	return runZugChain(s)
-}
-
-// buildKeys creates replica key pairs and the shared registry.
-func buildKeys(n int) ([]crypto.NodeID, map[crypto.NodeID]*crypto.KeyPair, *crypto.Registry) {
-	ids := make([]crypto.NodeID, n)
-	kps := make(map[crypto.NodeID]*crypto.KeyPair, n)
-	pairs := make([]*crypto.KeyPair, 0, n)
-	for i := 0; i < n; i++ {
-		id := crypto.NodeID(i)
-		ids[i] = id
-		kp := crypto.MustGenerateKeyPair(id)
-		kps[id] = kp
-		pairs = append(pairs, kp)
-	}
-	return ids, kps, crypto.NewRegistry(pairs...)
-}
-
-// buildBus assembles the MVB with the ATP generator for the scenario.
-func buildBus(s Scenario) *mvb.Bus {
-	genCfg := signal.DefaultGeneratorConfig()
-	genCfg.Seed = s.Seed
-	genCfg.PayloadSize = s.PayloadSize
-	bus := mvb.NewBus(mvb.Config{CycleTime: s.scaled(s.BusCycle)})
-	bus.Attach(mvb.NewSignalDevice(signal.NewGenerator(genCfg)))
-	return bus
-}
-
-func (s *Scenario) faultsFor(i int) mvb.FaultConfig {
-	if i < len(s.BusFaults) {
-		return s.BusFaults[i]
-	}
-	return mvb.FaultConfig{}
-}
-
-func runZugChain(s Scenario) (*Result, error) {
 	net := transport.NewNetwork(
 		transport.WithSeed(s.Seed),
 		transport.WithDefaultLink(transport.LinkConfig{Latency: s.LinkLatency}),
 	)
 	defer net.Close()
 
-	ids, kps, reg := buildKeys(s.Nodes)
-	bus := buildBus(s)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	nodes := make([]*node.Node, 0, s.Nodes)
-	readers := make([]*mvb.Reader, 0, s.Nodes)
-	for i, id := range ids {
-		cfg := node.Config{
-			ID:                 id,
-			Replicas:           ids,
-			CheckpointInterval: s.CheckpointInterval,
-			SoftTimeout:        s.scaled(s.SoftTimeout),
-			HardTimeout:        s.scaled(s.HardTimeout),
-			ViewTimeout:        s.scaled(s.ViewTimeout),
-		}
-		n, err := node.New(cfg, kps[id], reg, net.Endpoint(id), clock.Real{})
+	c := newCluster(s.Nodes, buildBus(s))
+	defer c.stopAll()
+	for i, id := range c.ids {
+		n, err := s.newNode(c.ids, i, c.kps[id], c.reg, net.Endpoint(id))
 		if err != nil {
 			return nil, err
 		}
-		reader := bus.NewReader(s.faultsFor(i), s.Seed+int64(i))
-		nodes = append(nodes, n)
-		readers = append(readers, reader)
+		c.run(i, n, c.bus.NewReader(s.faultsFor(i), s.Seed+int64(i)))
 	}
-	defer func() {
-		cancel() // release RunBus goroutines before Stop waits on them
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-	for i, n := range nodes {
-		n.Start()
-		n.RunBus(ctx, readers[i])
-	}
+	nodes := c.nodes
 
 	// Fig 9b: the primary delays its preprepares.
 	if s.PrimaryDelay > 0 {
@@ -267,19 +222,18 @@ func runZugChain(s Scenario) (*Result, error) {
 	}
 
 	// Fig 9a: a faulty backup fabricates requests.
-	fabricator := newFabricator(s, kps, net)
+	fabricator := newFabricator(s, c.kps, net)
 
 	runtime.GC()
 	memBefore := metrics.SampleMemory()
 	start := time.Now()
 	var faultAt time.Duration
 
-	cycleTime := s.scaled(s.BusCycle)
-	ticker := time.NewTicker(cycleTime)
+	ticker := time.NewTicker(s.scaled(s.BusCycle))
 	defer ticker.Stop()
 	for cycle := 0; cycle < s.Cycles; cycle++ {
 		<-ticker.C
-		bus.Tick()
+		c.bus.Tick()
 		if fabricator != nil {
 			fabricator.maybeInject(cycle)
 		}
@@ -287,35 +241,24 @@ func runZugChain(s Scenario) (*Result, error) {
 			faultAt = time.Since(start)
 			net.Isolate(0)
 			// The backups discover the fault as their timeout machinery
-			// fires; no explicit Suspect needed — hard timeouts do it.
+			// fires; no explicit Suspect needed.
 		}
 	}
-	// Drain: let in-flight ordering finish.
-	drainDeadline := time.Now().Add(2*s.scaled(s.SoftTimeout) + 2*s.scaled(s.HardTimeout) + 2*time.Second)
-	for time.Now().Before(drainDeadline) {
-		settled := true
-		for i, n := range nodes {
-			if s.KillPrimaryAtCycle > 0 && i == 0 {
-				continue // the killed primary never settles
-			}
-			if n.Layer().OpenRequests() > 0 {
-				settled = false
-				break
-			}
-		}
-		if settled {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	s.drain(nodes)
 	duration := time.Since(start)
 	memAfter := metrics.SampleMemory()
 
+	// The baseline reports a backup's counters: node 0 is the primary Fig 8
+	// kills.
+	report := nodes[0]
+	if s.System == Baseline {
+		report = nodes[1]
+	}
 	res := &Result{
 		Scenario: s,
 		Duration: duration,
 		FaultAt:  faultAt,
-		Blocks:   nodes[0].Store().HeadIndex(),
+		Blocks:   report.Store().HeadIndex(),
 	}
 
 	// Aggregate latency across surviving nodes, scaling back to
@@ -325,7 +268,7 @@ func runZugChain(s Scenario) (*Result, error) {
 		if s.KillPrimaryAtCycle > 0 && i == 0 {
 			continue
 		}
-		for _, ts := range n.Layer().Latency().TimedSamples() {
+		for _, ts := range n.FrontEnd().Latency().TimedSamples() {
 			agg.Record(ts.D * time.Duration(s.TimeScale))
 			res.Timeline = append(res.Timeline, TimelinePoint{
 				Since:   ts.At.Sub(start),
@@ -337,11 +280,11 @@ func runZugChain(s Scenario) (*Result, error) {
 
 	var bytesTotal, msgsTotal uint64
 	var cpuTotal float64
-	for _, id := range ids {
-		c := net.Endpoint(id).Counters()
-		bytesTotal += c.BytesSent.Load()
-		msgsTotal += c.MsgsSent.Load() + c.MsgsReceived.Load()
-		cpuTotal += cpuWork(c, nodes[id].Layer().Counters().Signatures.Load())
+	for _, id := range c.ids {
+		nc := net.Endpoint(id).Counters()
+		bytesTotal += nc.BytesSent.Load()
+		msgsTotal += nc.MsgsSent.Load() + nc.MsgsReceived.Load()
+		cpuTotal += cpuWork(nc, nodes[id].FrontEnd().Counters().Signatures.Load())
 	}
 	seconds := duration.Seconds()
 	res.NetBytesPerNodePerSec = float64(bytesTotal) / float64(s.Nodes) / seconds
@@ -350,11 +293,58 @@ func runZugChain(s Scenario) (*Result, error) {
 	res.AllocPerNode = (memAfter.TotalAlloc - memBefore.TotalAlloc) / uint64(s.Nodes)
 	res.HeapAlloc = memAfter.HeapAlloc
 
-	res.Ordered = nodes[0].Layer().Counters().Requests.Load()
+	res.Ordered = report.FrontEnd().Counters().Requests.Load()
 	for _, n := range nodes {
-		res.Duplicates += n.Layer().Counters().Duplicates.Load()
+		res.Duplicates += n.FrontEnd().Counters().Duplicates.Load()
 	}
 	return res, nil
+}
+
+// replicaConfig is replica i's node configuration, timeouts scaled.
+func (s *Scenario) replicaConfig(ids []crypto.NodeID, i int) node.Config {
+	return node.Config{
+		ID:                 ids[i],
+		Replicas:           ids,
+		CheckpointInterval: s.CheckpointInterval,
+		SoftTimeout:        s.scaled(s.SoftTimeout),
+		HardTimeout:        s.scaled(s.HardTimeout),
+		ViewTimeout:        s.scaled(s.ViewTimeout),
+	}
+}
+
+// newNode builds replica i of the scenario's system.
+func (s *Scenario) newNode(ids []crypto.NodeID, i int, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Transport) (*node.Node, error) {
+	cfg := s.replicaConfig(ids, i)
+	if s.System == Baseline {
+		return baseline.New(cfg, baseline.Config{
+			ClientTimeout:         s.scaled(s.ClientTimeout),
+			SuspectOnFirstTimeout: s.SuspectOnFirstTimeout,
+		}, kp, reg, tr, clock.Real{})
+	}
+	return node.New(cfg, kp, reg, tr, clock.Real{})
+}
+
+// drain lets in-flight ordering finish after the last bus cycle. ZugChain
+// waits for every live replica's request queue to empty, bounded by the
+// timeouts; the baseline's clients hold no shared queue, so it waits two
+// client timeouts.
+func (s *Scenario) drain(nodes []*node.Node) {
+	if s.System == Baseline {
+		time.Sleep(2 * s.scaled(s.ClientTimeout))
+		return
+	}
+	deadline := time.Now().Add(2*s.scaled(s.SoftTimeout) + 2*s.scaled(s.HardTimeout) + 2*time.Second)
+	for ; time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		open := 0
+		for i, n := range nodes {
+			if s.KillPrimaryAtCycle == 0 || i > 0 { // the killed primary never settles
+				open += n.FrontEnd().OpenRequests()
+			}
+		}
+		if open == 0 {
+			return
+		}
+	}
 }
 
 // cpuWork is one replica's CPU-load proxy (Fig 7): every protocol message it
@@ -366,106 +356,60 @@ func cpuWork(net *metrics.Counters, requestSigs uint64) float64 {
 	return metrics.CPUWorkUnits(sent+requestSigs, recv, sent+recv, net.BytesSent.Load()+net.BytesReceived.Load())
 }
 
-func runBaseline(s Scenario) (*Result, error) {
-	net := transport.NewNetwork(
-		transport.WithSeed(s.Seed),
-		transport.WithDefaultLink(transport.LinkConfig{Latency: s.LinkLatency}),
-	)
-	defer net.Close()
+// cluster is the replica set a testbed run drives: the keyring, the shared
+// bus, and per replica its node and the cancel of its bus reader.
+type cluster struct {
+	ids     []crypto.NodeID
+	kps     map[crypto.NodeID]*crypto.KeyPair
+	reg     *crypto.Registry
+	bus     *mvb.Bus
+	nodes   []*node.Node
+	cancels []context.CancelFunc
+}
 
-	ids, kps, reg := buildKeys(s.Nodes)
-	bus := buildBus(s)
+// newCluster creates n replica key pairs, the shared registry, and empty
+// replica slots.
+func newCluster(n int, bus *mvb.Bus) *cluster {
+	c := &cluster{
+		ids:     make([]crypto.NodeID, n),
+		kps:     make(map[crypto.NodeID]*crypto.KeyPair, n),
+		bus:     bus,
+		nodes:   make([]*node.Node, n),
+		cancels: make([]context.CancelFunc, n),
+	}
+	pairs := make([]*crypto.KeyPair, 0, n)
+	for i := range c.ids {
+		id := crypto.NodeID(i)
+		c.ids[i] = id
+		c.kps[id] = crypto.MustGenerateKeyPair(id)
+		pairs = append(pairs, c.kps[id])
+	}
+	c.reg = crypto.NewRegistry(pairs...)
+	return c
+}
 
+// run starts n as replica i, reading the bus through reader.
+func (c *cluster) run(i int, n *node.Node, reader *mvb.Reader) {
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	c.nodes[i], c.cancels[i] = n, cancel
+	n.Start()
+	n.RunBus(ctx, reader)
+}
 
-	nodes := make([]*baseline.Node, 0, s.Nodes)
-	readers := make([]*mvb.Reader, 0, s.Nodes)
-	for i, id := range ids {
-		cfg := baseline.Config{
-			ID:                    id,
-			Replicas:              ids,
-			CheckpointInterval:    s.CheckpointInterval,
-			ClientTimeout:         s.scaled(s.ClientTimeout),
-			ViewTimeout:           s.scaled(s.ViewTimeout),
-			SuspectOnFirstTimeout: s.SuspectOnFirstTimeout,
-		}
-		n, err := baseline.New(cfg, kps[id], reg, net.Endpoint(id), clock.Real{})
-		if err != nil {
-			return nil, err
-		}
-		reader := bus.NewReader(s.faultsFor(i), s.Seed+int64(i))
-		nodes = append(nodes, n)
-		readers = append(readers, reader)
-	}
-	defer func() {
-		cancel()
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-	for i, n := range nodes {
-		n.Start()
-		n.RunBus(ctx, readers[i])
-	}
+// stop stops replica i. Its bus reader goes first: Stop waits for it.
+func (c *cluster) stop(i int) {
+	c.cancels[i]()
+	c.nodes[i].Stop()
+	c.nodes[i] = nil
+}
 
-	runtime.GC()
-	memBefore := metrics.SampleMemory()
-	start := time.Now()
-	var faultAt time.Duration
-
-	ticker := time.NewTicker(s.scaled(s.BusCycle))
-	defer ticker.Stop()
-	for cycle := 0; cycle < s.Cycles; cycle++ {
-		<-ticker.C
-		bus.Tick()
-		if s.KillPrimaryAtCycle > 0 && cycle == s.KillPrimaryAtCycle {
-			faultAt = time.Since(start)
-			net.Isolate(0)
+// stopAll stops every live replica.
+func (c *cluster) stopAll() {
+	for i, n := range c.nodes {
+		if n != nil {
+			c.stop(i)
 		}
 	}
-	time.Sleep(2 * s.scaled(s.ClientTimeout))
-	duration := time.Since(start)
-	memAfter := metrics.SampleMemory()
-
-	res := &Result{
-		Scenario: s,
-		Duration: duration,
-		FaultAt:  faultAt,
-		Blocks:   nodes[1].Store().HeadIndex(),
-	}
-
-	agg := &metrics.Latency{}
-	for i, n := range nodes {
-		if s.KillPrimaryAtCycle > 0 && i == 0 {
-			continue
-		}
-		for _, ts := range n.Latency().TimedSamples() {
-			agg.Record(ts.D * time.Duration(s.TimeScale))
-			res.Timeline = append(res.Timeline, TimelinePoint{
-				Since:   ts.At.Sub(start),
-				Latency: ts.D * time.Duration(s.TimeScale),
-			})
-		}
-	}
-	res.Latency = agg.Stats()
-
-	var bytesTotal, msgsTotal uint64
-	var cpuTotal float64
-	for _, id := range ids {
-		c := net.Endpoint(id).Counters()
-		bytesTotal += c.BytesSent.Load()
-		msgsTotal += c.MsgsSent.Load() + c.MsgsReceived.Load()
-		cpuTotal += cpuWork(c, nodes[id].Counters().Signatures.Load())
-	}
-	seconds := duration.Seconds()
-	res.NetBytesPerNodePerSec = float64(bytesTotal) / float64(s.Nodes) / seconds
-	res.MsgsPerNode = float64(msgsTotal) / float64(s.Nodes)
-	res.CPUWorkPerNode = cpuTotal / float64(s.Nodes)
-	res.AllocPerNode = (memAfter.TotalAlloc - memBefore.TotalAlloc) / uint64(s.Nodes)
-	res.HeapAlloc = memAfter.HeapAlloc
-	res.Ordered = nodes[1].Counters().Requests.Load()
-	return res, nil
 }
 
 // fabricator injects fabricated requests from a faulty backup (Fig 9a): the

@@ -11,15 +11,11 @@
 package zugchain_test
 
 import (
-	"fmt"
 	"os"
 	"testing"
 	"time"
 
-	"zugchain/internal/clock"
-	"zugchain/internal/crypto"
 	"zugchain/internal/node"
-	"zugchain/internal/transport"
 )
 
 // orderingRate orders `records` records through a fresh in-process four-node
@@ -27,76 +23,13 @@ import (
 // node's config (nil = stock).
 func orderingRate(t *testing.T, records uint64, mutate func(*node.Config)) float64 {
 	t.Helper()
-	const maxBatch = 64
-	const maxOutstanding = 64
-
-	net := transport.NewNetwork()
+	net, trs := inprocTransports()
 	defer net.Close()
-	ids := []crypto.NodeID{0, 1, 2, 3}
-	kps := make(map[crypto.NodeID]*crypto.KeyPair)
-	var pairs []*crypto.KeyPair
-	for _, id := range ids {
-		kp := crypto.MustGenerateKeyPair(id)
-		kps[id] = kp
-		pairs = append(pairs, kp)
-	}
-	reg := crypto.NewRegistry(pairs...)
-
-	var nodes []*node.Node
-	for _, id := range ids {
-		cfg := node.Config{
-			ID:            id,
-			Replicas:      ids,
-			SoftTimeout:   2 * time.Second,
-			HardTimeout:   2 * time.Second,
-			ViewTimeout:   2 * time.Second,
-			MaxBatch:      maxBatch,
-			MaxBatchDelay: time.Millisecond,
-		}
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		n, err := node.New(cfg, kps[id], reg, net.Endpoint(id), clock.Real{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-		n.Start()
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-
-	ordered := func() uint64 {
-		best := uint64(0)
-		for _, n := range nodes {
-			if got := n.Layer().Counters().Requests.Load(); got > best {
-				best = got
-			}
-		}
-		return best
-	}
-
-	fed := uint64(0)
+	l := newOrderingLoad(t, trs, 64, mutate)
+	defer l.stop()
 	start := time.Now()
-	deadline := start.Add(2 * time.Minute)
-	for {
-		best := ordered()
-		if best >= records {
-			break
-		}
-		for fed < records && fed-best < maxOutstanding {
-			payload := make([]byte, 200)
-			copy(payload, fmt.Sprintf("guard-%d", fed))
-			nodes[0].Layer().OnBusRecord(0, payload)
-			fed++
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("guard cluster ordered %d/%d records before deadline", ordered(), records)
-		}
-		time.Sleep(200 * time.Microsecond)
+	if err := l.orderUpTo(records); err != nil {
+		t.Fatal(err)
 	}
 	return float64(records) / time.Since(start).Seconds()
 }

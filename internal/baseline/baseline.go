@@ -374,7 +374,7 @@ func (c *clientFront) RestoreWindow(entries []core.WindowEntry) {
 
 // WindowSnapshot has nothing to persist: the baseline filters no payloads,
 // and its retransmission window starts empty after a restart.
-func (c *clientFront) WindowSnapshot(uint64) []core.WindowEntry { return nil }
+func (c *clientFront) WindowSnapshot(dst []core.WindowEntry, _ uint64) []core.WindowEntry { return dst }
 
 // OnPrePrepared is a no-op: the client's timer runs until the decide.
 func (c *clientFront) OnPrePrepared(crypto.Digest) {}

@@ -304,7 +304,7 @@ func TestIdlePrimaryProposesAtOnce(t *testing.T) {
 		t.Errorf("idle flush = %+v, want a plain proposal", props[0])
 	}
 	fx.layer.mu.Lock()
-	armed := fx.layer.batchTimer != nil
+	armed := fx.layer.deadlines.queued(&fx.layer.batchDelay)
 	fx.layer.mu.Unlock()
 	if armed {
 		t.Error("idle flush armed the batch timer")

@@ -138,15 +138,21 @@ type reqState struct {
 	req      pbft.Request // as received (bus) or as signed by a peer
 	source   int          // input source index (multi-bus support)
 	origin   crypto.NodeID
-	proposed bool // submitted to BFT by this node as primary
-	timer    *clock.Func
+	proposed bool     // submitted to BFT by this node as primary
+	timeout  deadline // the armed soft or hard timeout, in the layer's queue
 	phase    timerPhase
 	viaPeer  bool // entered R via a peer broadcast (counts toward limits)
 }
 
+func newReqState(req pbft.Request) *reqState {
+	st := &reqState{req: req}
+	st.timeout.st = st
+	return st
+}
+
 // Layer is the ZugChain communication layer for one node. Safe for
-// concurrent use: bus readers, the PBFT runner, and timer goroutines all
-// call in.
+// concurrent use: bus readers, the PBFT runner, and the deadline queue's
+// timer all call in.
 type Layer struct {
 	cfg Config
 	kp  *crypto.KeyPair
@@ -164,15 +170,17 @@ type Layer struct {
 	perNode map[crypto.NodeID]int       // open-via-broadcast counts per origin
 	closed  bool
 
+	// deadlines holds every armed timeout: each open request's soft or
+	// hard timeout and the batch delay, behind one clock timer.
+	deadlines *deadlineQueue
+
 	// Primary-side request coalescing (MaxBatch > 1): records admitted
 	// while primary accumulate here instead of being proposed one at a
 	// time, and flush as a single batched proposal when the batch fills
-	// or MaxBatchDelay expires. batchGen invalidates stale delay-timer
-	// callbacks after a flush or view change.
+	// or MaxBatchDelay expires.
 	batch      []pbft.Request
-	batchTimer *clock.Func
+	batchDelay deadline
 	batchT0    time.Time // when the oldest record entered the batch
-	batchGen   uint64
 	lastFlush  time.Time // paces partial flushes MaxBatchDelay apart
 
 	counters *metrics.Counters
@@ -204,6 +212,7 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, bft BFT, tr trans
 		tracer:   cfg.Tracer,
 		received: make(map[crypto.Digest]time.Time),
 	}
+	l.deadlines = newDeadlineQueue(clk, l.onDeadline)
 	l.lastFlush = clk.Now()
 	tr.SetHandler(l.onTransport)
 	return l
@@ -255,15 +264,14 @@ type WindowEntry struct {
 	Seq    uint64
 }
 
-// WindowSnapshot returns the dedup-window entries with Seq <= maxSeq (all
-// entries when maxSeq is 0), in decide order. The node persists this
+// WindowSnapshot appends to dst the dedup-window entries with Seq <= maxSeq
+// (all entries when maxSeq is 0), in decide order. The node persists this
 // alongside a stable checkpoint: entries at or below the checkpoint cannot
 // be re-derived by PBFT re-execution after a restart, so without them a
 // restarted replica would re-LOG payloads it already logged.
-func (l *Layer) WindowSnapshot(maxSeq uint64) []WindowEntry {
+func (l *Layer) WindowSnapshot(dst []WindowEntry, maxSeq uint64) []WindowEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]WindowEntry, 0, len(l.decided.order))
 	for _, e := range l.decided.order {
 		if maxSeq != 0 && e.seq > maxSeq {
 			continue
@@ -271,9 +279,9 @@ func (l *Layer) WindowSnapshot(maxSeq uint64) []WindowEntry {
 		if cur, ok := l.decided.entries[e.digest]; !ok || cur != e.seq {
 			continue // superseded by a later re-log of the same payload
 		}
-		out = append(out, WindowEntry{Digest: e.digest, Seq: e.seq})
+		dst = append(dst, WindowEntry{Digest: e.digest, Seq: e.seq})
 	}
-	return out
+	return dst
 }
 
 // RestoreWindow seeds the dedup window from entries whose payloads are
@@ -309,28 +317,13 @@ func (l *Layer) RestoreWindow(entries []WindowEntry) {
 	}
 }
 
-// WindowLen reports the number of digests currently in the dedup window.
-func (l *Layer) WindowLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.decided.len()
-}
-
 // Close stops all timers. The layer must not be used afterwards.
 func (l *Layer) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
-	for _, st := range l.open {
-		if st.timer != nil {
-			st.timer.Stop()
-		}
-	}
+	l.deadlines.stop()
 	l.open = make(map[crypto.Digest]*reqState)
-	if l.batchTimer != nil {
-		l.batchTimer.Stop()
-		l.batchTimer = nil
-	}
 	l.batch = nil
 }
 
@@ -356,11 +349,9 @@ func (l *Layer) OnBusRecord(src int, payload []byte) {
 		return
 	}
 
-	st := &reqState{
-		req:    pbft.Request{Payload: payload},
-		source: src,
-		origin: l.cfg.ID,
-	}
+	st := newReqState(pbft.Request{Payload: payload})
+	st.source = src
+	st.origin = l.cfg.ID
 	l.open[digest] = st
 	l.received[digest] = l.clk.Now()
 	l.tracer.BeginRecord(digest)
@@ -369,7 +360,7 @@ func (l *Layer) OnBusRecord(src int, payload []byte) {
 		l.proposeLocked(st, l.cfg.ID) // ln. 8–9
 		return
 	}
-	l.armSoftTimeout(digest, st) // ln. 11
+	l.armSoftTimeout(st) // ln. 11
 }
 
 // OnDecide is the DECIDE up-call from the BFT module. Algorithm 1 lines
@@ -466,10 +457,7 @@ func (l *Layer) OnNewPrimary(view uint64, primary crypto.NodeID) {
 	// for) every one of them under the new primary.
 	l.resetBatchLocked()
 	for digest, st := range l.open {
-		if st.timer != nil {
-			st.timer.Stop()
-			st.timer = nil
-		}
+		l.deadlines.cancel(&st.timeout)
 		st.phase = phaseNone
 		st.proposed = false
 		if l.isPrimaryLocked() {
@@ -477,7 +465,7 @@ func (l *Layer) OnNewPrimary(view uint64, primary crypto.NodeID) {
 				l.proposeLocked(st, st.origin) // ln. 39–41
 			}
 		} else {
-			l.armSoftTimeout(digest, st) // ln. 43
+			l.armSoftTimeout(st) // ln. 43
 		}
 	}
 	// Re-proposed records already waited through a view change; flush
@@ -555,11 +543,9 @@ func (l *Layer) admitPeerRequest(req pbft.Request) {
 		return
 	}
 
-	st := &reqState{
-		req:     req,
-		origin:  req.Origin,
-		viaPeer: true,
-	}
+	st := newReqState(req)
+	st.origin = req.Origin
+	st.viaPeer = true
 	l.open[digest] = st
 	l.perNode[req.Origin]++
 	l.received[digest] = l.clk.Now()
@@ -572,7 +558,7 @@ func (l *Layer) admitPeerRequest(req pbft.Request) {
 	// ln. 31–32: arm a hard timeout and forward toward the primary so a
 	// faulty broadcaster that skipped the primary cannot cause a false
 	// suspicion.
-	l.armHardTimeout(digest, st)
+	l.armHardTimeout(st)
 	l.forwardLocked(req)
 }
 
@@ -624,22 +610,8 @@ func (l *Layer) enqueueBatchLocked(req pbft.Request) {
 			l.flushBatchLocked(metrics.FlushIdle)
 			return
 		}
-		gen := l.batchGen
-		l.batchTimer = clock.AfterFunc(l.clk, wait, func() { l.onBatchDelay(gen) })
+		l.deadlines.arm(&l.batchDelay, wait)
 	}
-}
-
-// onBatchDelay is the MaxBatchDelay timer callback: flush whatever has
-// accumulated. gen guards against a stale timer (the batch it was armed
-// for already flushed, or a view change reset it) flushing a newer batch
-// early.
-func (l *Layer) onBatchDelay(gen uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || gen != l.batchGen {
-		return
-	}
-	l.flushBatchLocked(metrics.FlushDelay)
 }
 
 // flushBatchLocked proposes the open batch as one request. A single-record
@@ -664,29 +636,46 @@ func (l *Layer) flushBatchLocked(trigger metrics.FlushTrigger) {
 	l.bft.Propose(req)
 }
 
-// resetBatchLocked detaches and returns the open batch, stopping its delay
-// timer and invalidating pending timer callbacks.
+// resetBatchLocked detaches and returns the open batch, cancelling its
+// delay.
 func (l *Layer) resetBatchLocked() []pbft.Request {
-	if l.batchTimer != nil {
-		l.batchTimer.Stop()
-		l.batchTimer = nil
-	}
-	l.batchGen++
+	l.deadlines.cancel(&l.batchDelay)
 	items := l.batch
 	l.batch = nil
 	return items
 }
 
 // armSoftTimeout starts the backup's wait for the primary (ln. 11).
-func (l *Layer) armSoftTimeout(digest crypto.Digest, st *reqState) {
+func (l *Layer) armSoftTimeout(st *reqState) {
 	st.phase = phaseSoft
-	st.timer = clock.AfterFunc(l.clk, l.cfg.SoftTimeout, func() { l.onSoftTimeout(digest) })
+	l.deadlines.arm(&st.timeout, l.cfg.SoftTimeout)
 }
 
 // armHardTimeout starts the censorship-detection wait (ln. 23, 31).
-func (l *Layer) armHardTimeout(digest crypto.Digest, st *reqState) {
+func (l *Layer) armHardTimeout(st *reqState) {
 	st.phase = phaseHard
-	st.timer = clock.AfterFunc(l.clk, l.cfg.HardTimeout, func() { l.onHardTimeout(digest) })
+	l.deadlines.arm(&st.timeout, l.cfg.HardTimeout)
+}
+
+// onDeadline runs when the deadline queue's clock timer fires: every
+// timeout that is due fires in deadline order.
+func (l *Layer) onDeadline(gen uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed || !l.deadlines.fired(gen) {
+		return
+	}
+	for d := l.deadlines.popDue(); d != nil; d = l.deadlines.popDue() {
+		switch {
+		case d.st == nil:
+			l.flushBatchLocked(metrics.FlushDelay)
+		case d.st.phase == phaseSoft:
+			l.softTimeoutLocked(d.st)
+		case d.st.phase == phaseHard:
+			l.hardTimeoutLocked(d.st)
+		}
+	}
+	l.deadlines.done()
 }
 
 // OnPrePrepared implements the §III-C optimization: the primary's accepted
@@ -701,42 +690,27 @@ func (l *Layer) OnPrePrepared(payloadDigest crypto.Digest) {
 	if !ok || l.closed || st.phase != phaseSoft {
 		return
 	}
-	if st.timer != nil {
-		st.timer.Stop()
-	}
-	l.armHardTimeout(payloadDigest, st)
+	l.armHardTimeout(st)
 }
 
-// onSoftTimeout implements lines 21–24: sign, broadcast, escalate to the
-// hard timeout.
-func (l *Layer) onSoftTimeout(digest crypto.Digest) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st, ok := l.open[digest]
-	if !ok || l.closed {
-		return // decided in the meantime
-	}
+// softTimeoutLocked implements lines 21–24: sign, broadcast, escalate to
+// the hard timeout. A decided request has left the queue with R, so st is
+// still open.
+func (l *Layer) softTimeoutLocked(st *reqState) {
 	if st.req.Sig == nil {
 		pbft.SignRequest(&st.req, l.kp)
 		st.origin = l.cfg.ID
 		l.counters.AddSignature()
 	}
-	l.armHardTimeout(digest, st)
+	l.armHardTimeout(st)
 	data := wire.Marshal(&ZCRequest{Req: st.req})
 	l.counters.AddSent(len(data))
 	_ = l.tr.Broadcast(data)
 }
 
-// onHardTimeout implements lines 33–35: the request is still not in the
-// log; suspect the primary.
-func (l *Layer) onHardTimeout(digest crypto.Digest) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st, ok := l.open[digest]
-	if !ok || l.closed {
-		return
-	}
-	st.timer = nil
+// hardTimeoutLocked implements lines 33–35: the request is still not in
+// the log; suspect the primary.
+func (l *Layer) hardTimeoutLocked(st *reqState) {
 	st.phase = phaseNone
 	l.bft.Suspect(l.primary)
 }
@@ -751,12 +725,9 @@ func (l *Layer) forwardLocked(req pbft.Request) {
 	_ = l.tr.Send(l.primary, data)
 }
 
-// removeLocked deletes a request from R and cancels its timer.
+// removeLocked deletes a request from R and cancels its timeout.
 func (l *Layer) removeLocked(digest crypto.Digest, st *reqState) {
-	if st.timer != nil {
-		st.timer.Stop()
-		st.timer = nil
-	}
+	l.deadlines.cancel(&st.timeout)
 	st.phase = phaseNone
 	if st.viaPeer {
 		if l.perNode[st.origin] > 0 {

@@ -140,16 +140,6 @@ func TestWindowReAddAtHigherSeqSurvivesIntermediateEvictions(t *testing.T) {
 	}
 }
 
-func TestWindowLen(t *testing.T) {
-	w := newDecidedWindow(100)
-	for i := uint64(1); i <= 7; i++ {
-		w.add(crypto.Hash([]byte{byte(i)}), i)
-	}
-	if w.len() != 7 {
-		t.Errorf("len = %d", w.len())
-	}
-}
-
 // Property: after adding digests at seqs 1..n, exactly those with
 // seq > n - width remain.
 func TestWindowInvariantProperty(t *testing.T) {

@@ -213,8 +213,16 @@ func (b *Bus) Run(ctx context.Context, clk clock.Clock) {
 // verified transformation (§III-A). Ports that fail to parse — e.g. after a
 // bit flip hit the encoding — are reported in errs but do not prevent the
 // remaining ports from being parsed; a real JRU logs what it can read.
+// Opaque signal bytes alias the frame's port data.
 func ParseFrame(f Frame) (*signal.Record, []error) {
-	rec := &signal.Record{Cycle: f.Cycle, Signals: make([]signal.Signal, 0, len(f.Ports))}
+	signals, errs := AppendSignals(make([]signal.Signal, 0, len(f.Ports)), f)
+	return &signal.Record{Cycle: f.Cycle, Signals: signals}, errs
+}
+
+// AppendSignals is ParseFrame appending to dst, so a reader that parses
+// every cycle can reuse one slice: parsing then allocates nothing unless a
+// port fails.
+func AppendSignals(dst []signal.Signal, f Frame) ([]signal.Signal, []error) {
 	var errs []error
 	for _, p := range f.Ports {
 		s, err := signal.DecodePort(p.Port, p.Data, f.Cycle)
@@ -222,9 +230,9 @@ func ParseFrame(f Frame) (*signal.Record, []error) {
 			errs = append(errs, fmt.Errorf("cycle %d: %w", f.Cycle, err))
 			continue
 		}
-		rec.Signals = append(rec.Signals, s)
+		dst = append(dst, s)
 	}
-	return rec, errs
+	return dst, errs
 }
 
 // SignalDevice adapts a signal.Generator to the bus Device interface,

@@ -53,7 +53,9 @@ type FrontEnd interface {
 	// RestoreWindow marks records the chain already holds (recovered or
 	// transferred) as ordered and closes the open requests they settle.
 	RestoreWindow(entries []core.WindowEntry)
-	WindowSnapshot(maxSeq uint64) []core.WindowEntry
+	// WindowSnapshot appends to dst the window entries at or below maxSeq
+	// that a WAL rotation must carry (see core.Layer.WindowSnapshot).
+	WindowSnapshot(dst []core.WindowEntry, maxSeq uint64) []core.WindowEntry
 	OpenRequests() int
 	Counters() *metrics.Counters
 	Batches() *metrics.BatchCounters
@@ -216,10 +218,11 @@ type Node struct {
 	obs    *obsv.Observer
 
 	recovery RecoveryInfo
+	rotation rotation
 
 	mu       sync.Mutex
 	policies map[signal.Kind]signal.FilterPolicy
-	filters  map[int]*signal.Filter // per input source (§III-C)
+	sources  map[int]*busSource // per input source (§III-C)
 	builder  *blockchain.Builder
 
 	// State-transfer retry machinery (see fetchLoop): fetchTarget is the
@@ -274,7 +277,7 @@ func NewWithFrontEnd(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr tr
 		clk:      clk,
 		store:    store,
 		policies: policies,
-		filters:  make(map[int]*signal.Filter),
+		sources:  make(map[int]*busSource),
 		quit:     make(chan struct{}),
 		obs: obsv.NewObserver(obsv.Options{
 			TraceRing:    cfg.TraceRing,
@@ -439,20 +442,40 @@ func (n *Node) HandleFrame(frame mvb.Frame) {
 // per link (§III-C "Multiple Input Sources"); per-source change-detection
 // state keeps the filters independent.
 func (n *Node) HandleFrameSource(src int, frame mvb.Frame) {
-	rec, _ := mvb.ParseFrame(frame) // unparseable ports are skipped, rest logged
+	s := n.busSource(src)
+	s.mu.Lock()
+	s.signals, _ = mvb.AppendSignals(s.signals[:0], frame) // unparseable ports are skipped, rest logged
+	rec := signal.Record{Cycle: frame.Cycle, Signals: s.filter.Apply(s.signals)}
+	var payload []byte
+	if len(rec.Signals) > 0 {
+		payload = rec.Marshal()
+	}
+	s.mu.Unlock()
+	if payload != nil {
+		n.front.OnBusRecord(src, payload)
+	}
+}
+
+// busSource is one input source's parse state: its change-detection filter
+// and the slice each of its frames is parsed into, so that a frame costs
+// one allocation, the record encoding the front end keeps.
+type busSource struct {
+	mu      sync.Mutex
+	filter  *signal.Filter
+	signals []signal.Signal
+}
+
+// busSource returns input source src's parse state, creating it on first
+// use.
+func (n *Node) busSource(src int) *busSource {
 	n.mu.Lock()
-	filter, ok := n.filters[src]
+	defer n.mu.Unlock()
+	s, ok := n.sources[src]
 	if !ok {
-		filter = signal.NewFilter(n.policies)
-		n.filters[src] = filter
+		s = &busSource{filter: signal.NewFilter(n.policies)}
+		n.sources[src] = s
 	}
-	filtered := filter.Apply(rec.Signals)
-	n.mu.Unlock()
-	if len(filtered) == 0 {
-		return
-	}
-	out := signal.Record{Cycle: rec.Cycle, Signals: filtered}
-	n.front.OnBusRecord(src, out.Marshal())
+	return s
 }
 
 // RunBus consumes frames from reader (input source 0) until ctx is

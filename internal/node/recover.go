@@ -39,6 +39,7 @@ func (n *Node) Recovery() RecoveryInfo { return n.recovery }
 
 // walPersister adapts the WAL to pbft.Persister: one action batch becomes
 // one group-committed append, durable before the runner sends anything.
+// Prepared certificates are encoded straight into the append's frames.
 type walPersister struct{ log *wal.Log }
 
 var persistToWALKind = map[pbft.PersistKind]wal.Kind{
@@ -51,22 +52,25 @@ var persistToWALKind = map[pbft.PersistKind]wal.Kind{
 
 // Persist implements pbft.Persister.
 func (p walPersister) Persist(recs []pbft.PersistRecord) error {
-	out := make([]wal.Record, 0, len(recs))
+	var b wal.Batch
 	for _, r := range recs {
 		kind, ok := persistToWALKind[r.Kind]
 		if !ok {
 			continue
 		}
-		out = append(out, wal.Record{
+		rec := wal.Record{
 			Kind:   kind,
 			View:   r.View,
 			Seq:    r.Seq, // for KindView this is the highest view a ViewChange was sent for
 			Digest: r.Digest,
 			Flag:   r.InViewChange,
-			Data:   r.Data,
-		})
+		}
+		if r.Cert != nil {
+			rec.Body = r.Cert
+		}
+		b.Add(rec)
 	}
-	return p.log.Append(out...)
+	return p.log.AppendBatch(&b)
 }
 
 var walToPersistKind = map[wal.Kind]pbft.PersistKind{
@@ -209,53 +213,60 @@ func (n *Node) restoreFromWAL(engine *pbft.Engine, recs []wal.Record) []core.Win
 	return entries
 }
 
+// rotation is rotateWAL's scratch space, reused from one stable checkpoint
+// to the next so that a rotation frames its snapshot without collecting it
+// first. Only the runner's event loop touches it.
+type rotation struct {
+	votes  []pbft.PersistRecord
+	certs  []*pbft.PreparedProof
+	window []core.WindowEntry
+}
+
 // rotateWAL compacts the log down to a snapshot at a new stable checkpoint:
 // the current view state, the quorum proof itself, the votes and prepared
 // certificates for in-flight slots above the checkpoint, and the
-// dedup-window entries the chain cannot re-derive. Called from the runner's
-// event loop (via StableCheckpoint), so reading engine state is safe.
+// dedup-window entries the chain cannot re-derive. Each record is framed
+// straight into the rotation's buffer, certificates included. Called from
+// the runner's event loop (via StableCheckpoint), so reading engine state
+// is safe.
 func (n *Node) rotateWAL(proof pbft.CheckpointProof) {
 	if n.wlog == nil {
 		return
 	}
 	view, sentVC, inVC := n.engine.ViewState()
-	votes, certs := n.engine.VoteRecords(), n.engine.PreparedProofs()
-	window := n.front.WindowSnapshot(proof.Seq)
-	snapshot := make([]wal.Record, 0, 2+len(votes)+len(certs)+len(window))
-	snapshot = append(snapshot,
-		wal.Record{Kind: wal.KindView, View: view, Seq: sentVC, Flag: inVC},
-		wal.Record{Kind: wal.KindCheckpoint, Seq: proof.Seq, Data: pbft.EncodeCheckpointProof(proof)},
-	)
+	var b wal.Batch
+	b.Add(wal.Record{Kind: wal.KindView, View: view, Seq: sentVC, Flag: inVC})
+	b.Add(wal.Record{Kind: wal.KindCheckpoint, Seq: proof.Seq, Body: &proof})
 	// Votes for slots in (S, S+window] are routinely cast before the
 	// checkpoint at S stabilizes. The quorum's signatures only re-certify
 	// votes at or below S; everything above it must roll into the new
 	// segment, or a crash right after rotation would restart the replica
 	// with no pins for those slots and let it re-vote a conflicting digest.
-	for _, r := range votes {
+	rot := &n.rotation
+	rot.votes = n.engine.VoteRecords(rot.votes[:0])
+	for _, r := range rot.votes {
 		kind, ok := persistToWALKind[r.Kind]
 		if !ok {
 			continue
 		}
-		snapshot = append(snapshot, wal.Record{Kind: kind, View: r.View, Seq: r.Seq, Digest: r.Digest})
+		b.Add(wal.Record{Kind: kind, View: r.View, Seq: r.Seq, Digest: r.Digest})
 	}
 	// Likewise the P set: prepared certificates above the checkpoint back
 	// this replica's ViewChange claims across a restart.
-	for _, p := range certs {
-		cp := p
-		snapshot = append(snapshot, wal.Record{
-			Kind: wal.KindPreparedCert,
-			View: cp.PrePrepare.View,
-			Seq:  cp.PrePrepare.Seq,
-			Data: pbft.EncodePreparedProof(&cp),
-		})
+	rot.certs = n.engine.PreparedCerts(rot.certs[:0])
+	for _, p := range rot.certs {
+		b.Add(wal.Record{Kind: wal.KindPreparedCert, View: p.PrePrepare.View, Seq: p.PrePrepare.Seq, Body: p})
 	}
-	for _, e := range window {
-		snapshot = append(snapshot, wal.Record{Kind: wal.KindDedup, Seq: e.Seq, Digest: e.Digest})
+	rot.window = n.front.WindowSnapshot(rot.window[:0], proof.Seq)
+	for _, e := range rot.window {
+		b.Add(wal.Record{Kind: wal.KindDedup, Seq: e.Seq, Digest: e.Digest})
 	}
-	if err := n.wlog.Rotate(snapshot); err == nil {
+	clear(rot.certs) // hold no certificate past its slot's life
+	records := b.Len()
+	if err := n.wlog.RotateBatch(&b); err == nil {
 		n.obs.Journal.Record(obsv.Event{
 			Kind: obsv.EventWALRotation, View: view, Seq: proof.Seq, Node: n.cfg.ID,
-			Detail: fmt.Sprintf("snapshot-records=%d", len(snapshot)),
+			Detail: fmt.Sprintf("snapshot-records=%d", records),
 		})
 	}
 }

@@ -22,19 +22,6 @@ func TestRequestDigestDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestEncodePreparedProofAllocatesOnce guards the certificate written to
-// the WAL before every outbound commit: one allocation, at the exact size.
-func TestEncodePreparedProofAllocatesOnce(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
-	p := goldenProof()
-	EncodePreparedProof(p)
-	if n := testing.AllocsPerRun(100, func() { EncodePreparedProof(p) }); n > 1 {
-		t.Errorf("EncodePreparedProof allocates %v times per call, want at most 1", n)
-	}
-}
-
 // TestCommitMACDoesNotAllocate guards the per-Commit authenticator:
 // tagging a Commit for a peer and checking a received tag allocate nothing
 // once the encoder and hasher pools are warm, and a whole per-peer

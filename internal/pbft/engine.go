@@ -83,8 +83,13 @@ type Engine struct {
 	lowWater uint64 // last stable checkpoint sequence number
 	executed uint64 // last delivered sequence number
 
-	log         map[uint64]*instance
+	log map[uint64]*instance
+	// checkpoints holds the Checkpoint votes for checkpoint seqs at most
+	// two watermark windows above the low watermark; ahead holds, per
+	// replica, only its newest vote beyond that. Both stay bounded
+	// whatever a Byzantine replica signs.
 	checkpoints map[uint64]map[crypto.NodeID]*Checkpoint
+	ahead       map[crypto.NodeID]*Checkpoint
 	myDigests   map[uint64]crypto.Digest // state digests this replica computed
 	stable      CheckpointProof
 
@@ -170,6 +175,7 @@ func NewEngine(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry) (*Engine, e
 		nextSeq:     1,
 		log:         make(map[uint64]*instance),
 		checkpoints: make(map[uint64]map[crypto.NodeID]*Checkpoint),
+		ahead:       make(map[crypto.NodeID]*Checkpoint),
 		myDigests:   make(map[uint64]crypto.Digest),
 		certs:       make(map[uint64]*PreparedProof),
 		vcs:         make(map[uint64]map[crypto.NodeID]*ViewChange),
@@ -545,11 +551,39 @@ func (e *Engine) Checkpoint(seq uint64, digest crypto.Digest) []Action {
 	return actions
 }
 
+// onCheckpoint collects a peer's Checkpoint vote. Correct replicas vote
+// only at multiples of the checkpoint interval, so the votes for seqs up to
+// two watermark windows ahead take at most 2·window/interval entries. A
+// vote further ahead means this replica lags by more than that: only each
+// replica's newest such vote is kept, and the lagging replica adopts the
+// checkpoint once 2f+1 of them agree.
 func (e *Engine) onCheckpoint(c *Checkpoint) []Action {
-	if c.Seq <= e.lowWater {
+	if c.Seq <= e.lowWater || c.Seq%e.cfg.CheckpointInterval != 0 {
 		return nil
 	}
+	if c.Seq > e.lowWater+2*e.cfg.WatermarkWindow {
+		return e.addAhead(c)
+	}
 	return e.addCheckpoint(c)
+}
+
+// addAhead records c as its replica's newest far-ahead vote and installs
+// the checkpoint once a quorum's newest votes match it.
+func (e *Engine) addAhead(c *Checkpoint) []Action {
+	if cur, ok := e.ahead[c.Replica]; ok && cur.Seq >= c.Seq {
+		return nil
+	}
+	e.ahead[c.Replica] = c
+	proof := CheckpointProof{Seq: c.Seq, StateDigest: c.StateDigest}
+	for _, other := range e.ahead {
+		if other.Seq == c.Seq && other.StateDigest == c.StateDigest {
+			proof.Checkpoints = append(proof.Checkpoints, *other)
+		}
+	}
+	if len(proof.Checkpoints) < e.cfg.Quorum() {
+		return nil
+	}
+	return e.installStable(proof)
 }
 
 func (e *Engine) addCheckpoint(c *Checkpoint) []Action {
@@ -630,6 +664,11 @@ func (e *Engine) advanceStable(proof CheckpointProof) []Action {
 	for seq := range e.checkpoints {
 		if seq < proof.Seq {
 			delete(e.checkpoints, seq)
+		}
+	}
+	for id, c := range e.ahead {
+		if c.Seq <= proof.Seq {
+			delete(e.ahead, id)
 		}
 	}
 	for seq := range e.myDigests {

@@ -63,7 +63,7 @@ func TestEncodingGolden(t *testing.T) {
 	for _, name := range []string{"record", "small", "batch"} {
 		fmt.Fprintf(&b, "request.%s.digest %x\n", name, reqs[name].Digest())
 	}
-	fmt.Fprintf(&b, "preparedproof %s\n", hex.EncodeToString(EncodePreparedProof(goldenProof())))
+	fmt.Fprintf(&b, "preparedproof %s\n", hex.EncodeToString(wire.Encode(goldenProof().EncodeTo)))
 
 	pp := &PrePrepare{View: 1, Seq: 9, Req: *reqs["record"], Replica: 1, Sig: fixedBytes(crypto.SignatureSize, 20)}
 	sb := signingBytes(pp)

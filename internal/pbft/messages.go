@@ -257,7 +257,9 @@ func (p *CheckpointProof) Verify(reg *crypto.Registry, quorum int) error {
 	return verifyCheckpointSet(p.Seq, p.StateDigest, p.Checkpoints, reg, quorum)
 }
 
-func (p *CheckpointProof) encodeTo(e *wire.Encoder) {
+// EncodeTo appends the proof's encoding, as a ViewChange carries it and the
+// WAL stores it (DecodeCheckpointProof), to e.
+func (p *CheckpointProof) EncodeTo(e *wire.Encoder) {
 	e.Uint64(p.Seq)
 	e.Bytes32(p.StateDigest)
 	e.Uvarint(uint64(len(p.Checkpoints)))
@@ -294,7 +296,9 @@ type PreparedProof struct {
 	Prepares   []Prepare
 }
 
-func (p *PreparedProof) encodeTo(e *wire.Encoder) {
+// EncodeTo appends the certificate's encoding, as a ViewChange carries it
+// and the WAL stores it (DecodePreparedProof), to e.
+func (p *PreparedProof) EncodeTo(e *wire.Encoder) {
 	p.PrePrepare.EncodeWire(e)
 	e.Uvarint(uint64(len(p.Prepares)))
 	for i := range p.Prepares {
@@ -336,10 +340,10 @@ func (m *ViewChange) WireType() wire.Type { return typeViewChange }
 func (m *ViewChange) EncodeWire(e *wire.Encoder) {
 	e.Uint64(m.NewView)
 	e.Uint64(m.StableSeq)
-	m.StableCkpt.encodeTo(e)
+	m.StableCkpt.EncodeTo(e)
 	e.Uvarint(uint64(len(m.Prepared)))
 	for i := range m.Prepared {
-		m.Prepared[i].encodeTo(e)
+		m.Prepared[i].EncodeTo(e)
 	}
 	e.Uint32(uint32(m.Replica))
 	e.Bytes(m.Sig)

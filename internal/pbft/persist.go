@@ -1,7 +1,8 @@
 package pbft
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"zugchain/internal/crypto"
 	"zugchain/internal/wire"
@@ -31,9 +32,9 @@ const (
 	PersistPrePrepare
 	PersistPrepare
 	PersistCommit
-	// PersistPreparedCert carries, in Data, the encoded prepared
-	// certificate (the accepted PrePrepare plus 2f matching Prepares) for
-	// (View, Seq) — written when the slot reaches prepared, before the
+	// PersistPreparedCert carries, in Cert, the prepared certificate (the
+	// accepted PrePrepare plus 2f matching Prepares) for (View, Seq) —
+	// written when the slot reaches prepared, before the
 	// Commit is sent. It is the durable form of the view-change P set:
 	// without it a restarted replica's ViewChange would omit every slot it
 	// prepared pre-crash, and overlapping crash-restarts during a view
@@ -48,7 +49,10 @@ type PersistRecord struct {
 	Seq          uint64
 	Digest       crypto.Digest
 	InViewChange bool
-	Data         []byte
+	// Cert is the engine's own certificate, not a copy: the persister
+	// encodes it (EncodeTo) straight into its log and must not retain or
+	// modify it.
+	Cert *PreparedProof
 }
 
 // pin remembers one pre-crash vote: the digest this replica vouched for at
@@ -63,7 +67,8 @@ type pin struct {
 // return until the records are durable; an error means durability could not
 // be guaranteed and the runner stops sending protocol messages (the replica
 // degrades to a silent learner rather than risk equivocating after a
-// restart). It is called only from the runner's event loop.
+// restart). It is called only from the runner's event loop, and must not
+// retain recs, which the runner reuses.
 type Persister interface {
 	Persist(recs []PersistRecord) error
 }
@@ -159,59 +164,88 @@ func (e *Engine) Restore(st RestoredState) {
 	}
 }
 
-// VoteRecords enumerates every digest this replica currently vouches for at
-// sequence numbers above the stable checkpoint: its own votes in the live
-// instance log plus any still-standing pre-crash pins. The WAL rotation
+// VoteRecords appends to dst every digest this replica currently vouches
+// for at sequence numbers above the stable checkpoint, ordered by sequence
+// number and kind: its own votes in the live instance log plus any
+// still-standing pre-crash pins. The WAL rotation
 // snapshot must include them — votes for slots in (S, S+window] are
 // routinely cast before the checkpoint at S stabilizes, and dropping them
 // from the snapshot would let a crash right after rotation un-pin those
 // slots, re-opening the equivocation the WAL exists to prevent. Safe only
 // from the runner's event loop.
-func (e *Engine) VoteRecords() []PersistRecord {
-	var recs []PersistRecord
-	covered := make(map[uint64]bool, len(e.log))
+func (e *Engine) VoteRecords(dst []PersistRecord) []PersistRecord {
+	start := len(dst)
 	for seq, inst := range e.log {
-		if seq <= e.lowWater || inst.preprepare == nil {
-			continue
-		}
-		if inst.preprepare.Replica == e.cfg.ID {
-			recs = append(recs, PersistRecord{Kind: PersistPrePrepare, View: inst.view, Seq: seq, Digest: inst.digest})
-			covered[seq] = true
-		}
-		if _, ok := inst.prepares[e.cfg.ID]; ok {
-			recs = append(recs, PersistRecord{Kind: PersistPrepare, View: inst.view, Seq: seq, Digest: inst.digest})
-			covered[seq] = true
-		}
-		if _, ok := inst.commits[e.cfg.ID]; ok {
-			recs = append(recs, PersistRecord{Kind: PersistCommit, View: inst.view, Seq: seq, Digest: inst.digest})
-			covered[seq] = true
+		if seq > e.lowWater {
+			dst = inst.appendOwnVotes(dst, e.cfg.ID)
 		}
 	}
 	if e.pinnedView == e.view {
 		// Pins carried over from the last restart that no live instance
 		// restates yet: still binding, so they roll into the new segment.
 		for seq, p := range e.pinned {
-			if seq <= e.lowWater || covered[seq] {
+			if inst, ok := e.log[seq]; seq <= e.lowWater || ok && inst.votedBy(e.cfg.ID) {
 				continue
 			}
-			recs = append(recs, PersistRecord{Kind: p.kind, View: e.pinnedView, Seq: seq, Digest: p.digest})
+			dst = append(dst, PersistRecord{Kind: p.kind, View: e.pinnedView, Seq: seq, Digest: p.digest})
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Seq != recs[j].Seq {
-			return recs[i].Seq < recs[j].Seq
-		}
-		return recs[i].Kind < recs[j].Kind
+	slices.SortFunc(dst[start:], func(a, b PersistRecord) int {
+		return cmp.Or(cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Kind, b.Kind))
 	})
-	return recs
+	return dst
 }
 
-// PreparedProofs returns the engine's current P set: for every in-flight
-// sequence number above the stable checkpoint, the prepared certificate
-// from the highest view that prepared it. The WAL rotation snapshot carries
-// these so the P set survives a crash after rotation. Safe only from the
-// runner's event loop.
-func (e *Engine) PreparedProofs() []PreparedProof { return e.preparedProofs() }
+// appendOwnVotes appends the votes replica id cast in inst.
+func (inst *instance) appendOwnVotes(dst []PersistRecord, id crypto.NodeID) []PersistRecord {
+	if inst.preprepare == nil {
+		return dst
+	}
+	rec := PersistRecord{View: inst.view, Seq: inst.seq, Digest: inst.digest}
+	if inst.preprepare.Replica == id {
+		rec.Kind = PersistPrePrepare
+		dst = append(dst, rec)
+	}
+	if _, ok := inst.prepares[id]; ok {
+		rec.Kind = PersistPrepare
+		dst = append(dst, rec)
+	}
+	if _, ok := inst.commits[id]; ok {
+		rec.Kind = PersistCommit
+		dst = append(dst, rec)
+	}
+	return dst
+}
+
+// votedBy reports whether appendOwnVotes finds a vote of replica id in
+// inst.
+func (inst *instance) votedBy(id crypto.NodeID) bool {
+	if inst.preprepare == nil {
+		return false
+	}
+	_, prepared := inst.prepares[id]
+	_, committed := inst.commits[id]
+	return inst.preprepare.Replica == id || prepared || committed
+}
+
+// PreparedCerts appends to dst the engine's current P set, in sequence
+// order: for every in-flight sequence number above the stable checkpoint,
+// the prepared certificate from the highest view that prepared it. The WAL
+// rotation snapshot carries these so the P set survives a crash after
+// rotation. The certificates are the engine's own, not copies; callers must
+// not modify them. Safe only from the runner's event loop.
+func (e *Engine) PreparedCerts(dst []*PreparedProof) []*PreparedProof {
+	start := len(dst)
+	for seq, p := range e.certs {
+		if seq > e.lowWater {
+			dst = append(dst, p)
+		}
+	}
+	slices.SortFunc(dst[start:], func(a, b *PreparedProof) int {
+		return cmp.Compare(a.PrePrepare.Seq, b.PrePrepare.Seq)
+	})
+	return dst
+}
 
 // proposalDigest returns pp's request digest, reusing the one computed when
 // pp was accepted as its slot's proposal. Safe only from the runner's event
@@ -233,13 +267,9 @@ func (e *Engine) ViewState() (view, sentVCFor uint64, inViewChange bool) {
 	return e.view, e.sentVCFor, e.inViewChange
 }
 
-// EncodeCheckpointProof serializes a checkpoint proof for stable storage.
-func EncodeCheckpointProof(p CheckpointProof) []byte {
-	return wire.Encode(p.encodeTo)
-}
-
-// DecodeCheckpointProof is the inverse of EncodeCheckpointProof. The caller
-// still Verify()s the proof — disk contents are not implicitly trusted.
+// DecodeCheckpointProof decodes a checkpoint proof that
+// CheckpointProof.EncodeTo wrote to stable storage. The caller still
+// Verify()s the proof — disk contents are not implicitly trusted.
 func DecodeCheckpointProof(data []byte) (CheckpointProof, error) {
 	d := wire.NewDecoder(data)
 	p := decodeCheckpointProof(d)
@@ -249,15 +279,10 @@ func DecodeCheckpointProof(data []byte) (CheckpointProof, error) {
 	return p, nil
 }
 
-// EncodePreparedProof serializes a prepared certificate for stable storage,
-// allocating the result once at its exact size.
-func EncodePreparedProof(p *PreparedProof) []byte {
-	return wire.Encode(p.encodeTo)
-}
-
-// DecodePreparedProof is the inverse of EncodePreparedProof. The caller
-// still validates the certificate — disk contents are not implicitly
-// trusted (Engine.Restore does this via validatePreparedProof).
+// DecodePreparedProof decodes a prepared certificate that
+// PreparedProof.EncodeTo wrote to stable storage. The caller still
+// validates the certificate — disk contents are not implicitly trusted
+// (Engine.Restore does this via validatePreparedProof).
 func DecodePreparedProof(data []byte) (PreparedProof, error) {
 	d := wire.NewDecoder(data)
 	p := decodePreparedProof(d)

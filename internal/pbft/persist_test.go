@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"zugchain/internal/wire"
 )
 
 // TestRotationSnapshotKeepsInFlightVotes reproduces the crash window the WAL
@@ -27,7 +29,7 @@ func TestRotationSnapshotKeepsInFlightVotes(t *testing.T) {
 		t.Fatalf("stable checkpoint at %d, want 2", got)
 	}
 
-	recs := backup.VoteRecords()
+	recs := backup.VoteRecords(nil)
 	if len(recs) == 0 {
 		t.Fatal("VoteRecords empty: in-flight votes above the checkpoint lost")
 	}
@@ -95,7 +97,7 @@ func TestPreparedCertRestoredIntoViewChange(t *testing.T) {
 	if cert == nil {
 		t.Fatal("no prepared certificate recorded for seq 1")
 	}
-	decoded, err := DecodePreparedProof(EncodePreparedProof(cert))
+	decoded, err := DecodePreparedProof(wire.Encode(cert.EncodeTo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func TestRunnerPersistsPreparedCertificates(t *testing.T) {
 	if cert == nil {
 		t.Fatal("commit persisted without its prepared certificate")
 	}
-	proof, err := DecodePreparedProof(cert.Data)
+	proof, err := DecodePreparedProof(wire.Encode(cert.Cert.EncodeTo))
 	if err != nil {
 		t.Fatalf("persisted certificate does not decode: %v", err)
 	}

@@ -90,7 +90,8 @@ type Runner struct {
 	viewTimer     clock.Timer
 	viewTimerView uint64
 
-	persistBroken bool // sticky: a Persist failure mutes outbound sends
+	persistBroken bool            // sticky: a Persist failure mutes outbound sends
+	persistRecs   []PersistRecord // persistBatch's buffer, reused per batch
 }
 
 // NewRunner wires an engine to a transport, clock, and application.
@@ -310,15 +311,14 @@ func (r *Runner) broadcastProposal(pp *PrePrepare, full []byte) {
 	}
 }
 
-// persistBatch condenses one action batch into the durable records the
-// log-before-send rule requires: the digest of every outbound phase vote,
+// persistBatch appends to recs the durable records one action batch owes
+// the log-before-send rule: the digest of every outbound phase vote,
 // plus one view-state record whenever the batch shows the view machinery
 // moved (a ViewChange or NewView leaving, or a view becoming active). It
 // runs on the event loop, so reading engine fields directly is safe — and
 // necessary: by the time actions are emitted the engine has already applied
 // their state changes, so its fields are exactly what must be persisted.
-func (r *Runner) persistBatch(actions []Action) []PersistRecord {
-	var recs []PersistRecord
+func (r *Runner) persistBatch(recs []PersistRecord, actions []Action) []PersistRecord {
 	viewDirty := false
 	for _, a := range actions {
 		var msg wire.Message
@@ -356,7 +356,7 @@ func (r *Runner) persistBatch(actions []Action) []PersistRecord {
 			if cert := r.engine.PreparedCert(m.Seq); cert != nil && cert.PrePrepare.View == m.View {
 				recs = append(recs, PersistRecord{
 					Kind: PersistPreparedCert, View: m.View, Seq: m.Seq,
-					Digest: m.Digest, Data: EncodePreparedProof(cert),
+					Digest: m.Digest, Cert: cert,
 				})
 			}
 		case *ViewChange, *NewView:
@@ -397,7 +397,8 @@ func (r *Runner) traceOutbound(msg wire.Message) {
 // the batch's protocol records are made durable before any message is sent.
 func (r *Runner) execute(actions []Action) {
 	if r.cfg.Persister != nil && !r.persistBroken {
-		if recs := r.persistBatch(actions); len(recs) > 0 {
+		r.persistRecs = r.persistBatch(r.persistRecs[:0], actions)
+		if recs := r.persistRecs; len(recs) > 0 {
 			if err := r.cfg.Persister.Persist(recs); err != nil {
 				r.persistBroken = true
 				r.cfg.Journal.Record(obsv.Event{

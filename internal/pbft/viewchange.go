@@ -1,7 +1,9 @@
 package pbft
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"zugchain/internal/crypto"
@@ -61,15 +63,13 @@ func (e *Engine) recordPreparedCert(inst *instance) {
 	if cur, ok := e.certs[inst.seq]; ok && cur.PrePrepare.View >= inst.view {
 		return
 	}
-	proof := &PreparedProof{PrePrepare: *inst.preprepare}
+	proof := &PreparedProof{PrePrepare: *inst.preprepare, Prepares: make([]Prepare, 0, len(inst.prepares))}
 	for _, p := range inst.prepares {
 		if p.Digest == inst.digest && p.View == inst.view && p.Replica != inst.preprepare.Replica {
 			proof.Prepares = append(proof.Prepares, *p)
 		}
 	}
-	sort.Slice(proof.Prepares, func(i, j int) bool {
-		return proof.Prepares[i].Replica < proof.Prepares[j].Replica
-	})
+	slices.SortFunc(proof.Prepares, func(a, b Prepare) int { return cmp.Compare(a.Replica, b.Replica) })
 	e.certs[inst.seq] = proof
 }
 
@@ -141,7 +141,22 @@ func (e *Engine) validatePreparedProof(p *PreparedProof, newView uint64) error {
 	return nil
 }
 
+// storeViewChange keeps vc as its replica's ViewChange unless that replica
+// already has one for a higher view: each replica holds at most one entry,
+// so a Byzantine replica announcing ever higher views cannot grow e.vcs.
 func (e *Engine) storeViewChange(vc *ViewChange) {
+	for view, byReplica := range e.vcs {
+		if _, ok := byReplica[vc.Replica]; !ok || view == vc.NewView {
+			continue
+		}
+		if view > vc.NewView {
+			return
+		}
+		delete(byReplica, vc.Replica)
+		if len(byReplica) == 0 {
+			delete(e.vcs, view)
+		}
+	}
 	byReplica, ok := e.vcs[vc.NewView]
 	if !ok {
 		byReplica = make(map[crypto.NodeID]*ViewChange)

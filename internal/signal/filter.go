@@ -20,7 +20,14 @@ const (
 // identical bus input yields identical filtered output on all nodes.
 type Filter struct {
 	policies map[Kind]FilterPolicy
-	last     map[uint16]Signal
+	last     map[uint16]channels
+}
+
+// channels is what change detection compares: a signal's value channels,
+// without its opaque bytes, which no policy looks at.
+type channels struct {
+	value    float64
+	discrete uint32
 }
 
 // DefaultPolicies reflect typical JRU configuration: continuous channels are
@@ -47,25 +54,41 @@ func NewFilter(policies map[Kind]FilterPolicy) *Filter {
 	}
 	return &Filter{
 		policies: policies,
-		last:     make(map[uint16]Signal),
+		last:     make(map[uint16]channels),
 	}
 }
 
 // Apply returns the subset of signals that must be logged for this cycle.
-// The returned slice shares backing storage with the input only when all
-// signals pass.
+// When every signal passes, the input slice itself is returned and nothing
+// is allocated; otherwise the kept signals are copied into a new slice, so
+// the input is never modified.
 func (f *Filter) Apply(signals []Signal) []Signal {
-	out := signals[:0:0]
-	for _, s := range signals {
-		if f.shouldLog(s) {
-			out = append(out, s)
-			f.last[s.Port] = s
+	for i := range signals {
+		if f.keep(&signals[i]) {
+			continue
 		}
+		out := append([]Signal(nil), signals[:i]...)
+		for j := i + 1; j < len(signals); j++ {
+			if f.keep(&signals[j]) {
+				out = append(out, signals[j])
+			}
+		}
+		return out
 	}
-	return out
+	return signals
 }
 
-func (f *Filter) shouldLog(s Signal) bool {
+// keep reports whether s must be logged and, if so, remembers its value
+// channels for the next cycle's comparison.
+func (f *Filter) keep(s *Signal) bool {
+	if !f.shouldLog(s) {
+		return false
+	}
+	f.last[s.Port] = channels{value: s.Value, discrete: s.Discrete}
+	return true
+}
+
+func (f *Filter) shouldLog(s *Signal) bool {
 	policy, ok := f.policies[s.Kind]
 	if !ok {
 		policy = LogAlways
@@ -77,11 +100,11 @@ func (f *Filter) shouldLog(s Signal) bool {
 	if !seen {
 		return true
 	}
-	return prev.Value != s.Value || prev.Discrete != s.Discrete
+	return prev.value != s.Value || prev.discrete != s.Discrete
 }
 
 // Reset clears the change-detection state, e.g. after a bus reconnect when
 // continuity with the previous values is no longer guaranteed.
 func (f *Filter) Reset() {
-	f.last = make(map[uint16]Signal)
+	f.last = make(map[uint16]channels)
 }

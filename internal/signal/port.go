@@ -21,6 +21,8 @@ func EncodePort(s Signal) []byte {
 // DecodePort parses raw port bytes back into a signal. It is the verified
 // transformation step shared with the JRU: deterministic and side-effect
 // free, so all correct nodes derive identical signals from identical bytes.
+// The signal's Opaque bytes alias data, which the caller must not modify
+// while the signal is in use; Record.Marshal copies them into the record.
 func DecodePort(port uint16, data []byte, cycle uint64) (Signal, error) {
 	d := wire.NewDecoder(data)
 	s := Signal{
@@ -28,7 +30,7 @@ func DecodePort(port uint16, data []byte, cycle uint64) (Signal, error) {
 		Kind:     Kind(d.Byte()),
 		Value:    d.Float64(),
 		Discrete: d.Uint32(),
-		Opaque:   d.BytesCopy(),
+		Opaque:   d.Bytes(),
 		Cycle:    cycle,
 	}
 	if err := d.Err(); err != nil {

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"zugchain/internal/baseline"
+	"zugchain/internal/blockchain"
 	"zugchain/internal/clock"
 	"zugchain/internal/core"
 	"zugchain/internal/crypto"
@@ -174,8 +175,9 @@ type Result struct {
 	AllocPerNode uint64
 	// HeapAlloc is the retained heap after the run.
 	HeapAlloc uint64
-	// Ordered counts totally ordered, logged requests (chain entries on
-	// node 0); Duplicates counts filtered duplicates on node 0.
+	// Ordered counts the records on the reporting node's chain, logged
+	// there or installed by a state transfer; Duplicates counts filtered
+	// duplicates over all nodes.
 	Ordered    uint64
 	Duplicates uint64
 	// Blocks is node 0's final chain height.
@@ -191,7 +193,11 @@ type TimelinePoint struct {
 // Run executes one scenario to completion. Both systems run the same
 // replica, schedule and measurements; the system picks the front end, the
 // drain rule, and the node whose counters report Ordered and Blocks.
-func Run(s Scenario) (*Result, error) {
+func Run(s Scenario) (*Result, error) { return run(s, nil) }
+
+// run is Run, handing the reporting node to inspect, when set, before the
+// replicas stop.
+func run(s Scenario, inspect func(report *node.Node)) (*Result, error) {
 	s.applyDefaults()
 	net := transport.NewNetwork(
 		transport.WithSeed(s.Seed),
@@ -293,11 +299,26 @@ func Run(s Scenario) (*Result, error) {
 	res.AllocPerNode = (memAfter.TotalAlloc - memBefore.TotalAlloc) / uint64(s.Nodes)
 	res.HeapAlloc = memAfter.HeapAlloc
 
-	res.Ordered = report.FrontEnd().Counters().Requests.Load()
+	res.Ordered = chainRecords(report.Store())
 	for _, n := range nodes {
 		res.Duplicates += n.FrontEnd().Counters().Duplicates.Load()
 	}
+	if inspect != nil {
+		inspect(report)
+	}
 	return res, nil
+}
+
+// chainRecords counts the records on st's chain. The front end's own count
+// misses the records a state transfer installs.
+func chainRecords(st *blockchain.Store) uint64 {
+	var n uint64
+	for idx := uint64(1); idx <= st.HeadIndex(); idx++ {
+		if b, err := st.Get(idx); err == nil {
+			n += uint64(len(b.Entries))
+		}
+	}
+	return n
 }
 
 // replicaConfig is replica i's node configuration, timeouts scaled.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"zugchain/internal/mvb"
+	"zugchain/internal/node"
 )
 
 // quickScenario returns a small, fast scenario for tests. Under the race
@@ -163,5 +164,34 @@ func TestBusFaultScenario(t *testing.T) {
 	}
 	if res.Ordered == 0 || res.Blocks == 0 {
 		t.Errorf("faulty-bus run produced nothing: %+v", res)
+	}
+}
+
+// TestOrderedCountsChainRecords: for both systems, a fault-free run reports
+// as Ordered exactly the records on the reporting node's chain, including
+// any a state transfer installed rather than the front end logged.
+func TestOrderedCountsChainRecords(t *testing.T) {
+	for _, system := range []System{ZugChain, Baseline} {
+		var onChain, logged uint64
+		res, err := run(quickScenario(system), func(report *node.Node) {
+			st := report.Store()
+			for idx := uint64(1); idx <= st.HeadIndex(); idx++ {
+				b, err := st.Get(idx)
+				if err != nil {
+					t.Fatalf("block %d: %v", idx, err)
+				}
+				onChain += uint64(len(b.Entries))
+			}
+			logged = report.FrontEnd().Counters().Requests.Load()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if onChain == 0 || res.Ordered != onChain {
+			t.Errorf("system %v: Ordered = %d, chain holds %d records", system, res.Ordered, onChain)
+		}
+		if logged > onChain {
+			t.Errorf("system %v: front end logged %d records, chain holds %d", system, logged, onChain)
+		}
 	}
 }

@@ -44,15 +44,29 @@ type Record struct {
 	Digest crypto.Digest
 	Flag   bool
 	Data   []byte
+	// Body, when non-nil, is written in place of Data: its encoding is the
+	// record's Data, framed straight into the log without a copy of its
+	// own. Replay returns it as Data.
+	Body Body
+}
+
+// Body is a record's Data given as a value that encodes itself, such as a
+// certificate.
+type Body interface {
+	EncodeTo(e *wire.Encoder)
 }
 
 // appendRecord encodes r as one payload (no frame) onto enc.
-func appendRecord(enc *wire.Encoder, r Record) {
+func appendRecord(enc *wire.Encoder, r *Record) {
 	enc.Byte(byte(r.Kind))
 	enc.Uvarint(r.View)
 	enc.Uvarint(r.Seq)
 	enc.Bytes32(r.Digest)
 	enc.Bool(r.Flag)
+	if r.Body != nil {
+		enc.BytesOf(r.Body.EncodeTo)
+		return
+	}
 	enc.Bytes(r.Data)
 }
 
@@ -86,6 +100,6 @@ func DecodeRecord(payload []byte) (Record, error) {
 // DecodeRecord.
 func EncodeRecord(r Record) []byte {
 	enc := wire.NewEncoder(64 + len(r.Data))
-	appendRecord(enc, r)
+	appendRecord(enc, &r)
 	return enc.Clone()
 }

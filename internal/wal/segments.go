@@ -189,35 +189,43 @@ func OpenSegments(dir, prefix string, maxSize int64, onGroup func(n, b int), rep
 // share one write and one fsync. Empty frames make a barrier: it returns
 // once every earlier append is durable.
 func (l *Segments) Append(frames []byte, n int) (uint64, error) {
-	return l.submit(&segReq{op: opAppend, frames: frames, n: n})
+	return l.submit(opAppend, frames, n, 0)
 }
 
 // Rotate starts a new segment seeded with frames and returns its number.
 // Appends queued behind it land in the new segment.
 func (l *Segments) Rotate(frames []byte) (uint64, error) {
-	return l.submit(&segReq{op: opRotate, frames: frames})
+	return l.submit(opRotate, frames, 0, 0)
 }
 
 // Drop deletes every segment numbered below seg, never the active one.
 func (l *Segments) Drop(seg uint64) error {
-	_, err := l.submit(&segReq{op: opDrop, seg: seg})
+	_, err := l.submit(opDrop, nil, 0, seg)
 	return err
 }
 
 // Rewrite atomically replaces the contents of segment seg, which must not
 // be the active one, with frames: a fsync'd temp file renamed over it.
 func (l *Segments) Rewrite(seg uint64, frames []byte) error {
-	_, err := l.submit(&segReq{op: opRewrite, seg: seg, frames: frames})
+	_, err := l.submit(opRewrite, frames, 0, seg)
 	return err
 }
 
-func (l *Segments) submit(req *segReq) (uint64, error) {
-	req.err = make(chan error, 1)
+// segReqs recycles requests with their reply channels: the writer is done
+// with a request once it has replied, so an append allocates neither.
+var segReqs = sync.Pool{New: func() any { return &segReq{err: make(chan error, 1)} }}
+
+func (l *Segments) submit(op segOp, frames []byte, n int, seg uint64) (uint64, error) {
+	req := segReqs.Get().(*segReq)
+	*req = segReq{op: op, frames: frames, n: n, seg: seg, err: req.err}
+	defer segReqs.Put(req)
 	select {
 	case l.writeCh <- req:
 		err := <-req.err
-		return req.seg, err
+		seg, req.frames = req.seg, nil
+		return seg, err
 	case <-l.quit:
+		req.frames = nil
 		return 0, ErrClosed
 	}
 }

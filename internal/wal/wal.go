@@ -60,16 +60,63 @@ func Open(dir string) (*Log, []Record, RecoveryReport, error) {
 // Counters exposes the log's instrumentation.
 func (l *Log) Counters() *metrics.WALCounters { return &l.counters }
 
+// Batch frames records into one pooled buffer as they are added, so an
+// append or a rotation snapshot is encoded once, straight into the bytes
+// the log writes. The zero value is an empty batch; AppendBatch and
+// RotateBatch consume it.
+type Batch struct {
+	e *wire.Encoder
+	n int
+}
+
+// Add frames r onto the batch.
+func (b *Batch) Add(r Record) {
+	if b.e == nil {
+		b.e = wire.GetEncoder()
+	}
+	at := StartFrame(b.e)
+	appendRecord(b.e, &r)
+	EndFrame(b.e, at)
+	b.n++
+}
+
+// Len reports the number of records added.
+func (b *Batch) Len() int { return b.n }
+
+// frames returns the framed records.
+func (b *Batch) frames() []byte {
+	if b.e == nil {
+		return nil
+	}
+	return b.e.Data()
+}
+
+// reset empties b, returning its buffer to the pool.
+func (b *Batch) reset() {
+	if b.e != nil {
+		wire.PutEncoder(b.e)
+	}
+	*b = Batch{}
+}
+
 // Append durably writes recs, returning once they (and every record queued
 // before them) have been fsync'd. Concurrent appends are group-committed:
 // all requests waiting when the writer gets the disk share one fsync.
 func (l *Log) Append(recs ...Record) error {
-	if len(recs) == 0 {
+	var b Batch
+	for _, r := range recs {
+		b.Add(r)
+	}
+	return l.AppendBatch(&b)
+}
+
+// AppendBatch is Append for records framed into b, which it empties.
+func (l *Log) AppendBatch(b *Batch) error {
+	defer b.reset()
+	if b.n == 0 {
 		return nil
 	}
-	e := frameRecords(recs)
-	_, err := l.seg.Append(e.Data(), len(recs))
-	wire.PutEncoder(e)
+	_, err := l.seg.Append(b.frames(), b.n)
 	return err
 }
 
@@ -82,9 +129,17 @@ func (l *Log) Append(recs ...Record) error {
 // harmless because snapshot records restate rather than contradict the
 // old state.
 func (l *Log) Rotate(snapshot []Record) error {
-	e := frameRecords(snapshot)
-	seg, err := l.seg.Rotate(e.Data())
-	wire.PutEncoder(e)
+	var b Batch
+	for _, r := range snapshot {
+		b.Add(r)
+	}
+	return l.RotateBatch(&b)
+}
+
+// RotateBatch is Rotate for a snapshot framed into b, which it empties.
+func (l *Log) RotateBatch(b *Batch) error {
+	defer b.reset()
+	seg, err := l.seg.Rotate(b.frames())
 	if err == nil {
 		err = l.seg.Drop(seg)
 	}
@@ -97,14 +152,3 @@ func (l *Log) Rotate(snapshot []Record) error {
 // Close stops the writer and closes the active segment. Pending appends
 // fail with ErrClosed.
 func (l *Log) Close() error { return l.seg.Close() }
-
-// frameRecords frames recs into a pooled encoder, which the caller returns.
-func frameRecords(recs []Record) *wire.Encoder {
-	e := wire.GetEncoder()
-	for _, r := range recs {
-		at := StartFrame(e)
-		appendRecord(e, r)
-		EndFrame(e, at)
-	}
-	return e
-}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"zugchain/internal/crypto"
+	"zugchain/internal/wire"
 )
 
 func testRecords(n int) []Record {
@@ -266,5 +267,44 @@ func TestDecodeRecordRejectsMalformed(t *testing.T) {
 		if _, err := DecodeRecord(c); err == nil {
 			t.Errorf("case %d: malformed input decoded", i)
 		}
+	}
+}
+
+// rawBody is a record body that writes fixed bytes.
+type rawBody []byte
+
+func (b rawBody) EncodeTo(e *wire.Encoder) {
+	for _, c := range b {
+		e.Byte(c)
+	}
+}
+
+// TestBodyFramesLikeData: a record whose Data is given as a Body frames to
+// the same bytes as one carrying the encoded Data, and replays with that
+// Data, so in-place certificates leave the on-disk format unchanged.
+func TestBodyFramesLikeData(t *testing.T) {
+	for _, n := range []int{0, 100, 127, 128, 2000} {
+		data := bytes.Repeat([]byte{byte(n)}, n)
+		rec := Record{Kind: KindPreparedCert, View: 2, Seq: 31, Digest: crypto.Hash(data)}
+		var a, b Batch
+		withData := rec
+		withData.Data = data
+		a.Add(withData)
+		withBody := rec
+		withBody.Body = rawBody(data)
+		b.Add(withBody)
+		if !bytes.Equal(a.frames(), b.frames()) {
+			t.Errorf("%d bytes: Body frames differ from Data frames", n)
+		}
+		payload, _, err := ReadFrame(b.frames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRecord(payload)
+		if err != nil || !bytes.Equal(got.Data, data) || got.Seq != 31 {
+			t.Errorf("%d bytes: replayed %+v, %v", n, got, err)
+		}
+		a.reset()
+		b.reset()
 	}
 }

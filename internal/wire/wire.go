@@ -192,6 +192,20 @@ func (e *Encoder) Bytes(v []byte) {
 	e.buf = append(e.buf, v...)
 }
 
+// BytesOf appends a length-prefixed byte string whose content fn encodes in
+// place, so a nested encoding needs no buffer of its own. The result is
+// byte-identical to Bytes of the same content: fn's output is shifted to
+// make room for the minimal length prefix once its length is known.
+func (e *Encoder) BytesOf(fn func(e *Encoder)) {
+	at := len(e.buf)
+	fn(e)
+	n := len(e.buf) - at
+	k := UvarintLen(uint64(n))
+	e.buf = append(e.buf, make([]byte, k)...)
+	copy(e.buf[at+k:], e.buf[at:at+n])
+	binary.PutUvarint(e.buf[at:], uint64(n))
+}
+
 // String appends a length-prefixed string.
 func (e *Encoder) String(v string) {
 	e.Uvarint(uint64(len(v)))

@@ -379,3 +379,22 @@ func TestUvarintLen(t *testing.T) {
 		}
 	}
 }
+
+// TestBytesOfMatchesBytes: a byte string encoded in place is byte-identical
+// to the same content written with Bytes, on both sides of every varint
+// length boundary.
+func TestBytesOfMatchesBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 300, 16383, 16384} {
+		content := bytes.Repeat([]byte{0xab}, n)
+		var want, got Encoder
+		want.Uint16(7)
+		want.Bytes(content)
+		want.Byte(9)
+		got.Uint16(7)
+		got.BytesOf(func(e *Encoder) { e.buf = append(e.buf, content...) })
+		got.Byte(9)
+		if !bytes.Equal(got.Data(), want.Data()) {
+			t.Errorf("%d bytes: BytesOf differs from Bytes", n)
+		}
+	}
+}

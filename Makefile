@@ -47,7 +47,7 @@ check: lint
 	$(GO) test -run '^$$' -bench Verify -benchtime 1x ./internal/crypto/... ./internal/pbft/...
 	$(GO) test -run '^$$' -bench Transport -benchtime 1x ./internal/transport
 	$(GO) test -run '^$$' -bench 'StoreAppend|OrderingThroughput' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'SealSlot|RequestDigest|VerifyCacheNote|HandleFrame' -benchmem -benchtime 1x ./internal/blockchain ./internal/pbft ./internal/crypto ./internal/node
+	$(GO) test -run '^$$' -bench 'SealSlot|RequestDigest|HandleFrame' -benchmem -benchtime 1x ./internal/blockchain ./internal/pbft ./internal/node
 	cd zcbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:

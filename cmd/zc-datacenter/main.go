@@ -68,10 +68,9 @@ func run() error {
 		return err
 	}
 	// Count the export path's checkpoint/block verifications like a node
-	// counts its own: the accelerated view shares the key set but owns its
-	// counters.
+	// counts its own: the view shares the key set but owns its counters.
 	cc := &metrics.CryptoCounters{}
-	reg = reg.Accelerated(nil, false, cc)
+	reg = reg.WithCounters(cc)
 	replicaAddrs, err := cli.ParsePeers(*replicasFlag)
 	if err != nil {
 		return err

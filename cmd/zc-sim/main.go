@@ -99,7 +99,6 @@ func run() error {
 
 	var nodeMu sync.Mutex // guards nodes against the reporter goroutine
 	nodes := make([]*node.Node, len(ids))
-	busCancels := make([]context.CancelFunc, len(ids))
 	incarnation := make([]int64, len(ids))
 	var msrv *obsv.Server
 	defer func() {
@@ -134,12 +133,10 @@ func run() error {
 			BitFlipRate: *busFlip,
 		}, *seed+int64(id)+incarnation[i]*1000)
 		incarnation[i]++
-		busCtx, busCancel := context.WithCancel(ctx)
 		n.Start()
-		n.RunBus(busCtx, reader)
+		n.RunBus(ctx, reader)
 		nodeMu.Lock()
 		nodes[i] = n
-		busCancels[i] = busCancel
 		nodeMu.Unlock()
 		if i == 0 && *metricsAddr != "" {
 			// The HTTP endpoint serves replica 0's observer; a restart
@@ -228,7 +225,6 @@ func run() error {
 		case <-killCh:
 			i := *killNode
 			log.Printf("replica %d: crashing", i)
-			busCancels[i]()
 			nodeMu.Lock()
 			n := nodes[i]
 			nodes[i] = nil

@@ -310,10 +310,9 @@ func (c *clientFront) onClientRequest(from crypto.NodeID, data []byte) {
 	if !ok {
 		return
 	}
-	// The signature check runs on the verify pool (cache-aware via the
-	// accelerated registry: a retransmitted request costs a map lookup, not
-	// a scalar multiplication); the continuation re-reads the primary
-	// because it may have changed while the check was queued.
+	// The signature check runs on the verify pool; the continuation
+	// re-reads the primary because it may have changed while the check was
+	// queued.
 	c.env.Pool.Submit(func() {
 		if pbft.VerifyRequest(&cr.Req, c.env.Registry) != nil {
 			return

@@ -26,7 +26,7 @@ func TestBatchFlushesWhenFull(t *testing.T) {
 	if !props[0].Batch {
 		t.Fatal("proposal not marked as a batch")
 	}
-	if err := pbft.VerifyRequestDeep(&props[0], fx.reg, nil); err != nil {
+	if err := pbft.VerifyRequestDeep(&props[0], fx.reg); err != nil {
 		t.Fatalf("batched proposal fails verification: %v", err)
 	}
 	items, err := pbft.DecodeBatch(props[0].Payload)

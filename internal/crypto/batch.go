@@ -8,7 +8,7 @@ import (
 	"zugchain/internal/crypto/edwards25519"
 )
 
-// minBatchEquation is the smallest number of uncached signatures worth
+// minBatchEquation is the smallest number of well-formed signatures worth
 // settling through the multi-scalar equation. Below it the shared-doubling
 // saving does not cover the per-batch setup, so Verify falls back to
 // sequential scalar verifies.
@@ -20,17 +20,10 @@ const minBatchEquation = 2
 const zScalarBytes = 16
 
 type batchEntry struct {
-	id  NodeID
 	pub ed25519.PublicKey
-	msg []byte
-	sig []byte
-	d   Digest // Hash(msg); cache key component
+	bad bool // structurally invalid: known bad without curve work
 
-	// Verification state. Exactly one of cached/bad may be set after Add;
-	// otherwise the parsed curve elements below are populated.
-	cached bool // cache hit at Add time: already known good
-	bad    bool // structurally invalid: known bad without curve work
-
+	// Parsed by Add unless bad.
 	A *edwards25519.Point  // signer public key
 	R *edwards25519.Point  // signature commitment, canonical encoding
 	S *edwards25519.Scalar // signature scalar, canonical
@@ -47,7 +40,7 @@ type batchEntry struct {
 //
 // whose 256 accumulator doublings are shared across all terms (Straus'
 // trick). A batch that fails bisects — halves re-checked by the same
-// equation, single-entry leaves by VerifySignature — so Verify always
+// equation, single-entry leaves by VerifySignature's equation — so Verify always
 // pinpoints exactly which signatures are corrupt.
 //
 // The multiplication by the cofactor 8 is what makes batching sound: it
@@ -56,12 +49,11 @@ type batchEntry struct {
 // except with probability 2^-128 over the z_i — independent of torsion
 // defects an adversarial signer may plant (see VerifySignature for why the
 // cofactorless crypto/ed25519.Verify equation cannot be batched). Canonical
-// encodings of R and s are still required, checked at Add time. Cached and
-// structurally invalid entries are settled at Add time and never touch the
+// encodings of R and s are still required, checked at Add time.
+// Structurally invalid entries are settled at Add time and never touch the
 // curve.
 //
-// A BatchVerifier is single-use and not safe for concurrent use; each
-// goroutine (e.g. each verify-pool chunk) builds its own.
+// A BatchVerifier is single-use and not safe for concurrent use.
 type BatchVerifier struct {
 	reg     *Registry
 	entries []batchEntry
@@ -73,12 +65,10 @@ func (r *Registry) NewBatchVerifier(capacity int) *BatchVerifier {
 	return &BatchVerifier{reg: r, entries: make([]batchEntry, 0, capacity)}
 }
 
-// Add queues one (signer, message, signature) check. msg and sig are
-// retained until Verify returns and must not be mutated meanwhile. Malformed
-// inputs (unknown signer, bad lengths, non-canonical or invalid encodings)
+// Add queues one (signer, message, signature) check. Malformed inputs (unknown signer, bad lengths, non-canonical or invalid encodings)
 // are recorded as failed immediately; they surface in Verify's result.
 func (v *BatchVerifier) Add(id NodeID, msg, sig []byte) {
-	v.entries = append(v.entries, batchEntry{id: id, msg: msg, sig: sig})
+	v.entries = append(v.entries, batchEntry{})
 	e := &v.entries[len(v.entries)-1]
 
 	pub, ok := v.reg.PublicKey(id)
@@ -87,19 +77,6 @@ func (v *BatchVerifier) Add(id NodeID, msg, sig []byte) {
 		return
 	}
 	e.pub = pub
-
-	if v.reg.cache != nil {
-		e.d = Hash(msg)
-		if v.reg.cache.Seen(id, pub, e.d, sig) {
-			e.cached = true
-			return
-		}
-	}
-	if !v.reg.batch {
-		// Scalar fallback needs only (pub, msg, sig); don't pay for the
-		// point decompressions the batch equation would have used.
-		return
-	}
 
 	// Parse the curve elements, mirroring VerifySignature's structural
 	// rejections exactly: undecodable keys and commitments, a non-canonical
@@ -131,26 +108,23 @@ func (v *BatchVerifier) Add(id NodeID, msg, sig []byte) {
 func (v *BatchVerifier) Len() int { return len(v.entries) }
 
 // Verify settles every queued check and returns the indices (in Add order,
-// ascending) of the signatures that failed, or nil if all are valid. Verified
-// signatures are recorded in the registry's cache. The verifier must not be
-// reused afterwards.
+// ascending) of the signatures that failed, or nil if all are valid. The
+// verifier must not be reused afterwards.
 func (v *BatchVerifier) Verify() []int {
 	var failed []int
 	live := make([]*batchEntry, 0, len(v.entries))
 	liveIdx := make([]int, 0, len(v.entries))
 	for i := range v.entries {
 		e := &v.entries[i]
-		switch {
-		case e.bad:
+		if e.bad {
 			failed = append(failed, i)
-		case e.cached:
-		default:
+		} else {
 			live = append(live, e)
 			liveIdx = append(liveIdx, i)
 		}
 	}
 
-	if len(live) < minBatchEquation || !v.reg.batch || !v.assignCoefficients(live) {
+	if len(live) < minBatchEquation || !v.assignCoefficients(live) {
 		for j, e := range live {
 			if !v.scalarVerify(e) {
 				failed = append(failed, liveIdx[j])
@@ -164,10 +138,6 @@ func (v *BatchVerifier) Verify() []int {
 	if !batchCheck(live) {
 		for _, j := range v.bisect(live) {
 			failed = append(failed, liveIdx[j])
-		}
-	} else {
-		for _, e := range live {
-			v.reg.cache.Note(e.id, e.pub, e.d, e.sig)
 		}
 	}
 	sortInts(failed)
@@ -256,9 +226,6 @@ func (v *BatchVerifier) bisect(live []*batchEntry) []int {
 		if len(entries) >= minBatchEquation {
 			v.reg.cc.RecordBatch(len(entries))
 			if batchCheck(entries) {
-				for _, e := range entries {
-					v.reg.cache.Note(e.id, e.pub, e.d, e.sig)
-				}
 				return
 			}
 		}
@@ -271,22 +238,11 @@ func (v *BatchVerifier) bisect(live []*batchEntry) []int {
 	return failed
 }
 
-// scalarVerify settles one entry with the cofactored single equation
-// (VerifySignature's accept set), feeding the cache on success. Entries that
-// already carry parsed curve elements (batch path) skip re-parsing.
+// scalarVerify settles one parsed entry with the cofactored single equation
+// (VerifySignature's accept set).
 func (v *BatchVerifier) scalarVerify(e *batchEntry) bool {
 	v.reg.cc.AddScalarVerify()
-	var ok bool
-	if e.k != nil {
-		ok = cofactoredEqual(e.A, e.R, e.S, e.k)
-	} else {
-		ok = VerifySignature(e.pub, e.msg, e.sig)
-	}
-	if !ok {
-		return false
-	}
-	v.reg.cache.Note(e.id, e.pub, e.d, e.sig)
-	return true
+	return cofactoredEqual(e.A, e.R, e.S, e.k)
 }
 
 // sortInts is an insertion sort for the (short, nearly sorted) failed-index

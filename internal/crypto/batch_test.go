@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"zugchain/internal/metrics"
 )
 
 // batchFixture is a set of keyed signers plus signed messages ready to feed a
@@ -103,52 +101,6 @@ func TestBatchVerifyMalformedInputs(t *testing.T) {
 		if failed[i] != want[i] {
 			t.Fatalf("got failures %v, want %v", failed, want)
 		}
-	}
-}
-
-// TestBatchVerifyDisabled checks that a registry with batch verification
-// switched off still reaches the same verdicts via scalar verifies.
-func TestBatchVerifyDisabled(t *testing.T) {
-	cc := &metrics.CryptoCounters{}
-	f := newBatchFixture(t, 4, 32)
-	f.reg = f.reg.Accelerated(nil, false, cc)
-	f.sigs[5][7] ^= 1
-	failed := f.verifier().Verify()
-	if len(failed) != 1 || failed[0] != 5 {
-		t.Fatalf("got failures %v, want [5]", failed)
-	}
-	if cc.BatchOps.Load() != 0 {
-		t.Fatalf("batch disabled but %d batch ops recorded", cc.BatchOps.Load())
-	}
-	if cc.ScalarVerifies.Load() != 32 {
-		t.Fatalf("expected 32 scalar verifies, got %d", cc.ScalarVerifies.Load())
-	}
-}
-
-// TestBatchVerifyFeedsCache checks that batch-verified signatures land in the
-// cache, so a retransmitted batch is settled without curve work.
-func TestBatchVerifyFeedsCache(t *testing.T) {
-	cc := &metrics.CryptoCounters{}
-	f := newBatchFixture(t, 4, 32)
-	f.reg = f.reg.Accelerated(NewVerifyCache(0, cc), true, cc)
-
-	if failed := f.verifier().Verify(); failed != nil {
-		t.Fatalf("first pass failed: %v", failed)
-	}
-	batched, scalar := cc.BatchedSigs.Load(), cc.ScalarVerifies.Load()
-	if batched != 32 {
-		t.Fatalf("expected 32 batched sigs, got %d", batched)
-	}
-
-	if failed := f.verifier().Verify(); failed != nil {
-		t.Fatalf("second pass failed: %v", failed)
-	}
-	if hits := cc.CacheHits.Load(); hits != 32 {
-		t.Fatalf("expected 32 cache hits on retransmit, got %d", hits)
-	}
-	if cc.BatchedSigs.Load() != batched || cc.ScalarVerifies.Load() != scalar {
-		t.Fatalf("retransmit did curve work: %d batched / %d scalar -> %d / %d",
-			batched, scalar, cc.BatchedSigs.Load(), cc.ScalarVerifies.Load())
 	}
 }
 
@@ -251,27 +203,4 @@ func BenchmarkVerifyBatch(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkVerifyCachedRetransmit measures the verified-signature cache's
-// fast path: the same 64-record batch verified repeatedly, as happens when a
-// soft-timeout rebroadcast or NEWVIEW re-proposal replays signatures this
-// node already checked. After the first pass every check is a cache hit.
-func BenchmarkVerifyCachedRetransmit(b *testing.B) {
-	cc := &metrics.CryptoCounters{}
-	f := newBatchFixture(b, 4, 64)
-	f.reg = f.reg.Accelerated(NewVerifyCache(0, cc), true, cc)
-	if failed := f.verifier().Verify(); failed != nil {
-		b.Fatalf("warm-up failed: %v", failed)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += 64 {
-		if failed := f.verifier().Verify(); failed != nil {
-			b.Fatalf("retransmit pass failed: %v", failed)
-		}
-	}
-	b.StopTimer()
-	hits, misses := float64(cc.CacheHits.Load()), float64(cc.CacheMisses.Load())
-	b.ReportMetric(hits/(hits+misses)*100, "hit%")
 }

@@ -65,11 +65,6 @@ type KeyPair struct {
 	ID      NodeID
 	Public  ed25519.PublicKey
 	private ed25519.PrivateKey
-
-	// cache, when set via WithCache, is seeded on Sign so this node's own
-	// signatures are already "verified" if they echo back (a primary
-	// re-checking its own proposal, loopback delivery, state transfer).
-	cache *VerifyCache
 }
 
 // GenerateKeyPair creates a fresh Ed25519 key pair for id. If rng is nil,
@@ -102,24 +97,8 @@ func MustGenerateKeyPair(id NodeID) *KeyPair {
 	return kp
 }
 
-// Sign signs msg with the node's private key. If the pair carries a verify
-// cache (WithCache), the fresh signature is recorded as verified — the node
-// trusts its own key, so re-encountering the signature later (loopback,
-// retransmit, NEWVIEW carrying its own request) must not cost a scalar
-// multiplication.
-func (k *KeyPair) Sign(msg []byte) []byte {
-	sig := ed25519.Sign(k.private, msg)
-	k.cache.Note(k.ID, k.Public, Hash(msg), sig)
-	return sig
-}
-
-// WithCache returns a copy of k that seeds cache on every Sign. The original
-// pair is unchanged.
-func (k *KeyPair) WithCache(cache *VerifyCache) *KeyPair {
-	clone := *k
-	clone.cache = cache
-	return &clone
-}
+// Sign signs msg with the node's private key.
+func (k *KeyPair) Sign(msg []byte) []byte { return ed25519.Sign(k.private, msg) }
 
 // Registry maps node IDs to public keys and verifies signatures. It is
 // immutable after construction apart from Add, and safe for concurrent use.
@@ -132,42 +111,32 @@ func (k *KeyPair) WithCache(cache *VerifyCache) *KeyPair {
 // and runs concurrently on the verification pool's workers; keys change only
 // at setup, so writes may pay for the copy.
 //
-// The key set lives behind pointers so Accelerated can hand out views that
-// share one set of keys while carrying their own verified-signature cache and
-// counters (each node caches independently; the cluster's keys are one
-// object).
+// The key set lives behind pointers so WithCounters can hand out views that
+// share one set of keys while counting their own verifications (each node
+// counts independently; the cluster's keys are one object).
 type Registry struct {
 	mu   *sync.Mutex // serializes writers (Add); readers never take it
 	keys *atomic.Pointer[map[NodeID]ed25519.PublicKey]
-
-	// Acceleration state, set by Accelerated. cache memoizes successful
-	// verifications (nil disables); batch enables the multi-scalar batch
-	// equation in BatchVerifier; cc receives instrumentation (nil discards).
-	cache *VerifyCache
-	batch bool
-	cc    *metrics.CryptoCounters
+	cc   *metrics.CryptoCounters // nil discards
 }
 
 // NewRegistry builds a registry from the given key pairs' public halves.
-// Batch verification is enabled by default; there is no cache until
-// Accelerated attaches one.
 func NewRegistry(pairs ...*KeyPair) *Registry {
 	keys := make(map[NodeID]ed25519.PublicKey, len(pairs))
 	for _, kp := range pairs {
 		keys[kp.ID] = kp.Public
 	}
-	r := &Registry{mu: &sync.Mutex{}, keys: &atomic.Pointer[map[NodeID]ed25519.PublicKey]{}, batch: true}
+	r := &Registry{mu: &sync.Mutex{}, keys: &atomic.Pointer[map[NodeID]ed25519.PublicKey]{}}
 	r.keys.Store(&keys)
 	return r
 }
 
-// Accelerated returns a view of r with the given verified-signature cache,
-// batch-verification switch, and counters. The view shares r's key set —
-// Add through either is visible to both — but caches and counts
-// independently, so co-located nodes (tests, in-process benchmarks) can share
-// keys without sharing verification state. cache and cc may be nil.
-func (r *Registry) Accelerated(cache *VerifyCache, batchVerify bool, cc *metrics.CryptoCounters) *Registry {
-	return &Registry{mu: r.mu, keys: r.keys, cache: cache, batch: batchVerify, cc: cc}
+// WithCounters returns a view of r that records its verifications in cc.
+// The view shares r's key set — Add through either is visible to both — so
+// co-located nodes (tests, in-process benchmarks) share keys but count
+// separately.
+func (r *Registry) WithCounters(cc *metrics.CryptoCounters) *Registry {
+	return &Registry{mu: r.mu, keys: r.keys, cc: cc}
 }
 
 // snapshot returns the current immutable key set. Callers must not mutate it.
@@ -177,10 +146,7 @@ func (r *Registry) snapshot() map[NodeID]ed25519.PublicKey {
 
 // Add registers a public key, e.g. a data center key learned at setup. The
 // key set is copied so concurrent Verify calls keep reading a consistent
-// snapshot without locking. Replacing an existing id's key is safe with
-// respect to the verified-signature cache: entries are keyed by the public
-// key they verified under, so proofs made under the old key stop hitting the
-// moment the key changes.
+// snapshot without locking.
 func (r *Registry) Add(id NodeID, pub ed25519.PublicKey) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -217,11 +183,7 @@ func (r *Registry) Len() int {
 
 // Verify checks that sig is a valid signature by id over msg, using the
 // cofactored single equation (VerifySignature) — the same deterministic
-// accept set as the batch path. When the registry carries a
-// verified-signature cache, a previously verified (id, key, msg, sig) tuple
-// returns immediately without touching the curve; fresh successes are
-// recorded for next time. Hashing msg for the cache key costs ~1% of the
-// scalar multiplication it saves on a hit.
+// accept set as the batch path.
 func (r *Registry) Verify(id NodeID, msg, sig []byte) error {
 	pub, ok := r.PublicKey(id)
 	if !ok {
@@ -230,27 +192,12 @@ func (r *Registry) Verify(id NodeID, msg, sig []byte) error {
 	if len(sig) != ed25519.SignatureSize {
 		return fmt.Errorf("%w: from %v", ErrInvalidSignature, id)
 	}
-	var d Digest
-	if r.cache != nil {
-		d = Hash(msg)
-		if r.cache.Seen(id, pub, d, sig) {
-			return nil
-		}
-	}
 	r.cc.AddScalarVerify()
 	if !VerifySignature(pub, msg, sig) {
 		return fmt.Errorf("%w: from %v", ErrInvalidSignature, id)
 	}
-	r.cache.Note(id, pub, d, sig)
 	return nil
 }
 
 // Counters returns the registry's crypto instrumentation, if any.
 func (r *Registry) Counters() *metrics.CryptoCounters { return r.cc }
-
-// Cache returns the registry's verified-signature cache, if any.
-func (r *Registry) Cache() *VerifyCache { return r.cache }
-
-// BatchEnabled reports whether NewBatchVerifier will use the multi-scalar
-// batch equation (true) or fall back to sequential scalar verifies (false).
-func (r *Registry) BatchEnabled() bool { return r.batch }

@@ -31,9 +31,7 @@ import (
 // paths accept the same set: such a torsion-shifted signature is *always*
 // valid here, never probabilistically. Only the key holder can produce one
 // (s must satisfy the equation over the prime-order component), so this is
-// benign malleability by the signer, not a forgery vector; the verified-
-// signature cache is keyed by the full signature bytes, so each variant is
-// cached and checked independently.
+// benign malleability by the signer, not a forgery vector.
 //
 // For honestly generated signatures (crypto/ed25519.Sign) the verdict always
 // matches crypto/ed25519.Verify; the accept sets differ only on crafted

@@ -32,13 +32,12 @@ import (
 // the protocol tolerates arbitrary reordering, which is what makes this
 // pipelining safe (see DESIGN.md "Verification pipeline").
 type VerifyPool struct {
-	tasks   chan func()
-	quit    chan struct{}
-	wg      sync.WaitGroup
-	closed  atomic.Bool
-	once    sync.Once
-	workers int
-	stats   metrics.PoolCounters
+	tasks  chan func()
+	quit   chan struct{}
+	wg     sync.WaitGroup
+	closed atomic.Bool
+	once   sync.Once
+	stats  metrics.PoolCounters
 }
 
 // queueFactor sizes the task queue per worker. Deep enough to absorb a burst
@@ -53,9 +52,8 @@ func NewVerifyPool(workers int) *VerifyPool {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &VerifyPool{
-		tasks:   make(chan func(), workers*queueFactor),
-		quit:    make(chan struct{}),
-		workers: workers,
+		tasks: make(chan func(), workers*queueFactor),
+		quit:  make(chan struct{}),
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -80,9 +78,7 @@ func (p *VerifyPool) worker() {
 
 // runTask executes one task, containing a panic so a single bad task cannot
 // take the worker (and, since an unrecovered panic is process-fatal, the
-// whole node) down with it. Swallowed panics are counted in the pool stats;
-// RunChunks additionally captures its own spans' panics and re-raises the
-// first one on the caller, so panics from chunked work are never lost.
+// whole node) down with it. Swallowed panics are counted in the pool stats.
 func (p *VerifyPool) runTask(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -91,9 +87,6 @@ func (p *VerifyPool) runTask(fn func()) {
 	}()
 	fn()
 }
-
-// Workers reports the pool's worker count.
-func (p *VerifyPool) Workers() int { return p.workers }
 
 // Submit schedules fn for asynchronous execution; see the type comment for
 // the exact semantics. fn must not block indefinitely (it would pin a
@@ -116,93 +109,6 @@ func (p *VerifyPool) Submit(fn func()) {
 		p.stats.Dequeued()
 		p.stats.AddInline()
 		task()
-	}
-}
-
-// RunChunks partitions [0, n) into spans of at most chunk items and runs
-// fn(lo, hi) over every span, spreading the spans across the pool's workers,
-// and returns once all spans have completed. It exists so a large signature
-// batch (a 4096-record PrePrepare) does not serialize on the one pool worker
-// that picked up its verify task.
-//
-// Unlike a naive Submit-and-WaitGroup fan-out, RunChunks is safe to call from
-// inside a pool worker: spans are claimed from a shared atomic counter, the
-// caller claims and runs spans itself alongside the helpers, and the wait is
-// only for spans actually *executing* — a helper task that never leaves the
-// queue (all workers busy, queue saturated) is harmless because the caller
-// will have claimed its spans by then. No pool worker ever blocks on work
-// that is stuck behind it.
-//
-// A panicking fn cannot strand the caller: every claimed span completes its
-// bookkeeping even on panic, the remaining spans still run, and once all
-// spans have settled the first panic value is re-raised on the caller's
-// goroutine — so RunChunks panics like a plain loop over fn would, but never
-// returns (or panics out) while helpers are still touching caller state.
-func (p *VerifyPool) RunChunks(n, chunk int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = 1
-	}
-	spans := (n + chunk - 1) / chunk
-	if spans == 1 || p == nil || p.closed.Load() {
-		fn(0, n)
-		return
-	}
-
-	var next atomic.Int64 // next unclaimed span
-	var done atomic.Int64 // completed spans
-	var panicMu sync.Mutex
-	var panicVal any // first recovered panic, re-raised on the caller
-	var panicked bool
-	finished := make(chan struct{})
-	runSpan := func(lo, hi int) {
-		defer func() {
-			if r := recover(); r != nil {
-				panicMu.Lock()
-				if !panicked {
-					panicked, panicVal = true, r
-				}
-				panicMu.Unlock()
-			}
-			// Must run even on panic, or the caller waits forever.
-			if int(done.Add(1)) == spans {
-				close(finished)
-			}
-		}()
-		fn(lo, hi)
-	}
-	run := func() {
-		for {
-			s := int(next.Add(1)) - 1
-			if s >= spans {
-				return
-			}
-			hi := s*chunk + chunk
-			if hi > n {
-				hi = n
-			}
-			runSpan(s*chunk, hi)
-		}
-	}
-
-	// One helper per span beyond the caller's own, capped at the worker
-	// count; more could never run concurrently anyway.
-	helpers := spans - 1
-	if helpers > p.workers {
-		helpers = p.workers
-	}
-	for i := 0; i < helpers; i++ {
-		p.Submit(run)
-	}
-	run()
-	<-finished
-	panicMu.Lock()
-	r, rOK := panicVal, panicked
-	panicMu.Unlock()
-	if rOK {
-		panic(r)
 	}
 }
 

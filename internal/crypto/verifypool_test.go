@@ -176,135 +176,6 @@ func BenchmarkVerifyPipelined(b *testing.B) {
 	}
 }
 
-func TestRunChunksCoversRangeExactlyOnce(t *testing.T) {
-	pool := NewVerifyPool(4)
-	defer pool.Close()
-	for _, tc := range []struct{ n, chunk int }{
-		{1, 16}, {15, 16}, {16, 16}, {17, 16}, {100, 16}, {100, 1}, {64, 0},
-	} {
-		covered := make([]atomic.Int32, tc.n)
-		pool.RunChunks(tc.n, tc.chunk, func(lo, hi int) {
-			if lo < 0 || hi > tc.n || lo >= hi {
-				t.Errorf("n=%d chunk=%d: bad span [%d,%d)", tc.n, tc.chunk, lo, hi)
-				return
-			}
-			for i := lo; i < hi; i++ {
-				covered[i].Add(1)
-			}
-		})
-		for i := range covered {
-			if got := covered[i].Load(); got != 1 {
-				t.Fatalf("n=%d chunk=%d: index %d covered %d times", tc.n, tc.chunk, i, got)
-			}
-		}
-	}
-	// Degenerate inputs are no-ops.
-	pool.RunChunks(0, 16, func(lo, hi int) { t.Error("fn called for n=0") })
-	pool.RunChunks(-3, 16, func(lo, hi int) { t.Error("fn called for n<0") })
-}
-
-// TestRunChunksFromPoolWorker is the deadlock regression: RunChunks invoked
-// from inside a pool task (exactly what VerifyRequestDeep does when the
-// runner submits preVerify to the pool) must complete even when every worker
-// is busy and the helper tasks never leave the queue.
-func TestRunChunksFromPoolWorker(t *testing.T) {
-	pool := NewVerifyPool(1) // single worker: helpers can never be picked up
-	defer pool.Close()
-	done := make(chan int, 1)
-	pool.Submit(func() {
-		total := 0
-		var mu sync.Mutex
-		pool.RunChunks(64, 4, func(lo, hi int) {
-			mu.Lock()
-			total += hi - lo
-			mu.Unlock()
-		})
-		done <- total
-	})
-	select {
-	case got := <-done:
-		if got != 64 {
-			t.Fatalf("covered %d items, want 64", got)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunChunks deadlocked when called from a pool worker")
-	}
-}
-
-func TestRunChunksAfterCloseRunsSynchronously(t *testing.T) {
-	pool := NewVerifyPool(2)
-	pool.Close()
-	total := 0
-	pool.RunChunks(32, 8, func(lo, hi int) { total += hi - lo })
-	if total != 32 {
-		t.Fatalf("covered %d items after Close, want 32", total)
-	}
-	var nilPool *VerifyPool
-	total = 0
-	nilPool.RunChunks(32, 8, func(lo, hi int) { total += hi - lo })
-	if total != 32 {
-		t.Fatalf("nil pool covered %d items, want 32", total)
-	}
-}
-
-// TestRunChunksPanicDoesNotHang is the regression for the panic-stranding
-// bug: a chunk that panics used to kill its goroutine without ever counting
-// its span done, leaving the caller blocked on the completion channel
-// forever. Now every span completes its bookkeeping, the remaining spans
-// still run, the first panic is re-raised on the caller once all spans have
-// settled (so no helper is still touching caller state when it propagates),
-// and the pool's workers survive for subsequent work.
-func TestRunChunksPanicDoesNotHang(t *testing.T) {
-	pool := NewVerifyPool(4)
-	defer pool.Close()
-
-	result := make(chan any, 1)
-	covered := make([]atomic.Int32, 64)
-	go func() {
-		defer func() { result <- recover() }()
-		pool.RunChunks(len(covered), 4, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				covered[i].Add(1)
-			}
-			if lo == 20 {
-				panic("chunk exploded")
-			}
-		})
-		result <- nil
-	}()
-
-	select {
-	case r := <-result:
-		if r == nil {
-			t.Fatal("RunChunks swallowed the chunk panic")
-		}
-		if s, ok := r.(string); !ok || s != "chunk exploded" {
-			t.Fatalf("unexpected panic value: %v", r)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunChunks hung after a chunk panicked")
-	}
-	// All spans ran exactly once despite the panic — when the panic reached
-	// the caller, no helper was left mid-span.
-	for i := range covered {
-		if got := covered[i].Load(); got != 1 {
-			t.Fatalf("index %d covered %d times, want 1", i, got)
-		}
-	}
-
-	// The pool is still fully operational.
-	total := 0
-	var mu sync.Mutex
-	pool.RunChunks(32, 4, func(lo, hi int) {
-		mu.Lock()
-		total += hi - lo
-		mu.Unlock()
-	})
-	if total != 32 {
-		t.Fatalf("pool covered %d items after panic, want 32", total)
-	}
-}
-
 // TestVerifyPoolSubmitPanicContained checks that a panicking Submit task is
 // contained by the worker (counted, not fatal) and the worker keeps serving.
 func TestVerifyPoolSubmitPanicContained(t *testing.T) {

@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -175,8 +176,10 @@ type Fig8Result struct {
 	// SteadyBefore is the median latency before the fault.
 	SteadyBefore time.Duration
 	// RecoveredAfter is when latency returned to twice the pre-fault
-	// median, relative to the fault.
+	// median, relative to the fault (see recoveredAt); Recovered is false if
+	// it never did.
 	RecoveredAfter time.Duration
+	Recovered      bool
 	// WorstLatency is the maximum latency observed (requests held through
 	// the view change).
 	WorstLatency time.Duration
@@ -223,26 +226,37 @@ func Fig8(system testbed.System, opt Options) (*Fig8Result, error) {
 		sort.Slice(before, func(i, j int) bool { return before[i] < before[j] })
 		out.SteadyBefore = before[len(before)/2]
 	}
-	// Recovery: first post-fault decide whose latency is back within 2x
-	// the pre-fault median, with everything after it also settled.
 	threshold := 2 * out.SteadyBefore
 	if threshold == 0 {
 		threshold = 50 * time.Millisecond
 	}
-	for i := len(out.Timeline) - 1; i >= 0; i-- {
-		p := out.Timeline[i]
-		if p.Since <= 0 {
-			break
-		}
-		if p.Latency > threshold {
-			if i+1 < len(out.Timeline) {
-				out.RecoveredAfter = out.Timeline[i+1].Since
-			}
-			break
-		}
-		out.RecoveredAfter = p.Since
-	}
+	out.RecoveredAfter, out.Recovered = recoveredAt(out.Timeline, threshold)
 	return out, nil
+}
+
+// recoveryWindow is the number of consecutive decides Fig 8's recovery rule
+// takes the median of.
+const recoveryWindow = 10
+
+// recoveredAt applies Fig 8's recovery rule to a timeline sorted by decide
+// time, relative to the fault: latency has recovered at the first post-fault
+// decide that completes a window of recoveryWindow consecutive post-fault
+// decides whose median latency is under threshold. A few slow decides in a
+// window do not hold recovery back; a slow stretch over half a window long
+// does. ok is false if no window qualifies.
+func recoveredAt(timeline []testbed.TimelinePoint, threshold time.Duration) (at time.Duration, ok bool) {
+	start := sort.Search(len(timeline), func(i int) bool { return timeline[i].Since > 0 })
+	window := make([]time.Duration, recoveryWindow)
+	for end := start + recoveryWindow; end <= len(timeline); end++ {
+		for j, p := range timeline[end-recoveryWindow : end] {
+			window[j] = p.Latency
+		}
+		slices.Sort(window)
+		if window[recoveryWindow/2] < threshold {
+			return timeline[end-1].Since, true
+		}
+	}
+	return 0, false
 }
 
 // FormatFig8 renders both systems' view-change behaviour.
@@ -251,10 +265,13 @@ func FormatFig8(zc, bl *Fig8Result) string {
 	fmt.Fprintf(&b, "Fig 8: request latency through a view change (fault at t=0)\n")
 	fmt.Fprintf(&b, "%-10s %14s %16s %14s\n", "system", "steady-lat", "worst-lat", "recovered-in")
 	for _, r := range []*Fig8Result{zc, bl} {
-		fmt.Fprintf(&b, "%-10s %14v %16v %14v\n",
+		recovered := "never"
+		if r.Recovered {
+			recovered = r.RecoveredAfter.Round(time.Millisecond).String()
+		}
+		fmt.Fprintf(&b, "%-10s %14v %16v %14s\n",
 			r.System, r.SteadyBefore.Round(time.Microsecond),
-			r.WorstLatency.Round(time.Millisecond),
-			r.RecoveredAfter.Round(time.Millisecond))
+			r.WorstLatency.Round(time.Millisecond), recovered)
 	}
 	return b.String()
 }

@@ -76,6 +76,74 @@ func TestFig8ViewChangeRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoveredAt checks Fig 8's recovery rule on synthetic timelines: one
+// decide per 64 ms, 2 ms steady latency, a 4 ms threshold.
+func TestRecoveredAt(t *testing.T) {
+	const cycle = 64 * time.Millisecond
+	const fast, slow = 2 * time.Millisecond, 5 * time.Millisecond
+	// timeline has ten pre-fault decides at fast latency, then one
+	// post-fault decide per latency in post, the first one cycle after the
+	// fault.
+	timeline := func(post ...time.Duration) []testbed.TimelinePoint {
+		var tl []testbed.TimelinePoint
+		for i := -10; i < 0; i++ {
+			tl = append(tl, testbed.TimelinePoint{Since: time.Duration(i) * cycle, Latency: fast})
+		}
+		for i, lat := range post {
+			tl = append(tl, testbed.TimelinePoint{Since: time.Duration(i+1) * cycle, Latency: lat})
+		}
+		return tl
+	}
+	run := func(n int, lat func(i int) time.Duration) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = lat(i)
+		}
+		return out
+	}
+	const threshold = 4 * time.Millisecond
+
+	// Three requests held through the view change, then steady decides: the
+	// first window (three slow, seven fast) recovers at its tenth decide.
+	clean := run(60, func(i int) time.Duration {
+		if i < 3 {
+			return 600 * time.Millisecond
+		}
+		return fast
+	})
+	want, ok := recoveredAt(timeline(clean...), threshold)
+	if !ok || want != 10*cycle {
+		t.Fatalf("clean timeline: recovered at %v (ok %v), want %v", want, ok, 10*cycle)
+	}
+
+	// Isolated outliers, one every seventh decide up to the end of the run,
+	// do not delay recovery.
+	outliers := append([]time.Duration(nil), clean...)
+	for i := 6; i < len(outliers); i += 7 {
+		outliers[i] = slow
+	}
+	if got, ok := recoveredAt(timeline(outliers...), threshold); !ok || got != want {
+		t.Errorf("isolated outliers: recovered at %v (ok %v), want %v", got, ok, want)
+	}
+
+	// A sustained slow stretch of 30 decides does: the first window whose
+	// median is fast ends at the sixth fast decide after it.
+	tail := run(60, func(i int) time.Duration {
+		if i < 30 {
+			return slow
+		}
+		return fast
+	})
+	if got, ok := recoveredAt(timeline(tail...), threshold); !ok || got != 36*cycle {
+		t.Errorf("sustained slow stretch: recovered at %v (ok %v), want %v", got, ok, 36*cycle)
+	}
+
+	// A run that stays slow never recovers.
+	if got, ok := recoveredAt(timeline(run(60, func(int) time.Duration { return slow })...), threshold); ok {
+		t.Errorf("slow run: recovered at %v", got)
+	}
+}
+
 func TestFig9RowsAndFormat(t *testing.T) {
 	rows := []Fig9Row{
 		{Label: "normal"},

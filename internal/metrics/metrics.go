@@ -142,8 +142,7 @@ func CPUWorkUnits(signatures, verifications, msgs, bytes uint64) float64 {
 // CryptoCounters instruments the Ed25519 acceleration layer: how many
 // signatures settled via the batched multi-scalar equation versus individual
 // scalar verifies, how often a failed batch had to bisect to find the corrupt
-// entries, the verified-signature cache's hit/miss/eviction traffic, and the
-// Commit authenticators that failed their pairwise MAC check. It keeps O(1)
+// entries, and the Commit authenticators that failed their pairwise MAC check. It keeps O(1)
 // state so it can sit on the verification hot path. All methods are safe
 // for concurrent use and the recording methods are nil-safe (a nil receiver
 // records nothing), so uninstrumented registries pay only a nil check; the
@@ -154,9 +153,6 @@ type CryptoCounters struct {
 	BatchOps       atomic.Uint64
 	BatchMax       atomic.Int64
 	Bisections     atomic.Uint64
-	CacheHits      atomic.Uint64
-	CacheMisses    atomic.Uint64
-	CacheEvictions atomic.Uint64
 	MACRejects     atomic.Uint64 // Commits whose pairwise tag did not check
 }
 
@@ -189,30 +185,6 @@ func (c *CryptoCounters) AddBisection() {
 	c.Bisections.Add(1)
 }
 
-// AddCacheHit records one verified-signature cache hit (a skipped verify).
-func (c *CryptoCounters) AddCacheHit() {
-	if c == nil {
-		return
-	}
-	c.CacheHits.Add(1)
-}
-
-// AddCacheMiss records one verified-signature cache miss.
-func (c *CryptoCounters) AddCacheMiss() {
-	if c == nil {
-		return
-	}
-	c.CacheMisses.Add(1)
-}
-
-// AddCacheEviction records one entry evicted by the cache's LRU bound.
-func (c *CryptoCounters) AddCacheEviction() {
-	if c == nil {
-		return
-	}
-	c.CacheEvictions.Add(1)
-}
-
 // AddMACReject records one Commit dropped because its pairwise MAC did not
 // check: a forged or replayed tag, or a peer deriving a different key.
 func (c *CryptoCounters) AddMACReject() {
@@ -222,8 +194,8 @@ func (c *CryptoCounters) AddMACReject() {
 	c.MACRejects.Add(1)
 }
 
-// Metrics lists the Ed25519 acceleration series (batch verification shape,
-// verified-signature cache traffic) and the pairwise-MAC rejects.
+// Metrics lists the Ed25519 series (scalar verifies, batch verification
+// shape) and the pairwise-MAC rejects.
 func (c *CryptoCounters) Metrics() []Metric {
 	return []Metric{
 		Counter("zugchain_crypto_scalar_verifies_total", "Individual signature verifications", c.ScalarVerifies.Load()),
@@ -231,9 +203,6 @@ func (c *CryptoCounters) Metrics() []Metric {
 		Counter("zugchain_crypto_batch_ops_total", "Batch equations evaluated", c.BatchOps.Load()),
 		Gauge("zugchain_crypto_batch_max", "Largest single batch equation", float64(c.BatchMax.Load())),
 		Counter("zugchain_crypto_bisections_total", "Bisection splits hunting corrupt signatures", c.Bisections.Load()),
-		Counter("zugchain_crypto_cache_hits_total", "Verified-signature cache hits", c.CacheHits.Load()),
-		Counter("zugchain_crypto_cache_misses_total", "Verified-signature cache misses", c.CacheMisses.Load()),
-		Counter("zugchain_crypto_cache_evictions_total", "Verified-signature cache evictions", c.CacheEvictions.Load()),
 		Counter("zugchain_crypto_mac_rejects_total", "Commits dropped for a pairwise MAC that did not check", c.MACRejects.Load()),
 	}
 }

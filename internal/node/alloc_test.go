@@ -148,12 +148,12 @@ func TestPersistPreparedCertDoesNotAllocate(t *testing.T) {
 }
 
 // rotateAllocs pins the allocations of one WAL rotation of a replica with
-// votes, certificates and window entries in flight (58 on linux/amd64):
+// votes, certificates and window entries in flight (44 on linux/amd64):
 // almost all of them are the writer's file operations — the new segment,
 // the rename, the directory listing and syncs — plus the proof and the
 // journal line, a fixed count whatever the snapshot holds. A per-record
 // copy would add one per certificate or window entry.
-const rotateAllocs = 58
+const rotateAllocs = 44
 
 // TestRotateWALAllocations guards rotateWAL's snapshot: each record is
 // framed straight into the rotation's buffer, and the scratch slices are

@@ -145,13 +145,6 @@ type Config struct {
 	// rounds the fetcher attempts before parking (a later divergence
 	// event re-arms it); default 10.
 	StateRetryRounds int
-	// VerifyCacheSize bounds the verified-signature cache: 0 selects
-	// crypto.DefaultVerifyCacheSize, negative disables the cache.
-	VerifyCacheSize int
-	// DisableBatchVerify turns off the Ed25519 multi-scalar batch
-	// verification of batched proposals' inner signatures, falling back to
-	// sequential scalar verifies (for debugging and A/B measurement).
-	DisableBatchVerify bool
 	// TraceRing is the number of completed record lifecycle traces retained
 	// for /tracez (0 selects obsv.DefaultTraceRing).
 	TraceRing int
@@ -251,20 +244,12 @@ func NewWithFrontEnd(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr tr
 	newFront func(FrontEndEnv) FrontEnd, policies map[signal.Kind]signal.FilterPolicy) (*Node, error) {
 	cfg.applyDefaults()
 
-	// Crypto acceleration (DESIGN.md §3.11): every verification this node
-	// performs goes through an accelerated registry view — a per-node
-	// verified-signature cache plus batch verification for batched
-	// proposals — and the node's own signatures seed the cache at Sign
-	// time. The view shares the caller's key set, so co-located nodes
-	// (tests, simulations) still see one keyring while caching
-	// independently, as separate machines would.
+	// Every verification this node performs is counted in its own crypto
+	// counters (DESIGN.md §3.11). The view shares the caller's key set, so
+	// co-located nodes (tests, simulations) still see one keyring while
+	// counting separately, as separate machines would.
 	cc := &metrics.CryptoCounters{}
-	var vcache *crypto.VerifyCache
-	if cfg.VerifyCacheSize >= 0 {
-		vcache = crypto.NewVerifyCache(cfg.VerifyCacheSize, cc)
-	}
-	reg = reg.Accelerated(vcache, !cfg.DisableBatchVerify, cc)
-	kp = kp.WithCache(vcache)
+	reg = reg.WithCounters(cc)
 
 	store, err := blockchain.NewStore(cfg.DataDir)
 	if err != nil {
@@ -479,12 +464,13 @@ func (n *Node) busSource(src int) *busSource {
 }
 
 // RunBus consumes frames from reader (input source 0) until ctx is
-// cancelled.
+// cancelled or the node stops.
 func (n *Node) RunBus(ctx context.Context, reader *mvb.Reader) {
 	n.RunBusSource(ctx, 0, reader)
 }
 
-// RunBusSource consumes frames from one of several attached buses.
+// RunBusSource consumes frames from one of several attached buses until ctx
+// is cancelled or the node stops.
 func (n *Node) RunBusSource(ctx context.Context, src int, reader *mvb.Reader) {
 	n.busWG.Add(1)
 	go func() {
@@ -492,6 +478,8 @@ func (n *Node) RunBusSource(ctx context.Context, src int, reader *mvb.Reader) {
 		for {
 			select {
 			case <-ctx.Done():
+				return
+			case <-n.quit:
 				return
 			case frame := <-reader.C():
 				n.HandleFrameSource(src, frame)

@@ -203,6 +203,23 @@ func TestClusterEndToEndIdenticalChains(t *testing.T) {
 	}
 }
 
+// TestStopWithLiveBusContext: Stop returns while the context handed to RunBus
+// is still live, because the bus goroutine also ends when the node stops.
+func TestStopWithLiveBusContext(t *testing.T) {
+	c := newCluster(t, nil, nil)
+	c.tickUntilSeq(1, 5*time.Second)
+	done := make(chan struct{})
+	go func() {
+		c.nodes[3].Stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop blocked on a bus reader whose context is still live")
+	}
+}
+
 func TestClusterToleratesBusFaults(t *testing.T) {
 	faults := []mvb.FaultConfig{
 		{DropRate: 0.3},

@@ -94,13 +94,8 @@ func Summary(o *Observer) string {
 	}
 	if has("zugchain_crypto_scalar_verifies_total") {
 		sep(&b)
-		hits, misses := n("zugchain_crypto_cache_hits_total"), n("zugchain_crypto_cache_misses_total")
-		rate := 0.0
-		if hits+misses > 0 {
-			rate = float64(hits) / float64(hits+misses) * 100
-		}
-		fmt.Fprintf(&b, "crypto(batched=%d scalar=%d cache-hit=%.0f%%)",
-			n("zugchain_crypto_batched_sigs_total"), n("zugchain_crypto_scalar_verifies_total"), rate)
+		fmt.Fprintf(&b, "crypto(batched=%d scalar=%d)",
+			n("zugchain_crypto_batched_sigs_total"), n("zugchain_crypto_scalar_verifies_total"))
 	}
 	if has("zugchain_wal_groups_total") {
 		sep(&b)

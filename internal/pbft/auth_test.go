@@ -113,7 +113,7 @@ func TestEngineReceiveDropsBadCommits(t *testing.T) {
 	}
 	cc := &metrics.CryptoCounters{}
 	ids := []crypto.NodeID{0, 1, 2, 3}
-	e, err := NewEngine(Config{ID: 1, Replicas: ids}, byID[1], reg.Accelerated(nil, true, cc))
+	e, err := NewEngine(Config{ID: 1, Replicas: ids}, byID[1], reg.WithCounters(cc))
 	if err != nil {
 		t.Fatal(err)
 	}

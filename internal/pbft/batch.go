@@ -3,8 +3,6 @@ package pbft
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"zugchain/internal/crypto"
 	"zugchain/internal/wire"
@@ -77,24 +75,18 @@ func DecodeBatch(data []byte) ([]Request, error) {
 	return items, nil
 }
 
-// minDeepVerifyChunk is the smallest slice of a batch worth handing to
-// another verify-pool worker: below this, the chunk hand-off and the lost
-// batch-equation amortization cost more than the parallelism returns.
-const minDeepVerifyChunk = 16
-
 // VerifyRequestDeep checks r's own signature and, for batch requests, that
 // the batch decodes and every inner record carries a valid origin signature.
 // This is the admission bar for a proposed request: a batch hiding one forged
 // record is rejected whole, so a Byzantine primary cannot launder fabricated
 // records through honest records in the same batch.
 //
-// Inner signatures are settled through the registry's Ed25519 batch verifier
-// — one multi-scalar pass per chunk instead of a scalar multiplication per
-// record — and large batches are split into chunks spread across pool's
-// workers (pool may be nil: everything runs on the caller). On failure the
-// error names every corrupt record index, so the operator sees exactly which
-// origin signatures were forged while the batch as a whole is refused.
-func VerifyRequestDeep(r *Request, reg *crypto.Registry, pool *crypto.VerifyPool) error {
+// Inner signatures are settled in one pass of the registry's Ed25519 batch
+// verifier instead of a scalar multiplication per record, on the caller's
+// goroutine. On failure the error names every corrupt record index, so the
+// operator sees exactly which origin signatures were forged while the batch
+// as a whole is refused.
+func VerifyRequestDeep(r *Request, reg *crypto.Registry) error {
 	if err := VerifyRequest(r, reg); err != nil {
 		return err
 	}
@@ -105,41 +97,18 @@ func VerifyRequestDeep(r *Request, reg *crypto.Registry, pool *crypto.VerifyPool
 	if err != nil {
 		return err
 	}
-
-	// Chunk so every pool worker gets work, but never below the floor where
-	// splitting stops paying.
-	workers := 1
-	if pool != nil {
-		workers = pool.Workers()
+	bv := reg.NewBatchVerifier(len(items))
+	for i := range items {
+		bv.Add(items[i].Origin, items[i].signingBytes(), items[i].Sig)
 	}
-	chunk := (len(items) + workers - 1) / workers
-	if chunk < minDeepVerifyChunk {
-		chunk = minDeepVerifyChunk
-	}
-
-	var mu sync.Mutex
-	var failed []int
-	pool.RunChunks(len(items), chunk, func(lo, hi int) {
-		bv := reg.NewBatchVerifier(hi - lo)
-		for i := lo; i < hi; i++ {
-			bv.Add(items[i].Origin, items[i].signingBytes(), items[i].Sig)
-		}
-		if bad := bv.Verify(); len(bad) != 0 {
-			mu.Lock()
-			for _, j := range bad {
-				failed = append(failed, lo+j)
-			}
-			mu.Unlock()
-		}
-	})
-	if len(failed) != 0 {
-		sort.Ints(failed)
-		if len(failed) == 1 {
-			return fmt.Errorf("batch record %d: %w", failed[0], crypto.ErrInvalidSignature)
-		}
+	switch failed := bv.Verify(); len(failed) {
+	case 0:
+		return nil
+	case 1:
+		return fmt.Errorf("batch record %d: %w", failed[0], crypto.ErrInvalidSignature)
+	default:
 		return fmt.Errorf("batch records %v: %w", failed, crypto.ErrInvalidSignature)
 	}
-	return nil
 }
 
 // PayloadDigests returns the duplicate-filter digests this request carries:

@@ -3,56 +3,7 @@ package pbft
 import (
 	"strings"
 	"testing"
-
-	"zugchain/internal/crypto"
-	"zugchain/internal/metrics"
 )
-
-// TestPrimarySelfBatchNotReverified is the satellite regression for the
-// crypto acceleration layer: once the primary has admitted records (verifying
-// them on arrival) and signed its own batched proposal, re-checking that
-// proposal through preVerify — the path a loopback or NEWVIEW re-proposal
-// takes — must cost zero additional scalar verifications. Every signature
-// involved is either cached from admission or seeded by the primary's own
-// Sign.
-func TestPrimarySelfBatchNotReverified(t *testing.T) {
-	kps, plain := batchTestKeys(t)
-	cc := &metrics.CryptoCounters{}
-	cache := crypto.NewVerifyCache(0, cc)
-	reg := plain.Accelerated(cache, true, cc)
-	primary := kps[0].WithCache(cache)
-
-	// Admission path: each record's origin signature is verified once when
-	// it arrives at the primary, feeding the cache.
-	items := signedItems(t, kps, 8)
-	for i := range items {
-		if err := VerifyRequest(&items[i], reg); err != nil {
-			t.Fatalf("admit record %d: %v", i, err)
-		}
-	}
-
-	// The primary coalesces the admitted records and signs the batch
-	// envelope and the PrePrepare with its cache-seeding key pair, exactly
-	// as a node constructed by node.New does.
-	batch := Request{Payload: EncodeBatch(items), Batch: true}
-	SignRequest(&batch, primary)
-	pp := &PrePrepare{View: 0, Seq: 1, Req: batch, Replica: primary.ID}
-	sign(pp, primary)
-
-	scalar, batched, cached := cc.ScalarVerifies.Load(), cc.BatchedSigs.Load(), cc.CacheHits.Load()
-	if err := preVerify(pp, reg, nil); err != nil {
-		t.Fatalf("preVerify of own proposal: %v", err)
-	}
-	if got := cc.ScalarVerifies.Load() - scalar; got != 0 {
-		t.Errorf("self-proposal cost %d scalar verifies, want 0", got)
-	}
-	if got := cc.BatchedSigs.Load() - batched; got != 0 {
-		t.Errorf("self-proposal cost a batch equation over %d sigs, want 0", got)
-	}
-	if hits := cc.CacheHits.Load() - cached; hits < 8 {
-		t.Errorf("self-proposal hit the cache %d times, want >= 8", hits)
-	}
-}
 
 // TestVerifyRequestDeepNamesCulprits checks the operator-facing half of
 // batch rejection: the error must identify exactly which record indices
@@ -65,7 +16,7 @@ func TestVerifyRequestDeepNamesCulprits(t *testing.T) {
 
 	batch := Request{Payload: EncodeBatch(items), Batch: true}
 	SignRequest(&batch, kps[0])
-	err := VerifyRequestDeep(&batch, reg, nil)
+	err := VerifyRequestDeep(&batch, reg)
 	if err == nil {
 		t.Fatal("batch with forged record accepted")
 	}
@@ -77,36 +28,9 @@ func TestVerifyRequestDeepNamesCulprits(t *testing.T) {
 	items[13].Sig[40] ^= 0x04
 	batch = Request{Payload: EncodeBatch(items), Batch: true}
 	SignRequest(&batch, kps[0])
-	err = VerifyRequestDeep(&batch, reg, nil)
+	err = VerifyRequestDeep(&batch, reg)
 	if err == nil || !strings.Contains(err.Error(), "[7 13]") {
 		t.Errorf("error does not name both culprits: %v", err)
-	}
-}
-
-// TestVerifyRequestDeepChunksOnPool runs the deep verification of a large
-// batch across a verify pool — the production path for a big PrePrepare —
-// and checks both verdict directions.
-func TestVerifyRequestDeepChunksOnPool(t *testing.T) {
-	kps, reg := batchTestKeys(t)
-	pool := crypto.NewVerifyPool(4)
-	defer pool.Close()
-
-	items := signedItems(t, kps, 300)
-	batch := Request{Payload: EncodeBatch(items), Batch: true}
-	SignRequest(&batch, kps[0])
-	if err := VerifyRequestDeep(&batch, reg, pool); err != nil {
-		t.Fatalf("valid 300-record batch rejected: %v", err)
-	}
-
-	items[123].Sig = append([]byte(nil), items[123].Sig...)
-	items[123].Sig[0] ^= 0x02
-	items[250].Sig = append([]byte(nil), items[250].Sig...)
-	items[250].Sig[50] ^= 0x08
-	batch = Request{Payload: EncodeBatch(items), Batch: true}
-	SignRequest(&batch, kps[0])
-	err := VerifyRequestDeep(&batch, reg, pool)
-	if err == nil || !strings.Contains(err.Error(), "[123 250]") {
-		t.Errorf("chunked verification missed the culprits: %v", err)
 	}
 }
 
@@ -131,7 +55,7 @@ func TestCorruptBatchRejectedHonestRecordsStillOrdered(t *testing.T) {
 
 	bad := Request{Payload: EncodeBatch(recs), Batch: true}
 	SignRequest(&bad, c.kps[0])
-	if err := VerifyRequestDeep(&bad, c.reg, nil); err == nil ||
+	if err := VerifyRequestDeep(&bad, c.reg); err == nil ||
 		!strings.Contains(err.Error(), "batch record 1") {
 		t.Fatalf("corrupt batch not pinpointed: %v", err)
 	}

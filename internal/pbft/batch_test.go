@@ -89,7 +89,7 @@ func TestVerifyRequestDeepChecksInnerSignatures(t *testing.T) {
 
 	batch := Request{Payload: EncodeBatch(items), Batch: true}
 	SignRequest(&batch, kps[0])
-	if err := VerifyRequestDeep(&batch, reg, nil); err != nil {
+	if err := VerifyRequestDeep(&batch, reg); err != nil {
 		t.Fatalf("valid batch rejected: %v", err)
 	}
 
@@ -98,14 +98,14 @@ func TestVerifyRequestDeepChecksInnerSignatures(t *testing.T) {
 	items[1].Sig = bytes.Repeat([]byte{7}, crypto.SignatureSize)
 	forged := Request{Payload: EncodeBatch(items), Batch: true}
 	SignRequest(&forged, kps[0])
-	if err := VerifyRequestDeep(&forged, reg, nil); err == nil {
+	if err := VerifyRequestDeep(&forged, reg); err == nil {
 		t.Error("batch hiding a forged inner signature accepted")
 	}
 
 	// A structurally broken batch payload must fail too.
 	bad := Request{Payload: []byte{0}, Batch: true}
 	SignRequest(&bad, kps[0])
-	if err := VerifyRequestDeep(&bad, reg, nil); err == nil {
+	if err := VerifyRequestDeep(&bad, reg); err == nil {
 		t.Error("malformed batch payload accepted")
 	}
 }
@@ -172,7 +172,7 @@ func TestBatchRequestWireRoundTrip(t *testing.T) {
 	if !out.Batch {
 		t.Error("Batch flag lost on the wire")
 	}
-	if err := VerifyRequestDeep(&out, reg, nil); err != nil {
+	if err := VerifyRequestDeep(&out, reg); err != nil {
 		t.Errorf("re-decoded batch fails verification: %v", err)
 	}
 }

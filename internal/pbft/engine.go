@@ -378,7 +378,7 @@ func (e *Engine) onPrePrepare(pp *PrePrepare, reqVerified bool) []Action {
 	if !reqVerified {
 		// Synchronous path (no runner/pool in front): verify on the loop,
 		// still batching the inner signatures in one pass.
-		if err := VerifyRequestDeep(&pp.Req, e.reg, nil); err != nil {
+		if err := VerifyRequestDeep(&pp.Req, e.reg); err != nil {
 			return nil
 		}
 	}

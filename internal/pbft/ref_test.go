@@ -88,9 +88,9 @@ func TestPrePrepareRefHydratesToFull(t *testing.T) {
 		if pp.Req.IsNull() {
 			// A null request carries no request signature; only the
 			// envelope is signed.
-			check = func(m signable, reg *crypto.Registry, _ *crypto.VerifyPool) error { return verify(m, reg) }
+			check = func(m signable, reg *crypto.Registry) error { return verify(m, reg) }
 		}
-		if err := check(got, reg, nil); err != nil {
+		if err := check(got, reg); err != nil {
 			t.Fatalf("%s: hydrated preprepare does not verify: %v", name, err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestPrePrepareRefWrongPayloadFailsVerify(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: hydrate missed", name)
 		}
-		if err := preVerify(got, reg, nil); err == nil {
+		if err := preVerify(got, reg); err == nil {
 			t.Fatalf("%s: preprepare rebuilt from a wrong payload verified", name)
 		}
 	}

@@ -210,7 +210,7 @@ func (r *Runner) onMessage(from crypto.NodeID, data []byte) {
 		return // cheap reject before paying for a signature check
 	}
 	check := func() {
-		if preVerify(s, r.engine.reg, r.cfg.VerifyPool) != nil {
+		if preVerify(s, r.engine.reg) != nil {
 			return // forged or corrupted; drop without waking the loop
 		}
 		r.enqueue(func() []Action { return r.engine.ReceiveVerified(from, msg) })

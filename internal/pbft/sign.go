@@ -101,16 +101,14 @@ func verify(m signable, reg *crypto.Registry) error {
 // every inner record signature, so a batched proposal reaching the event
 // loop is already known to carry only authenticated records. It is what the
 // runner runs on the VerifyPool's workers; Engine.ReceiveVerified then skips
-// exactly these checks. pool, when non-nil, lets a large batched proposal's
-// inner-signature work spread across the remaining workers (see
-// VerifyRequestDeep). Callers must own m (no concurrent mutation), but m
+// exactly these checks. Callers must own m (no concurrent mutation), but m
 // itself is never mutated here.
-func preVerify(m signable, reg *crypto.Registry, pool *crypto.VerifyPool) error {
+func preVerify(m signable, reg *crypto.Registry) error {
 	if err := verify(m, reg); err != nil {
 		return err
 	}
 	if pp, ok := m.(*PrePrepare); ok {
-		return VerifyRequestDeep(&pp.Req, reg, pool)
+		return VerifyRequestDeep(&pp.Req, reg)
 	}
 	return nil
 }

@@ -378,25 +378,23 @@ func cpuWork(net *metrics.Counters, requestSigs uint64) float64 {
 }
 
 // cluster is the replica set a testbed run drives: the keyring, the shared
-// bus, and per replica its node and the cancel of its bus reader.
+// bus, and per replica its node.
 type cluster struct {
-	ids     []crypto.NodeID
-	kps     map[crypto.NodeID]*crypto.KeyPair
-	reg     *crypto.Registry
-	bus     *mvb.Bus
-	nodes   []*node.Node
-	cancels []context.CancelFunc
+	ids   []crypto.NodeID
+	kps   map[crypto.NodeID]*crypto.KeyPair
+	reg   *crypto.Registry
+	bus   *mvb.Bus
+	nodes []*node.Node
 }
 
 // newCluster creates n replica key pairs, the shared registry, and empty
 // replica slots.
 func newCluster(n int, bus *mvb.Bus) *cluster {
 	c := &cluster{
-		ids:     make([]crypto.NodeID, n),
-		kps:     make(map[crypto.NodeID]*crypto.KeyPair, n),
-		bus:     bus,
-		nodes:   make([]*node.Node, n),
-		cancels: make([]context.CancelFunc, n),
+		ids:   make([]crypto.NodeID, n),
+		kps:   make(map[crypto.NodeID]*crypto.KeyPair, n),
+		bus:   bus,
+		nodes: make([]*node.Node, n),
 	}
 	pairs := make([]*crypto.KeyPair, 0, n)
 	for i := range c.ids {
@@ -409,17 +407,15 @@ func newCluster(n int, bus *mvb.Bus) *cluster {
 	return c
 }
 
-// run starts n as replica i, reading the bus through reader.
+// run starts n as replica i, reading the bus through reader until it stops.
 func (c *cluster) run(i int, n *node.Node, reader *mvb.Reader) {
-	ctx, cancel := context.WithCancel(context.Background())
-	c.nodes[i], c.cancels[i] = n, cancel
+	c.nodes[i] = n
 	n.Start()
-	n.RunBus(ctx, reader)
+	n.RunBus(context.Background(), reader)
 }
 
-// stop stops replica i. Its bus reader goes first: Stop waits for it.
+// stop stops replica i.
 func (c *cluster) stop(i int) {
-	c.cancels[i]()
 	c.nodes[i].Stop()
 	c.nodes[i] = nil
 }

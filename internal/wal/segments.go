@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"zugchain/internal/wire"
@@ -367,9 +369,21 @@ func (l *Segments) list() ([]uint64, error) {
 		return nil, err
 	}
 	var segs []uint64
+	prefix := l.prefix + "-"
 	for _, e := range entries {
-		var n uint64
-		if _, err := fmt.Sscanf(e.Name(), l.prefix+"-%08d.log", &n); err == nil && n > 0 && e.Name() == filepath.Base(l.path(n)) {
+		digits, ok := strings.CutPrefix(e.Name(), prefix)
+		if !ok {
+			continue
+		}
+		if digits, ok = strings.CutSuffix(digits, ".log"); !ok {
+			continue
+		}
+		// Only the names path writes: at least eight digits, zero-padded
+		// to exactly eight.
+		if len(digits) < 8 || len(digits) > 8 && digits[0] == '0' {
+			continue
+		}
+		if n, err := strconv.ParseUint(digits, 10, 64); err == nil && n > 0 {
 			segs = append(segs, n)
 		}
 	}

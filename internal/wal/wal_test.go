@@ -308,3 +308,27 @@ func TestBodyFramesLikeData(t *testing.T) {
 		b.reset()
 	}
 }
+
+// TestListReadsOnlySegmentNames: the directory listing keeps exactly the
+// names path writes for the log's prefix, in ascending order.
+func TestListReadsOnlySegmentNames(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{
+		"wal-00000003.log", "wal-00000001.log", "wal-123456789.log", // segments
+		"wal-00000000.log", "wal-1.log", "wal-000000002.log", "wal-0000000x.log",
+		"wal-+0000004.log", "wal-00000005.log.tmp", "chain-00000006.log", "wal-00000007",
+	}
+	for _, name := range names {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := &Segments{dir: dir, prefix: "wal"}
+	got, err := l.list()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{1, 3, 123456789}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("list = %v, want %v", got, want)
+	}
+}

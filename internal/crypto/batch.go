@@ -40,8 +40,8 @@ type batchEntry struct {
 //
 // whose 256 accumulator doublings are shared across all terms (Straus'
 // trick). A batch that fails bisects — halves re-checked by the same
-// equation, single-entry leaves by VerifySignature's equation — so Verify always
-// pinpoints exactly which signatures are corrupt.
+// equation, single-entry leaves by VerifySignature's equation — so Verify
+// always pinpoints exactly which signatures are corrupt.
 //
 // The multiplication by the cofactor 8 is what makes batching sound: it
 // clears small-order torsion components identically here and in the
@@ -65,8 +65,9 @@ func (r *Registry) NewBatchVerifier(capacity int) *BatchVerifier {
 	return &BatchVerifier{reg: r, entries: make([]batchEntry, 0, capacity)}
 }
 
-// Add queues one (signer, message, signature) check. Malformed inputs (unknown signer, bad lengths, non-canonical or invalid encodings)
-// are recorded as failed immediately; they surface in Verify's result.
+// Add queues one (signer, message, signature) check. Malformed inputs
+// (unknown signer, bad lengths, non-canonical or invalid encodings) are
+// recorded as failed immediately; they surface in Verify's result.
 func (v *BatchVerifier) Add(id NodeID, msg, sig []byte) {
 	v.entries = append(v.entries, batchEntry{})
 	e := &v.entries[len(v.entries)-1]

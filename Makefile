@@ -27,7 +27,7 @@ lint:
 # fuzz the WAL, batch-verify, PrePrepare-reference and block-run decoders
 # and the block store's recovery of its last segment briefly, and smoke-run
 # the verification, batching, and transport benchmarks once (with the
-# allocation benchmarks of the sealing, digest and bus ingest paths) so a broken
+# allocation benchmarks of the sealing, digest, bus ingest and receive paths) so a broken
 # benchmark cannot rot unnoticed. zcbench is its own Go
 # module, so the root build never compiles it: vet and self-test it here.
 check: lint
@@ -47,7 +47,7 @@ check: lint
 	$(GO) test -run '^$$' -bench Verify -benchtime 1x ./internal/crypto/... ./internal/pbft/...
 	$(GO) test -run '^$$' -bench Transport -benchtime 1x ./internal/transport
 	$(GO) test -run '^$$' -bench 'StoreAppend|OrderingThroughput' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'SealSlot|RequestDigest|HandleFrame' -benchmem -benchtime 1x ./internal/blockchain ./internal/pbft ./internal/node
+	$(GO) test -run '^$$' -bench 'SealSlot|RequestDigest|HandleFrame|ReceivePrepare' -benchmem -benchtime 1x ./internal/blockchain ./internal/pbft ./internal/node
 	cd zcbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:

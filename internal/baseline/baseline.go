@@ -310,26 +310,33 @@ func (c *clientFront) onClientRequest(from crypto.NodeID, data []byte) {
 	if !ok {
 		return
 	}
-	// The signature check runs on the verify pool; the continuation
-	// re-reads the primary because it may have changed while the check was
-	// queued.
-	c.env.Pool.Submit(func() {
-		if pbft.VerifyRequest(&cr.Req, c.env.Registry) != nil {
-			return
-		}
-		c.mu.Lock()
-		primary := c.primary
-		c.mu.Unlock()
-		if primary == c.env.Config.ID {
-			c.propose(cr.Req)
-			return
-		}
-		if from == cr.Req.Origin {
-			// Broadcast from the client itself: relay toward the primary so
-			// a censored client cannot be starved.
-			_ = c.reqChan.Send(primary, data)
-		}
-	})
+	// The signature check runs on the verify pool.
+	c.env.Pool.Submit(c.verifyClientRequest, from, cr)
+}
+
+// verifyClientRequest checks a client request's signature, then proposes
+// it or relays it; msg is the *ClientRequest onClientRequest decoded. It
+// re-reads the primary because it may have changed while the check was
+// queued.
+func (c *clientFront) verifyClientRequest(from crypto.NodeID, msg any) {
+	cr := msg.(*ClientRequest)
+	if pbft.VerifyRequest(&cr.Req, c.env.Registry) != nil {
+		return
+	}
+	c.mu.Lock()
+	primary := c.primary
+	c.mu.Unlock()
+	if primary == c.env.Config.ID {
+		c.propose(cr.Req)
+		return
+	}
+	if from == cr.Req.Origin {
+		// Broadcast from the client itself: relay toward the primary so
+		// a censored client cannot be starved. The inbound frame was only
+		// lent to the handler, so the relay re-encodes the request; Unmarshal
+		// admits canonical encodings only, so the bytes are the client's.
+		_ = c.reqChan.Send(primary, wire.Marshal(cr))
+	}
 }
 
 // OnDecide logs every decided request — duplicates included, which is

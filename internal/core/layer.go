@@ -489,25 +489,28 @@ func (l *Layer) onTransport(from crypto.NodeID, data []byte) {
 	if !ok {
 		return
 	}
-	req := zc.Req
-	if req.Batch {
+	if zc.Req.Batch {
 		// Peers broadcast and forward individual records only; batches
 		// exist solely as primary proposals inside PBFT. A batch-flagged
 		// peer request is faulty input.
 		return
 	}
-	verifyAndAdmit := func() {
-		l.counters.AddVerification()
-		if err := pbft.VerifyRequest(&req, l.reg); err != nil {
-			return // unauthenticated peer request
-		}
-		l.admitPeerRequest(req)
-	}
 	if l.cfg.VerifyPool != nil {
-		l.cfg.VerifyPool.Submit(verifyAndAdmit)
+		l.cfg.VerifyPool.Submit(l.verifyAndAdmit, from, zc)
 		return
 	}
-	verifyAndAdmit()
+	l.verifyAndAdmit(from, zc)
+}
+
+// verifyAndAdmit checks a peer request's origin signature and admits it;
+// msg is the *ZCRequest onTransport decoded.
+func (l *Layer) verifyAndAdmit(_ crypto.NodeID, msg any) {
+	req := msg.(*ZCRequest).Req
+	l.counters.AddVerification()
+	if err := pbft.VerifyRequest(&req, l.reg); err != nil {
+		return // unauthenticated peer request
+	}
+	l.admitPeerRequest(req)
 }
 
 // admitPeerRequest continues Algorithm 1 lines 25–32 for a peer request

@@ -27,7 +27,7 @@ type batchEntry struct {
 	A *edwards25519.Point  // signer public key
 	R *edwards25519.Point  // signature commitment, canonical encoding
 	S *edwards25519.Scalar // signature scalar, canonical
-	k *edwards25519.Scalar // SHA-512(R ‖ A ‖ M) challenge
+	k edwards25519.Scalar  // SHA-512(R ‖ A ‖ M) challenge
 	z *edwards25519.Scalar // random batch coefficient, set in Verify
 }
 
@@ -102,7 +102,7 @@ func (v *BatchVerifier) Add(id NodeID, msg, sig []byte) {
 		e.bad = true
 		return
 	}
-	e.k = challengeScalar(sig[:32], pub, msg)
+	challengeScalar(&e.k, sig[:32], pub, msg)
 }
 
 // Len reports how many checks have been queued.
@@ -194,9 +194,9 @@ func batchCheck(entries []*batchEntry) bool {
 		var key [ed25519.PublicKeySize]byte
 		copy(key[:], e.pub)
 		if acc := byKey[key]; acc != nil {
-			acc.MultiplyAdd(e.z, e.k, acc)
+			acc.MultiplyAdd(e.z, &e.k, acc)
 		} else {
-			zk := new(edwards25519.Scalar).Multiply(e.z, e.k)
+			zk := new(edwards25519.Scalar).Multiply(e.z, &e.k)
 			byKey[key] = zk
 			scalars = append(scalars, zk)
 			points = append(points, e.A)
@@ -243,7 +243,7 @@ func (v *BatchVerifier) bisect(live []*batchEntry) []int {
 // (VerifySignature's accept set).
 func (v *BatchVerifier) scalarVerify(e *batchEntry) bool {
 	v.reg.cc.AddScalarVerify()
-	return cofactoredEqual(e.A, e.R, e.S, e.k)
+	return cofactoredEqual(e.A, e.R, e.S, &e.k)
 }
 
 // sortInts is an insertion sort for the (short, nearly sorted) failed-index

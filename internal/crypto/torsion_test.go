@@ -65,8 +65,9 @@ func torsionSignature(t *testing.T, kp *KeyPair, msg []byte) []byte {
 	R.Add(R, smallOrderPoint(t)) // plant the torsion defect
 	renc := R.Bytes()
 
-	k := challengeScalar(renc, kp.Public, msg)
-	s := new(edwards25519.Scalar).MultiplyAdd(k, a, r) // s = k·a + r
+	var k edwards25519.Scalar
+	challengeScalar(&k, renc, kp.Public, msg)
+	s := new(edwards25519.Scalar).MultiplyAdd(&k, a, r) // s = k·a + r
 
 	return append(append([]byte{}, renc...), s.Bytes()...)
 }

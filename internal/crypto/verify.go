@@ -56,22 +56,22 @@ func VerifySignature(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if _, err := S.SetCanonicalBytes(sig[32:]); err != nil {
 		return false
 	}
-	k := challengeScalar(sig[:32], pub, msg)
-	return cofactoredEqual(A, R, S, k)
+	var k edwards25519.Scalar
+	challengeScalar(&k, sig[:32], pub, msg)
+	return cofactoredEqual(A, R, S, &k)
 }
 
-// challengeScalar computes the Ed25519 challenge k = SHA-512(R ‖ A ‖ M)
-// reduced mod the group order.
-func challengeScalar(renc, pub, msg []byte) *edwards25519.Scalar {
+// challengeScalar sets k to the Ed25519 challenge SHA-512(R ‖ A ‖ M)
+// reduced mod the group order. The hash state and digest live on the stack
+// and k is the caller's, so a verify allocates nothing.
+func challengeScalar(k *edwards25519.Scalar, renc, pub, msg []byte) {
 	h := sha512.New()
 	h.Write(renc)
 	h.Write(pub)
 	h.Write(msg)
 	var digest [64]byte
-	k := new(edwards25519.Scalar)
 	// SetUniformBytes only errors on wrong input length; h.Sum is 64 bytes.
 	k.SetUniformBytes(h.Sum(digest[:0]))
-	return k
 }
 
 // cofactoredEqual evaluates [8]([s]B − [k]A − R) == identity for one

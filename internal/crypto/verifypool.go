@@ -32,12 +32,22 @@ import (
 // the protocol tolerates arbitrary reordering, which is what makes this
 // pipelining safe (see DESIGN.md "Verification pipeline").
 type VerifyPool struct {
-	tasks  chan func()
+	tasks  chan task
 	quit   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
 	once   sync.Once
 	stats  metrics.PoolCounters
+}
+
+// task is one queued unit of work: fn(from, msg), submitted at start. It
+// travels through the queue by value, so a caller that binds fn once (a
+// method value kept in a field) submits without allocating.
+type task struct {
+	fn    func(from NodeID, msg any)
+	from  NodeID
+	msg   any
+	start time.Time
 }
 
 // queueFactor sizes the task queue per worker. Deep enough to absorb a burst
@@ -52,7 +62,7 @@ func NewVerifyPool(workers int) *VerifyPool {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &VerifyPool{
-		tasks: make(chan func(), workers*queueFactor),
+		tasks: make(chan task, workers*queueFactor),
 		quit:  make(chan struct{}),
 	}
 	p.wg.Add(workers)
@@ -68,47 +78,52 @@ func (p *VerifyPool) worker() {
 		select {
 		case <-p.quit:
 			return
-		case fn := <-p.tasks:
+		case t := <-p.tasks:
 			p.stats.Dequeued()
 			p.stats.AddOffloaded()
-			p.runTask(fn)
+			p.runTask(t)
 		}
 	}
 }
 
-// runTask executes one task, containing a panic so a single bad task cannot
-// take the worker (and, since an unrecovered panic is process-fatal, the
-// whole node) down with it. Swallowed panics are counted in the pool stats.
-func (p *VerifyPool) runTask(fn func()) {
+// runTask executes one task on a worker, containing a panic so a single bad
+// task cannot take the worker (and, since an unrecovered panic is
+// process-fatal, the whole node) down with it. Swallowed panics are counted
+// in the pool stats.
+func (p *VerifyPool) runTask(t task) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.stats.AddPanic()
 		}
 	}()
-	fn()
+	p.run(t)
 }
 
-// Submit schedules fn for asynchronous execution; see the type comment for
-// the exact semantics. fn must not block indefinitely (it would pin a
-// worker) and must tolerate running on the caller's goroutine.
-func (p *VerifyPool) Submit(fn func()) {
+// run executes one task and records its submit-to-completion time.
+func (p *VerifyPool) run(t task) {
+	t.fn(t.from, t.msg)
+	p.stats.RecordTask(time.Since(t.start))
+}
+
+// Submit schedules fn(from, msg) for asynchronous execution; see the type
+// comment for the exact semantics. fn must not block indefinitely (it would
+// pin a worker) and must tolerate running on the caller's goroutine. The
+// call is queued as a value: when fn is bound once and msg is a pointer,
+// submitting allocates nothing.
+func (p *VerifyPool) Submit(fn func(from NodeID, msg any), from NodeID, msg any) {
 	if p == nil || p.closed.Load() {
-		fn()
+		fn(from, msg)
 		return
 	}
-	start := time.Now()
-	task := func() {
-		fn()
-		p.stats.RecordTask(time.Since(start))
-	}
+	t := task{fn: fn, from: from, msg: msg, start: time.Now()}
 	p.stats.Enqueued()
 	select {
-	case p.tasks <- task:
+	case p.tasks <- t:
 	default:
 		// Queue saturated: run on the caller (backpressure).
 		p.stats.Dequeued()
 		p.stats.AddInline()
-		task()
+		p.run(t)
 	}
 }
 
@@ -116,7 +131,7 @@ func (p *VerifyPool) Submit(fn func()) {
 // the verdict to done from a worker goroutine (or the caller's, under
 // backpressure). done must not block.
 func (p *VerifyPool) VerifyAsync(reg *Registry, id NodeID, msg, sig []byte, done func(error)) {
-	p.Submit(func() { done(reg.Verify(id, msg, sig)) })
+	p.Submit(func(NodeID, any) { done(reg.Verify(id, msg, sig)) }, id, nil)
 }
 
 // Counters exposes the pool's instrumentation: tasks by execution path,

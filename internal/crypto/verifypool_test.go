@@ -55,7 +55,7 @@ func TestVerifyPoolCloseDegradesToSynchronous(t *testing.T) {
 	pool.Close() // idempotent
 
 	ran := false
-	pool.Submit(func() { ran = true })
+	pool.Submit(func(NodeID, any) { ran = true }, 0, nil)
 	if !ran {
 		t.Fatal("post-close Submit must run the task synchronously")
 	}
@@ -63,7 +63,7 @@ func TestVerifyPoolCloseDegradesToSynchronous(t *testing.T) {
 	// A nil pool behaves the same, so callers need no nil checks.
 	var nilPool *VerifyPool
 	ran = false
-	nilPool.Submit(func() { ran = true })
+	nilPool.Submit(func(NodeID, any) { ran = true }, 0, nil)
 	if !ran {
 		t.Fatal("nil-pool Submit must run the task synchronously")
 	}
@@ -77,13 +77,13 @@ func TestVerifyPoolSaturationRunsInline(t *testing.T) {
 	// Pin the single worker, then overfill the queue: subsequent submits
 	// must complete on the caller before Submit returns.
 	release := make(chan struct{})
-	pool.Submit(func() { <-release })
+	pool.Submit(func(NodeID, any) { <-release }, 0, nil)
 	time.Sleep(10 * time.Millisecond) // let the worker pick the blocker up
 	for i := 0; i < queueFactor; i++ {
-		pool.Submit(func() { <-release })
+		pool.Submit(func(NodeID, any) { <-release }, 0, nil)
 	}
 	done := false
-	pool.Submit(func() { done = true })
+	pool.Submit(func(NodeID, any) { done = true }, 0, nil)
 	if !done {
 		t.Fatal("saturated Submit must fall back to inline execution")
 	}
@@ -182,9 +182,9 @@ func TestVerifyPoolSubmitPanicContained(t *testing.T) {
 	pool := NewVerifyPool(1)
 	defer pool.Close()
 
-	pool.Submit(func() { panic("bad verification callback") })
+	pool.Submit(func(NodeID, any) { panic("bad verification callback") }, 0, nil)
 	done := make(chan struct{})
-	pool.Submit(func() { close(done) })
+	pool.Submit(func(NodeID, any) { close(done) }, 0, nil)
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):

@@ -167,8 +167,21 @@ func TestRotateWALAllocations(t *testing.T) {
 		cfg.DataDir = filepath.Join(root, fmt.Sprint(cfg.ID))
 	}, nil)
 	c.tickUntilSeq(25, 20*time.Second)
+	// AllocsPerRun counts the allocations of every goroutine, so nothing
+	// but the rotation may run while it measures: stop the bus readers,
+	// the other replicas and the network, then this replica's runner (the
+	// test goroutine now owns the engine) and timers. Its WAL stays open.
+	c.cancel()
+	for i, other := range c.nodes {
+		if i != 1 {
+			other.Stop()
+		}
+	}
+	c.net.Close()
 	n := c.nodes[1]
-	n.runner.Stop() // the test goroutine now owns the engine
+	n.runner.Stop()
+	n.front.Close()
+	n.busWG.Wait()
 	proof := n.engine.StableCheckpoint()
 	votes := len(n.engine.VoteRecords(nil))
 	certs := len(n.engine.PreparedCerts(nil))

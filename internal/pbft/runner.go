@@ -78,8 +78,13 @@ type Runner struct {
 	// proposals go out in full and inbound references are always fetched.
 	payloads PayloadSource
 
+	// verifyFn is verifyAndDeliver bound once, so handing an inbound
+	// message to the verify pool allocates no closure.
+	verifyFn func(from crypto.NodeID, msg any)
+
 	mu     sync.Mutex
-	queue  []func() []Action
+	queue  []mail
+	spare  []mail // the loop's drained batch, reused as the next queue
 	wake   chan struct{}
 	closed bool
 
@@ -110,13 +115,23 @@ func NewRunner(engine *Engine, tr transport.Transport, clk clock.Clock, app Appl
 		done:   make(chan struct{}),
 	}
 	r.payloads, _ = app.(PayloadSource)
+	r.verifyFn = r.verifyAndDeliver
 	tr.SetHandler(r.onMessage)
 	return r
 }
 
+// mail is one mailbox entry: a local command, or a verified message from
+// a peer. Messages travel as values rather than closures, so the receive
+// path enqueues without allocating.
+type mail struct {
+	cmd  func() []Action // nil for a message
+	from crypto.NodeID
+	msg  wire.Message
+}
+
 // Start launches the event loop and announces the initial primary.
 func (r *Runner) Start() {
-	r.enqueue(func() []Action { return r.engine.Start() })
+	r.enqueue(mail{cmd: func() []Action { return r.engine.Start() }})
 	go r.loop()
 }
 
@@ -133,12 +148,12 @@ func (r *Runner) Stop() {
 
 // Propose submits a request for ordering (PROPOSE down-call). Never blocks.
 func (r *Runner) Propose(req Request) {
-	r.enqueue(func() []Action { return r.engine.Propose(req) })
+	r.enqueue(mail{cmd: func() []Action { return r.engine.Propose(req) }})
 }
 
 // Suspect reports the given node as faulty (SUSPECT down-call). Never blocks.
 func (r *Runner) Suspect(id crypto.NodeID) {
-	r.enqueue(func() []Action { return r.engine.Suspect(id) })
+	r.enqueue(mail{cmd: func() []Action { return r.engine.Suspect(id) }})
 }
 
 // Engine returns the underlying engine. Callers must only use it from
@@ -150,11 +165,11 @@ func (r *Runner) Engine() *Engine { return r.engine }
 // engine state.
 func (r *Runner) Inspect(f func(e *Engine)) {
 	doneCh := make(chan struct{})
-	r.enqueue(func() []Action {
+	r.enqueue(mail{cmd: func() []Action {
 		f(r.engine)
 		close(doneCh)
 		return nil
-	})
+	}})
 	select {
 	case <-doneCh:
 	case <-r.done:
@@ -176,6 +191,9 @@ func (r *Runner) Inspect(f func(e *Engine)) {
 // (DESIGN.md §3.14). An unsigned PrePrepareFetch goes straight to the
 // engine, which bounds the answers. A Commit's MAC costs three SHA-256
 // compressions, less than a pool hop, so it is checked right here.
+//
+// data is lent for this call only (transport.Handler); the decoded message
+// owns copies of every byte it keeps.
 func (r *Runner) onMessage(from crypto.NodeID, data []byte) {
 	msg, err := wire.Unmarshal(data)
 	if err != nil {
@@ -183,13 +201,13 @@ func (r *Runner) onMessage(from crypto.NodeID, data []byte) {
 	}
 	switch m := msg.(type) {
 	case *PrePrepareFetch:
-		r.enqueue(func() []Action { return r.engine.ReceiveVerified(from, m) })
+		r.enqueue(mail{from: from, msg: m})
 		return
 	case *Commit:
 		if m.Replica != from || !r.engine.authenticCommit(m) {
 			return
 		}
-		r.enqueue(func() []Action { return r.engine.ReceiveVerified(from, m) })
+		r.enqueue(mail{from: from, msg: m})
 		return
 	case *PrePrepareRef:
 		if m.PrePrepare.Replica != from {
@@ -209,17 +227,22 @@ func (r *Runner) onMessage(from crypto.NodeID, data []byte) {
 	if s.signer() != from {
 		return // cheap reject before paying for a signature check
 	}
-	check := func() {
-		if preVerify(s, r.engine.reg) != nil {
-			return // forged or corrupted; drop without waking the loop
-		}
-		r.enqueue(func() []Action { return r.engine.ReceiveVerified(from, msg) })
-	}
 	if r.cfg.VerifyPool != nil {
-		r.cfg.VerifyPool.Submit(check)
+		r.cfg.VerifyPool.Submit(r.verifyFn, from, s)
 		return
 	}
-	check()
+	r.verifyAndDeliver(from, s)
+}
+
+// verifyAndDeliver checks a signed message's signatures (preVerify) and
+// hands it to the event loop; forged or corrupted ones are dropped without
+// waking the loop. msg is always a signable.
+func (r *Runner) verifyAndDeliver(from crypto.NodeID, msg any) {
+	s := msg.(signable)
+	if preVerify(s, r.engine.reg) != nil {
+		return
+	}
+	r.enqueue(mail{from: from, msg: s})
 }
 
 // enqueue appends work to the unbounded mailbox. Unbounded is deliberate:
@@ -227,13 +250,13 @@ func (r *Runner) onMessage(from crypto.NodeID, data []byte) {
 // NewPrimary, Suspect after a duplicate Decide); a bounded channel could
 // deadlock the loop against itself. Inbound flooding is bounded above this
 // layer by the communication layer's per-node open-request limit.
-func (r *Runner) enqueue(f func() []Action) {
+func (r *Runner) enqueue(m mail) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return
 	}
-	r.queue = append(r.queue, f)
+	r.queue = append(r.queue, m)
 	r.mu.Unlock()
 	select {
 	case r.wake <- struct{}{}:
@@ -262,11 +285,17 @@ func (r *Runner) loop() {
 					break
 				}
 				batch := r.queue
-				r.queue = nil
+				r.queue = r.spare[:0]
 				r.mu.Unlock()
-				for _, f := range batch {
-					r.execute(f())
+				for _, m := range batch {
+					if m.cmd != nil {
+						r.execute(m.cmd())
+					} else {
+						r.execute(r.engine.ReceiveVerified(m.from, m.msg))
+					}
 				}
+				clear(batch) // hold no message past its turn
+				r.spare = batch
 			}
 		case <-timerC:
 			view := r.viewTimerView

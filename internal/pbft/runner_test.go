@@ -16,10 +16,16 @@ import (
 type testApp struct {
 	mu        sync.Mutex
 	delivered []DeliverAction
+	lastSeq   uint64 // seq of the latest delivery
 	stable    []CheckpointProof
 	primaries []NewPrimaryAction
 	transfers []StateTransferNeededAction
 	deliverCh chan DeliverAction
+
+	// transfer, when set, returns the deliveries of the slots in
+	// (after, through] as a replica that executed them made them: the
+	// blocks a node's state transfer would fetch.
+	transfer func(after, through uint64) []DeliverAction
 }
 
 func newTestApp() *testApp {
@@ -30,6 +36,7 @@ func (a *testApp) Deliver(seq uint64, req Request) {
 	act := DeliverAction{Seq: seq, Req: req}
 	a.mu.Lock()
 	a.delivered = append(a.delivered, act)
+	a.lastSeq = seq
 	a.mu.Unlock()
 	a.deliverCh <- act
 }
@@ -48,10 +55,45 @@ func (a *testApp) NewPrimary(view uint64, primary crypto.NodeID) {
 	a.mu.Unlock()
 }
 
+// StateTransferNeeded records the transfer and, when the app has a
+// transfer source, installs the skipped slots as a node does: their
+// deliveries arrive in order before any later slot's.
 func (a *testApp) StateTransferNeeded(seq uint64, digest crypto.Digest) {
 	a.mu.Lock()
 	a.transfers = append(a.transfers, StateTransferNeededAction{TargetSeq: seq, Digest: digest})
+	after, transfer := a.lastSeq, a.transfer
 	a.mu.Unlock()
+	if transfer == nil {
+		return
+	}
+	for _, d := range transfer(after, seq) {
+		a.Deliver(d.Seq, d.Req)
+	}
+}
+
+// deliveredBetween returns the deliveries of the slots in (after, through]
+// from a replica other than except that has executed through: what a state
+// transfer of those slots installs.
+func (rc *runnerCluster) deliveredBetween(except crypto.NodeID, after, through uint64) []DeliverAction {
+	for _, id := range rc.ids {
+		if id == except {
+			continue
+		}
+		a := rc.apps[id]
+		a.mu.Lock()
+		var out []DeliverAction
+		for _, d := range a.delivered {
+			if d.Seq > after && d.Seq <= through {
+				out = append(out, d)
+			}
+		}
+		reached := a.lastSeq >= through
+		a.mu.Unlock()
+		if reached {
+			return out
+		}
+	}
+	return nil
 }
 
 func (a *testApp) waitDeliveries(t *testing.T, n int) []DeliverAction {

@@ -45,7 +45,8 @@ const (
 
 	// readBufSize sizes the pooled bufio.Reader in front of each
 	// connection, so the frame header and small payloads cost one read
-	// syscall instead of two.
+	// syscall instead of two, and every frame up to this size is handed
+	// to the handler in place, straight out of the reader's buffer.
 	readBufSize = 64 << 10
 )
 
@@ -376,8 +377,9 @@ func (t *TCP) handleInbound(c net.Conn) {
 
 // readLoop delivers inbound frames to the handler until the connection
 // fails, then detaches it from the peer's write path. The bufio.Reader is
-// pooled; payload buffers are not — ownership of each frame passes to the
-// handler (decoded protocol messages alias it, see the Handler contract).
+// pooled, and a frame that fits it is lent to the handler in place: it is
+// discarded from the reader only once the handler returns (the Handler
+// contract), so a steady-state connection allocates nothing per frame.
 func (t *TCP) readLoop(p *tcpPeer, c net.Conn) {
 	defer func() {
 		p.clearConn(c)
@@ -390,7 +392,7 @@ func (t *TCP) readLoop(p *tcpPeer, c net.Conn) {
 		readerPool.Put(br)
 	}()
 	for {
-		data, err := readFrame(br)
+		data, lent, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -400,6 +402,8 @@ func (t *TCP) readLoop(p *tcpPeer, c net.Conn) {
 		if h != nil {
 			h(p.id, data)
 		}
+		// Discarding bytes already buffered cannot fail.
+		_, _ = br.Discard(lent)
 	}
 }
 
@@ -635,20 +639,31 @@ func (p *tcpPeer) ensureConn() net.Conn {
 	}
 }
 
-// readFrame reads one length-prefixed frame. The returned payload is freshly
-// allocated: ownership passes to the caller (and on to the handler).
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	var lenBuf [frameHeaderSize]byte
-	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-		return nil, err
+// readFrame reads one length-prefixed frame. A frame that fits br's buffer
+// is returned in place, still buffered: data aliases br and stays valid
+// until the caller discards the lent bytes, header included. A larger frame
+// is read into its own allocation and lent is 0.
+func readFrame(br *bufio.Reader) (data []byte, lent int, err error) {
+	hdr, err := br.Peek(frameHeaderSize)
+	if err != nil {
+		return nil, 0, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrameSize {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+		return nil, 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	data := make([]byte, n)
+	if size := frameHeaderSize + int(n); size <= br.Size() {
+		frame, err := br.Peek(size)
+		if err != nil {
+			return nil, 0, err
+		}
+		// Capped at its own end, so an append cannot reach the next frame.
+		return frame[frameHeaderSize:size:size], size, nil
+	}
+	_, _ = br.Discard(frameHeaderSize) // peeked above, so buffered
+	data = make([]byte, n)
 	if _, err := io.ReadFull(br, data); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return data, nil
+	return data, 0, nil
 }

@@ -86,6 +86,58 @@ func TestTCPLargeFrame(t *testing.T) {
 	}
 }
 
+// TestTCPFramesAroundReadBuffer interleaves frames below, at and above the
+// reader's buffer — the sizes lent in place and the ones read into their
+// own allocation — and checks that each handler call sees exactly its own
+// frame. The handler scribbles over every frame it is lent, so a frame that
+// shared bytes with a later one would arrive corrupted.
+func TestTCPFramesAroundReadBuffer(t *testing.T) {
+	a, b := newTCPPair(t)
+	fits := readBufSize - frameHeaderSize
+	sizes := []int{0, 1, 300, fits, fits + 1, 3 * readBufSize, 17, fits - 1, 40000, 40000, 2*readBufSize + 5, 1}
+	frames := make([][]byte, 0, 3*len(sizes))
+	for round := 0; round < 3; round++ {
+		for _, n := range sizes {
+			f := make([]byte, n)
+			for j := range f {
+				f[j] = byte(len(frames) + 31*j)
+			}
+			frames = append(frames, f)
+		}
+	}
+
+	got := make(chan error, len(frames))
+	next := 0
+	b.SetHandler(func(from crypto.NodeID, data []byte) {
+		want := frames[next]
+		next++
+		if !bytes.Equal(data, want) {
+			got <- fmt.Errorf("frame %d: got %d bytes, want %d bytes of its own pattern", next-1, len(data), len(want))
+		} else {
+			got <- nil
+		}
+		for j := range data {
+			data[j] = 0xee
+		}
+	})
+	for _, f := range frames {
+		if err := a.Send(1, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for i := range frames {
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-deadline:
+			t.Fatalf("timed out after %d of %d frames", i, len(frames))
+		}
+	}
+}
+
 func TestTCPManyMessagesInOrder(t *testing.T) {
 	a, b := newTCPPair(t)
 	col := newCollector()

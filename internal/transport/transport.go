@@ -26,16 +26,19 @@ var ErrClosed = errors.New("transport: closed")
 // ErrUnknownPeer is returned when sending to an unregistered node.
 var ErrUnknownPeer = errors.New("transport: unknown peer")
 
-// Handler consumes an inbound message. Ownership of data passes to the
-// handler: every transport delivers each message in freshly allocated
-// storage and never touches it again, so handlers (and the decoded protocol
-// messages that alias data, see wire.Decoder.Bytes) may retain it
-// indefinitely. Handlers are invoked sequentially per connection; a node
-// with several connections to the same peer may see concurrent invocations.
+// Handler consumes an inbound message. data is valid only for the call:
+// a transport may lend it out of a reused buffer (TCP hands each frame
+// straight out of the connection's read buffer) and overwrite it once the
+// handler returns. A handler that needs the bytes later — a relay queued
+// on another goroutine, say — copies or re-encodes them; protocol messages
+// decoded with wire.Unmarshal own copies of everything they keep. Handlers
+// are invoked sequentially per connection; a node with several connections
+// to the same peer may see concurrent invocations.
 type Handler func(from crypto.NodeID, data []byte)
 
 // Transport sends encoded messages to peers and delivers inbound messages to
-// a handler.
+// a handler, lending each inbound message for the handler call only (see
+// Handler).
 //
 // Sends are asynchronous and non-blocking: Send and Broadcast hand the
 // message to a bounded outbound queue and return without waiting for

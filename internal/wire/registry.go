@@ -53,11 +53,30 @@ func Marshal(msg Message) []byte {
 	})
 }
 
+// decoders recycles Unmarshal's decoder: handed to DecodeWire through an
+// interface call, a fresh one would escape to the heap on every message.
+var decoders = sync.Pool{
+	New: func() any { return new(Decoder) },
+}
+
 // Unmarshal decodes an enveloped message produced by Marshal. It rejects
 // unknown type tags and trailing garbage so Byzantine peers cannot smuggle
 // extra payload bytes past signature checks.
+//
+// The message keeps no reference to data: every registered decoder copies
+// the byte strings it keeps (Decoder.BytesCopy), so callers may reuse data
+// as soon as Unmarshal returns — transports lend each frame only for the
+// duration of the handler call.
 func Unmarshal(data []byte) (Message, error) {
-	d := NewDecoder(data)
+	d := decoders.Get().(*Decoder)
+	*d = Decoder{buf: data}
+	msg, err := unmarshal(d)
+	*d = Decoder{} // hold no reference to data in the pool
+	decoders.Put(d)
+	return msg, err
+}
+
+func unmarshal(d *Decoder) (Message, error) {
 	t := Type(d.Uint16())
 	if d.Err() != nil {
 		return nil, d.Err()

@@ -346,7 +346,10 @@ func (d *Decoder) Bytes32() (v [32]byte) {
 }
 
 // Bytes reads a length-prefixed byte string. The result aliases the input
-// buffer. A nil slice is returned for zero-length strings.
+// buffer, so it suits only bytes used before that buffer is reused: a
+// message decoder (DecodeWire) must keep byte strings with BytesCopy, because
+// transports lend each inbound frame only for the handler call. A nil slice
+// is returned for zero-length strings.
 func (d *Decoder) Bytes() []byte {
 	n := d.Uvarint()
 	if n > MaxElementSize {

@@ -48,7 +48,6 @@ func run() error {
 		shapeLTE     = flag.Bool("lte", false, "shape the uplink to the paper's LTE profile")
 		deleteAcks   = flag.Int("delete-acks", 3, "replica acks required per export round")
 		sendQueue    = flag.Int("send-queue", transport.DefaultSendQueue, "per-replica outbound queue capacity (oldest dropped when full)")
-		flushEvery   = flag.Duration("flush-interval", 0, "linger before flushing partial outbound write batches (0 = flush when idle)")
 		metricsAddr  = flag.String("metrics-addr", "", "observability HTTP address (/metrics /statusz /debug/pprof; empty = off)")
 		statsEvery   = flag.Duration("stats", 0, "stats print interval (0 = off)")
 	)
@@ -81,7 +80,6 @@ func run() error {
 		return err
 	}
 	tcp.SendQueue = *sendQueue
-	tcp.FlushInterval = *flushEvery
 	var tr transport.Transport = tcp
 	if *shapeLTE {
 		tr = netsim.NewShaped(tcp, netsim.LTE)

@@ -50,10 +50,10 @@ func run() error {
 		sendQueue  = flag.Int("send-queue", 4096, "per-endpoint inbox capacity (messages dropped when full)")
 
 		dataRoot     = flag.String("datadir", "", "per-replica data root (empty = memory, no WAL)")
-		netDrop      = flag.Float64("net-drop", 0, "consensus transport drop probability")
-		netDelay     = flag.Float64("net-delay", 0, "consensus transport delay probability")
-		netDelayMax  = flag.Duration("net-delay-max", 5*time.Millisecond, "max injected transport delay")
-		netDup       = flag.Float64("net-dup", 0, "consensus transport duplicate probability")
+		netDrop      = flag.Float64("net-drop", 0, "per-message drop probability of every network link")
+		netDelay     = flag.Float64("net-delay", 0, "per-message delay probability of every network link")
+		netDelayMax  = flag.Duration("net-delay-max", 5*time.Millisecond, "max injected link delay")
+		netDup       = flag.Float64("net-dup", 0, "per-message duplicate probability of every network link")
 		killNode     = flag.Int("kill", -1, "replica to crash mid-run (-1 = none)")
 		killAfter    = flag.Duration("kill-after", 10*time.Second, "when to crash the -kill replica")
 		restartAfter = flag.Duration("restart-after", 20*time.Second, "when to restart it from its data dir (0 = never)")
@@ -77,7 +77,13 @@ func run() error {
 	pairs = append(pairs, dcKP)
 	reg := crypto.NewRegistry(pairs...)
 
-	net := transport.NewNetwork(transport.WithSeed(*seed), transport.WithInboxSize(*sendQueue))
+	net := transport.NewNetwork(transport.WithSeed(*seed), transport.WithInboxSize(*sendQueue),
+		transport.WithDefaultLink(transport.LinkConfig{
+			DropRate:      *netDrop,
+			DelayRate:     *netDelay,
+			MaxDelay:      *netDelayMax,
+			DuplicateRate: *netDup,
+		}))
 	defer net.Close()
 
 	genCfg := signal.DefaultGeneratorConfig()
@@ -88,14 +94,6 @@ func run() error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
 	defer cancel()
-
-	faults := transport.FaultConfig{
-		DropRate:      *netDrop,
-		DelayRate:     *netDelay,
-		MaxDelay:      *netDelayMax,
-		DuplicateRate: *netDup,
-	}
-	chaosNet := *netDrop > 0 || *netDelay > 0 || *netDup > 0
 
 	var nodeMu sync.Mutex // guards nodes against the reporter goroutine
 	nodes := make([]*node.Node, len(ids))
@@ -112,15 +110,11 @@ func run() error {
 		if *dataRoot != "" {
 			dir = filepath.Join(*dataRoot, fmt.Sprintf("replica-%d", i))
 		}
-		tr := transport.Transport(net.Endpoint(id))
-		if chaosNet {
-			tr = transport.NewFaulty(tr, ids, faults, *seed+int64(id)+incarnation[i]*100)
-		}
 		cfg := nodeCfg
 		cfg.ID, cfg.Replicas = id, ids
 		cfg.DataCenters, cfg.DeleteQuorum = []crypto.NodeID{dcID}, 1
 		cfg.DataDir = dir
-		n, err := node.New(cfg, kps[id], reg, tr, clock.Real{})
+		n, err := node.New(cfg, kps[id], reg, net.Endpoint(id), clock.Real{})
 		if err != nil {
 			return err
 		}

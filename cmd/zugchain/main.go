@@ -62,7 +62,6 @@ func run() error {
 		bitFlipRate = flag.Float64("bus-bitflip", 0, "simulated bus bit-flip probability")
 		statsEvery  = flag.Duration("stats", 10*time.Second, "stats print interval (0 = off)")
 		sendQueue   = flag.Int("send-queue", transport.DefaultSendQueue, "per-peer outbound queue capacity (oldest dropped when full)")
-		flushEvery  = flag.Duration("flush-interval", 0, "linger before flushing partial outbound write batches (0 = flush when idle)")
 		metricsAddr = flag.String("metrics-addr", "", "observability HTTP address (/metrics /statusz /tracez /eventz /debug/pprof; empty = off)")
 	)
 	var cfg node.Config
@@ -92,7 +91,6 @@ func run() error {
 		return err
 	}
 	tr.SendQueue = *sendQueue
-	tr.FlushInterval = *flushEvery
 	defer tr.Close()
 
 	cfg.ID = id

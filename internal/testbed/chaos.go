@@ -35,7 +35,7 @@ type Partition struct {
 }
 
 // ChaosScenario drives a ZugChain cluster through crash-restarts and
-// network partitions while the transport injects seeded drop/delay/
+// network partitions while the network's links inject seeded drop/delay/
 // duplicate faults — the §III-D fault model plus fail-recovery.
 type ChaosScenario struct {
 	// Scenario sets the bus, the replica set and their timeouts, TimeScale
@@ -44,9 +44,9 @@ type ChaosScenario struct {
 	// DataRoot is the directory holding one data dir per replica; crashed
 	// replicas restart from theirs. Required.
 	DataRoot string
-	// NetFaults configures the fault-injecting transport wrapper every
-	// replica sends through.
-	NetFaults transport.FaultConfig
+	// NetFaults is the link every pair of replicas talks over; its drop,
+	// delay and duplicate rates are the injected network faults.
+	NetFaults transport.LinkConfig
 	// Crashes and Partitions are the fault schedule.
 	Crashes    []Crash
 	Partitions []Partition
@@ -78,9 +78,8 @@ type ChaosResult struct {
 	DuplicateLogs int
 	// Restarts reports each crash-restart, in schedule order.
 	Restarts []RestartReport
-	// FaultStats aggregates the injected network faults per replica index
-	// (final incarnation).
-	FaultStats []transport.FaultStats
+	// FaultStats counts the network faults the links injected over the run.
+	FaultStats transport.FaultStats
 	// Journals holds each replica's consensus event journal at teardown
 	// (nil for replicas dead at the end) — what /eventz would have served.
 	Journals [][]obsv.Event
@@ -102,13 +101,8 @@ func (r *ChaosResult) CountEvents(kind obsv.EventKind) int {
 // chaosCluster is the mutable run state of RunChaos.
 type chaosCluster struct {
 	*cluster
-	s      ChaosScenario
-	net    *transport.Network
-	faulty []*transport.Faulty
-	incarn []int64
-	// cut tracks active partitions so a restarted replica's fresh wrapper
-	// re-blocks its partitioned peers.
-	cut map[[2]int]bool
+	s   ChaosScenario
+	net *transport.Network
 }
 
 func (c *chaosCluster) nodeConfig(i int) node.Config {
@@ -118,26 +112,16 @@ func (c *chaosCluster) nodeConfig(i int) node.Config {
 	return cfg
 }
 
-// startNode builds (or rebuilds) replica i on a fresh transport attachment,
-// re-applying any partitions it is on one side of.
+// startNode builds (or rebuilds) replica i on a fresh network attachment.
+// Partitions it is on one side of still hold: the network keeps link state
+// across Remove.
 func (c *chaosCluster) startNode(i int) (*node.Node, error) {
 	id := c.ids[i]
-	f := transport.NewFaulty(c.net.Endpoint(id), c.ids, c.s.NetFaults, c.s.Seed+int64(i)+c.incarn[i]*1000)
-	for pair := range c.cut {
-		if pair[0] == i {
-			f.Partition(c.ids[pair[1]])
-		}
-		if pair[1] == i {
-			f.Partition(c.ids[pair[0]])
-		}
-	}
-	n, err := node.New(c.nodeConfig(i), c.kps[id], c.reg, f, clock.Real{})
+	n, err := node.New(c.nodeConfig(i), c.kps[id], c.reg, c.net.Endpoint(id), clock.Real{})
 	if err != nil {
 		return nil, err
 	}
-	c.faulty[i] = f
-	c.incarn[i]++
-	c.run(i, n, c.bus.NewReader(mvb.FaultConfig{}, c.s.Seed+int64(i)+c.incarn[i]*1000))
+	c.run(i, n, c.bus.NewReader(mvb.FaultConfig{}, c.s.Seed+int64(i)))
 	return n, nil
 }
 
@@ -145,23 +129,7 @@ func (c *chaosCluster) startNode(i int) (*node.Node, error) {
 // data dir survives.
 func (c *chaosCluster) killNode(i int) {
 	c.stop(i)
-	c.faulty[i] = nil
 	c.net.Remove(c.ids[i])
-}
-
-func (c *chaosCluster) setPartition(p Partition, on bool) {
-	key := [2]int{p.A, p.B}
-	delete(c.cut, key)
-	if on {
-		c.cut[key] = true
-	}
-	for _, end := range [][2]int{{p.A, p.B}, {p.B, p.A}} {
-		if f := c.faulty[end[0]]; f != nil && on {
-			f.Partition(c.ids[end[1]])
-		} else if f != nil {
-			f.Heal(c.ids[end[1]])
-		}
-	}
 }
 
 // RunChaos executes a chaos scenario: the cluster orders bus traffic while
@@ -176,10 +144,8 @@ func RunChaos(s ChaosScenario) (*ChaosResult, error) {
 	c := &chaosCluster{
 		cluster: newCluster(s.Nodes, buildBus(s.Scenario)),
 		s:       s,
-		net:     transport.NewNetwork(transport.WithSeed(s.Seed)),
-		faulty:  make([]*transport.Faulty, s.Nodes),
-		incarn:  make([]int64, s.Nodes),
-		cut:     make(map[[2]int]bool),
+		net: transport.NewNetwork(transport.WithSeed(s.Seed),
+			transport.WithDefaultLink(s.NetFaults)),
 	}
 	defer c.net.Close()
 	defer c.stopAll()
@@ -199,10 +165,10 @@ func RunChaos(s ChaosScenario) (*ChaosResult, error) {
 		c.bus.Tick()
 		for _, p := range s.Partitions {
 			if p.AtCycle == cycle {
-				c.setPartition(p, true)
+				c.net.Partition(c.ids[p.A], c.ids[p.B])
 			}
 			if p.HealAtCycle == cycle && p.HealAtCycle > p.AtCycle {
-				c.setPartition(p, false)
+				c.net.Heal(c.ids[p.A], c.ids[p.B])
 			}
 		}
 		for _, cr := range s.Crashes {
@@ -240,12 +206,7 @@ func RunChaos(s ChaosScenario) (*ChaosResult, error) {
 	res.MinHeight, res.MaxHeight = c.heights()
 	res.Diverged = c.compareChains(res.MinHeight)
 	res.DuplicateLogs = c.countDuplicateLogs()
-	res.FaultStats = make([]transport.FaultStats, s.Nodes)
-	for i, f := range c.faulty {
-		if f != nil {
-			res.FaultStats[i] = f.Stats()
-		}
-	}
+	res.FaultStats = c.net.FaultStats()
 	res.Journals = make([][]obsv.Event, s.Nodes)
 	for i, n := range c.nodes {
 		if n != nil {

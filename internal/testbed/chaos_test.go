@@ -64,7 +64,7 @@ func checkChaosInvariants(t *testing.T, res *ChaosResult, minHeight uint64) {
 // must rejoin on the agreed chain without double-logging.
 func TestChaosBackupCrashRestartWithPartitions(t *testing.T) {
 	s := chaosBase(t)
-	s.NetFaults = transport.FaultConfig{
+	s.NetFaults = transport.LinkConfig{
 		DropRate:      0.02,
 		DelayRate:     0.2,
 		MaxDelay:      5 * time.Millisecond,
@@ -84,11 +84,7 @@ func TestChaosBackupCrashRestartWithPartitions(t *testing.T) {
 	if res.Restarts[0].Recovery.RestoredSeq == 0 {
 		t.Error("restarted backup recovered no executed sequence")
 	}
-	var injected uint64
-	for _, fs := range res.FaultStats {
-		injected += fs.Dropped + fs.Delayed + fs.Duplicated
-	}
-	if injected == 0 {
+	if fs := res.FaultStats; fs.Dropped+fs.Delayed+fs.Duplicated == 0 {
 		t.Error("fault injector was configured but injected nothing")
 	}
 	// The restarted backup's journal must carry its recovery event — the

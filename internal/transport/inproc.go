@@ -18,8 +18,27 @@ type LinkConfig struct {
 	Jitter time.Duration
 	// DropRate is the probability in [0, 1] that a message is lost.
 	DropRate float64
+	// DelayRate is the probability that a message is held back for an extra
+	// uniform random duration in (0, MaxDelay].
+	DelayRate float64
+	// MaxDelay bounds held-back messages; 50ms when zero.
+	MaxDelay time.Duration
+	// DuplicateRate is the probability that a message arrives twice (the
+	// copy without any DelayRate hold).
+	DuplicateRate float64
 	// Partitioned drops every message on the link.
 	Partitioned bool
+}
+
+// defaultMaxDelay bounds DelayRate holds on links that set no MaxDelay.
+const defaultMaxDelay = 50 * time.Millisecond
+
+// FaultStats counts the faults a Network's links injected.
+type FaultStats struct {
+	Dropped     uint64
+	Delayed     uint64
+	Duplicated  uint64
+	Partitioned uint64
 }
 
 // NetworkOption configures a simulated Network.
@@ -37,7 +56,7 @@ func WithDefaultLink(cfg LinkConfig) NetworkOption {
 	return networkOptionFunc(func(n *Network) { n.defaultLink = cfg })
 }
 
-// WithSeed makes drop and jitter decisions reproducible.
+// WithSeed makes jitter and fault decisions reproducible.
 func WithSeed(seed int64) NetworkOption {
 	return networkOptionFunc(func(n *Network) { n.rng = rand.New(rand.NewSource(seed)) })
 }
@@ -55,8 +74,10 @@ func WithInboxSize(size int) NetworkOption {
 
 // Network is an in-process message network simulating the train's Ethernet.
 // It delivers messages between Endpoints with configurable per-link latency,
-// jitter, loss, and partitions, and accounts bytes per node for the
-// network-utilization measurements of Fig 6.
+// jitter, loss, delay, duplication and partitions (the §III-D fault model,
+// rolled per destination so a broadcast faults each peer independently),
+// and accounts bytes per node for the network-utilization measurements of
+// Fig 6.
 type Network struct {
 	mu           sync.Mutex
 	endpoints    map[crypto.NodeID]*Endpoint
@@ -66,6 +87,7 @@ type Network struct {
 	rng          *rand.Rand
 	inboxSize    int
 	closed       bool
+	faults       FaultStats
 }
 
 // Interceptor inspects one outbound message and can delay or drop it. Used
@@ -209,6 +231,13 @@ func (n *Network) linkFor(a, b crypto.NodeID) LinkConfig {
 	return n.defaultLink
 }
 
+// FaultStats returns the faults the links have injected so far.
+func (n *Network) FaultStats() FaultStats {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.faults
+}
+
 // SetInterceptor installs (or, with nil, removes) an outbound interceptor
 // for messages sent by id.
 func (n *Network) SetInterceptor(id crypto.NodeID, f Interceptor) {
@@ -234,13 +263,32 @@ func (n *Network) deliver(from, to crypto.NodeID, data []byte) error {
 		return fmt.Errorf("%w: %v", ErrUnknownPeer, to)
 	}
 	cfg := n.linkFor(from, to)
-	if cfg.Partitioned || (cfg.DropRate > 0 && n.rng.Float64() < cfg.DropRate) {
+	if cfg.Partitioned {
+		n.faults.Partitioned++
+		n.mu.Unlock()
+		return nil // silently lost, like a real partitioned link
+	}
+	if cfg.DropRate > 0 && n.rng.Float64() < cfg.DropRate {
+		n.faults.Dropped++
 		n.mu.Unlock()
 		return nil // silently lost, like a real lossy link
 	}
 	delay := cfg.Latency
 	if cfg.Jitter > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(cfg.Jitter)))
+	}
+	dup := cfg.DuplicateRate > 0 && n.rng.Float64() < cfg.DuplicateRate
+	if dup {
+		n.faults.Duplicated++
+	}
+	var hold time.Duration
+	if cfg.DelayRate > 0 && n.rng.Float64() < cfg.DelayRate {
+		n.faults.Delayed++
+		bound := cfg.MaxDelay
+		if bound <= 0 {
+			bound = defaultMaxDelay
+		}
+		hold = time.Duration(1 + n.rng.Int63n(int64(bound)))
 	}
 	interceptor := n.interceptors[from]
 	n.mu.Unlock()
@@ -257,11 +305,10 @@ func (n *Network) deliver(from, to crypto.NodeID, data []byte) error {
 	msg := make([]byte, len(data))
 	copy(msg, data)
 	env := envelope{from: from, data: msg}
-	if delay <= 0 {
-		dst.enqueue(env)
-		return nil
+	dst.enqueueAfter(env, delay+hold)
+	if dup {
+		dst.enqueueAfter(env, delay)
 	}
-	time.AfterFunc(delay, func() { dst.enqueue(env) })
 	return nil
 }
 
@@ -343,6 +390,15 @@ func (e *Endpoint) Broadcast(data []byte) error {
 func (e *Endpoint) Close() error {
 	e.closeOnce.Do(func() { close(e.closed) })
 	return nil
+}
+
+// enqueueAfter delivers env to the inbox once d has passed.
+func (e *Endpoint) enqueueAfter(env envelope, d time.Duration) {
+	if d <= 0 {
+		e.enqueue(env)
+		return
+	}
+	time.AfterFunc(d, func() { e.enqueue(env) })
 }
 
 func (e *Endpoint) enqueue(env envelope) {

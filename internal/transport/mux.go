@@ -85,14 +85,6 @@ func (c *muxChannel) SetHandler(h Handler) {
 	c.mux.mu.Unlock()
 }
 
-// Flush implements Flusher when the underlying transport buffers writes;
-// otherwise it is a no-op.
-func (c *muxChannel) Flush() {
-	if f, ok := c.mux.under.(Flusher); ok {
-		f.Flush()
-	}
-}
-
 // Close is a no-op on a channel; close the Mux (or underlying transport)
 // to release resources.
 func (c *muxChannel) Close() error { return nil }

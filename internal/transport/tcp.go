@@ -101,11 +101,6 @@ type TCP struct {
 	// oldest queued frame is dropped. Zero selects DefaultSendQueue. Set
 	// before the first Send.
 	SendQueue int
-	// FlushInterval, when positive, lets an idle writer wait this long for
-	// more frames before issuing a small write — trading latency for fewer,
-	// larger syscalls. Zero (the default) flushes as soon as the queue is
-	// drained. Set before the first Send.
-	FlushInterval time.Duration
 
 	mu      sync.Mutex
 	peers   map[crypto.NodeID]string
@@ -120,10 +115,7 @@ type TCP struct {
 	net metrics.NetCounters
 }
 
-var (
-	_ Transport = (*TCP)(nil)
-	_ Flusher   = (*TCP)(nil)
-)
+var _ Transport = (*TCP)(nil)
 
 // NewTCP creates a TCP transport for id listening on listenAddr. peers maps
 // every other node ID to its dialable address. Pass an empty listenAddr to
@@ -217,23 +209,6 @@ func (t *TCP) Broadcast(data []byte) error {
 	return firstErr
 }
 
-// Flush implements Flusher: it wakes every peer writer that is waiting out a
-// FlushInterval so buffered frames hit the wire immediately.
-func (t *TCP) Flush() {
-	t.mu.Lock()
-	peers := make([]*tcpPeer, 0, len(t.out))
-	for _, p := range t.out {
-		peers = append(peers, p)
-	}
-	t.mu.Unlock()
-	for _, p := range peers {
-		select {
-		case p.flush <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // Close implements Transport. It closes every live connection — dialed and
 // inbound, including inbound duplicates that never became a peer's write
 // path — stops all writer/reader goroutines, and waits for them.
@@ -292,7 +267,6 @@ func (t *TCP) newPeerLocked(id crypto.NodeID) *tcpPeer {
 		id:     id,
 		queue:  make(chan *[]byte, q),
 		connCh: make(chan struct{}, 1),
-		flush:  make(chan struct{}, 1),
 	}
 	t.out[id] = p
 	t.wg.Add(1)
@@ -416,7 +390,6 @@ type tcpPeer struct {
 
 	queue  chan *[]byte
 	connCh chan struct{} // pings the writer when a conn is installed
-	flush  chan struct{} // pings the writer to cut a FlushInterval wait short
 
 	mu   sync.Mutex
 	conn net.Conn // current write path, nil while disconnected
@@ -489,21 +462,17 @@ func (p *tcpPeer) writeLoop() {
 		case first = <-p.queue:
 		}
 
-		// Opportunistically coalesce everything already queued, then (with
-		// a FlushInterval) linger for stragglers before paying the syscall.
+		// Connect before draining: while the peer is unreachable the other
+		// frames stay in the queue, where drop-oldest bounds them.
 		batch = append(batch[:0], first)
-		size := len(*first)
-		batch, size = p.drain(batch, size)
-		if iv := p.t.FlushInterval; iv > 0 && len(batch) < maxCoalesceFrames && size < maxCoalesceBytes {
-			batch, size = p.linger(batch, size, iv)
-		}
-
 		c := p.ensureConn()
 		if c == nil {
-			// Transport closing: the batch is lost (at-most-once).
+			// Transport closing: the frame is lost (at-most-once).
 			p.release(batch)
 			return
 		}
+		// Coalesce everything already queued into one syscall.
+		batch = p.drain(batch, len(*first))
 
 		bufs = bufs[:0]
 		for _, f := range batch {
@@ -528,39 +497,17 @@ func (p *tcpPeer) writeLoop() {
 
 // drain moves every immediately available frame into batch, up to the
 // coalescing caps.
-func (p *tcpPeer) drain(batch []*[]byte, size int) ([]*[]byte, int) {
+func (p *tcpPeer) drain(batch []*[]byte, size int) []*[]byte {
 	for len(batch) < maxCoalesceFrames && size < maxCoalesceBytes {
 		select {
 		case f := <-p.queue:
 			batch = append(batch, f)
 			size += len(*f)
 		default:
-			return batch, size
+			return batch
 		}
 	}
-	return batch, size
-}
-
-// linger waits up to iv for more frames before flushing a small batch,
-// cut short by Flush or shutdown.
-func (p *tcpPeer) linger(batch []*[]byte, size int, iv time.Duration) ([]*[]byte, int) {
-	timer := time.NewTimer(iv)
-	defer timer.Stop()
-	for len(batch) < maxCoalesceFrames && size < maxCoalesceBytes {
-		select {
-		case f := <-p.queue:
-			batch = append(batch, f)
-			size += len(*f)
-			batch, size = p.drain(batch, size)
-		case <-timer.C:
-			return batch, size
-		case <-p.flush:
-			return batch, size
-		case <-p.t.closing:
-			return batch, size
-		}
-	}
-	return batch, size
+	return batch
 }
 
 // release returns batch frames to the pool and settles the depth counter.

@@ -523,64 +523,3 @@ func TestTCPInboundDuplicateClosed(t *testing.T) {
 		t.Fatal("Close deadlocked on an untracked inbound connection")
 	}
 }
-
-// TestTCPFlushIntervalCoalesces: with a flush interval, a burst of small
-// sends is merged into very few write syscalls; Flush cuts the wait short.
-func TestTCPFlushIntervalCoalesces(t *testing.T) {
-	a, b := newTCPPair(t)
-	a.FlushInterval = 200 * time.Millisecond
-	col := newCollector()
-	b.SetHandler(col.handler)
-
-	// Establish the connection (first flush may carry only the hello-side
-	// frame before the interval applies).
-	if err := a.Send(1, []byte("warm")); err != nil {
-		t.Fatal(err)
-	}
-	col.wait(t, 1)
-	// Write accounting happens on the writer goroutine; wait for the warm
-	// frame to be counted before taking the baseline.
-	nc := a.NetCounters()
-	var baseFrames, baseWrites uint64
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		baseFrames, baseWrites = nc.Frames.Load(), nc.WriteOps.Load()
-		if baseFrames >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("warm frame never counted: %+v", nc.Metrics())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	const n = 10
-	for i := 0; i < n; i++ {
-		if err := a.Send(1, []byte("burst")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f, ok := any(a).(Flusher); !ok {
-		t.Fatal("TCP does not implement Flusher")
-	} else {
-		f.Flush()
-	}
-	col.wait(t, n)
-	var frames, writes uint64
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		frames, writes = nc.Frames.Load()-baseFrames, nc.WriteOps.Load()-baseWrites
-		if frames >= n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("frames written = %d, want %d", frames, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if frames != n {
-		t.Fatalf("frames written = %d, want %d", frames, n)
-	}
-	if writes > 3 {
-		t.Errorf("burst of %d frames took %d write ops; expected coalescing", n, writes)
-	}
-	t.Logf("coalesced %d frames into %d writes (mean %.1f)", frames, writes, float64(frames)/float64(writes))
-}

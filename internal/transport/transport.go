@@ -65,9 +65,11 @@ type Transport interface {
 	Close() error
 }
 
-// Flusher is optionally implemented by transports that buffer or delay
-// outbound writes (TCP with a positive FlushInterval). Flush pushes all
-// buffered frames toward the wire immediately; it does not wait for them.
+// Flusher is an optional interface for transports that buffer outbound
+// writes: Flush pushes buffered frames toward the wire without waiting for
+// them. No transport in this module buffers (TCP writes as soon as its queue
+// drains), so none implements it; the declaration stays because the
+// separate zcbench module type-asserts it.
 type Flusher interface {
 	Flush()
 }
